@@ -206,9 +206,8 @@ def _suite_invariants(cfg: RunConfig, rep: SuiteReport, ctx: dict):
 
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     collisions = 0
-    for _ in range(200):
-        x = rs.to_chamber(rng.normal(size=ct.dim))
-        y = rs.to_chamber(rng.normal(size=ct.dim))
+    # rows alternate x, y as drawn
+    for x, y in rs.to_chamber(rng.normal(size=(400, ct.dim))).reshape(200, 2, ct.dim):
         if np.linalg.norm(x - y) < 1e-6:
             continue
         px, py = basis.compiled.P(np.stack([x, y]))

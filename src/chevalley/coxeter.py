@@ -241,21 +241,29 @@ class RootSystem:
         return self.simple_unit_f @ np.asarray(x, dtype=float)
 
     def to_chamber(self, x) -> np.ndarray:
-        """Reflect x into the closed fundamental chamber.
+        """Reflect x, one point (n,) or a stack of rows (B, n), into the
+        closed fundamental chamber.
 
-        Each step reflects across the most violated wall; this terminates in
-        at most (number of positive roots) steps for any finite reflection
-        group, but a generous safety bound is kept for float round-off.
+        Each step reflects every row still outside across its most violated
+        wall; this terminates in at most (number of positive roots) steps for
+        any finite reflection group, but a generous safety bound is kept for
+        float round-off.  The products are stacked matrix-vector products so
+        that every row is reduced bit for bit as it would be on its own.
         """
-        y = np.asarray(x, dtype=float).copy()
+        x = np.asarray(x, dtype=float)
+        Y = np.atleast_2d(x).copy()
         max_iter = 10 * max(len(self.positive_f), 1) + 50
-        scale = max(np.linalg.norm(y), 1.0)
+        tol = -1e-14 * np.maximum(np.linalg.norm(Y, axis=1), 1.0)
+        active = np.arange(len(Y))
         for _ in range(max_iter):
-            dots = self.simple_f @ y
-            i = int(np.argmin(dots))
-            if dots[i] >= -1e-14 * scale:
-                return y
-            y = self.simple_reflections_f[i] @ y
+            Ya = Y[active]
+            dots = (self.simple_f @ Ya[..., None])[..., 0]
+            i = np.argmin(dots, axis=1)
+            out = ~(dots[np.arange(len(active)), i] >= tol[active])
+            active, i = active[out], i[out]
+            if len(active) == 0:
+                return Y.reshape(x.shape)
+            Y[active] = (self.simple_reflections_f[i] @ Ya[out][..., None])[..., 0]
         raise ConvergenceError("chamber reduction did not terminate")
 
     # -- serialization ----------------------------------------------------------

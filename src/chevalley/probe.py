@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .coxeter import RootSystem, Stratum, enumerate_strata, stratum_of_point
@@ -210,7 +212,7 @@ def sample_fiber(
     pts = np.concatenate([pts, _extend_extremes(cb, rs, k, m, pts, s, cap)], axis=0)
 
     # reduce to the chamber and deduplicate deterministically
-    pts = np.array([rs.to_chamber(x) for x in pts])
+    pts = rs.to_chamber(pts)
     resid = np.max(np.abs(cb.P(pts, k) - m), axis=1)
     keep = resid <= FIBER_RESIDUAL_TOL * (1.0 + np.max(np.abs(m)))
     keep &= rs.chamber_contains_many(pts, tol=1e-9 * max(s, 1.0))
@@ -273,19 +275,17 @@ def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
         nn, _ = tree.query(pts, k=2)
         radius = 3.0 * float(np.max(nn[:, 1]))
     pairs = tree.query_pairs(radius, output_type="ndarray")
-    parent = np.arange(len(pts))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(pts))})
+    # int32 CSR built by hand: dense fibers give ~10^6 pairs, and a COO
+    # round trip would hold several int64 copies of them at once
+    rows, cols = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32)
+    del pairs
+    indices = cols[np.argsort(rows)]
+    indptr = np.zeros(len(pts) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(pts)), out=indptr[1:])
+    del rows, cols
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr),
+                       shape=(len(pts), len(pts)))
+    return int(connected_components(graph, directed=False)[0])
 
 
 def fiber_value_interval(fs: FiberSample, basis: InvariantBasis, k: int):
@@ -305,12 +305,21 @@ def random_regular_target(
     radius: float = 1.0, margin: float = 0.05,
 ):
     """Target m = P_k(x*) for x* sampled in the chamber interior with a
-    uniform margin from every wall (generic regular values)."""
+    uniform margin from every wall (generic regular values).
+
+    The margin is relative to |x*| and is clamped to half the chamber's
+    inradius on the unit sphere, 1/|A^+ 1| for the unit simple roots A, so
+    that narrow chambers (H4: 0.039) still admit targets.
+    """
+    A = rs.simple_unit_f
+    inradius = 1.0 / np.linalg.norm(np.linalg.pinv(A) @ np.ones(len(A)))
+    margin = min(margin, 0.5 * inradius)
     rng = _rng(seed)
-    for _ in range(500):
+    X = np.empty((500, basis.nvars))
+    for j in range(len(X)):
         x = rng.normal(size=basis.nvars)
-        x = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
-        x = rs.to_chamber(x)
+        X[j] = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
+    for x in rs.to_chamber(X):
         if np.min(rs.wall_distances(x)) >= margin * np.linalg.norm(x):
             return basis.compiled.P(x[None, :], k)[0], x
     raise ConvergenceError("could not sample a regular target")
@@ -431,7 +440,7 @@ def critical_points(
     X, mu = X[good], mu[good]
     if len(X) == 0:
         return []
-    X = np.array([rs.to_chamber(x) for x in X])
+    X = rs.to_chamber(X)
 
     # deduplicate on a relative grid
     quant = np.round(X / (1e-6 * max(s, 1e-6))).astype(np.int64)
@@ -506,29 +515,12 @@ def isotropy_components(rs: RootSystem, stratum: Stratum) -> list[np.ndarray]:
     roots = rs.positive_f[list(stratum.isotropy)]
     if len(roots) == 0:
         return []
-    k = len(roots)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(roots[i] @ roots[j]) > 1e-10:
-                pi, pj = find(i), find(j)
-            else:
-                continue
-            if pi != pj:
-                parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+    # components are labelled in order of their smallest member
+    n_comp, labels = connected_components(np.abs(roots @ roots.T) > 1e-10,
+                                          directed=False)
     out = []
-    for idx in groups.values():
-        sub = roots[idx]
+    for c in range(n_comp):
+        sub = roots[labels == c]
         u, sv, _ = np.linalg.svd(sub.T, full_matrices=False)
         r = int(np.sum(sv > 1e-10 * sv[0]))
         out.append(u[:, :r])

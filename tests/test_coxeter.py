@@ -135,6 +135,30 @@ def test_to_chamber_is_fundamental_domain(rs_cache, rng):
             assert np.allclose(np.sort(np.abs(y)), np.sort(np.abs(x))) or True
 
 
+def _to_chamber_rowwise(rs, x):
+    """Reference reduction of one point with matrix-vector products."""
+    y = np.array(x, dtype=float)
+    scale = max(np.linalg.norm(y), 1.0)
+    for _ in range(1000):
+        dots = rs.simple_f @ y
+        i = int(np.argmin(dots))
+        if dots[i] >= -1e-14 * scale:
+            return y
+        y = rs.simple_reflections_f[i] @ y
+    raise AssertionError("reference reduction did not terminate")
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "D6", "F4", "H3", "H4", "G2", "I2:7"])
+def test_batched_to_chamber_matches_rowwise(name, rs_cache, rng):
+    rs = rs_cache(name)
+    X = rng.normal(size=(300, rs.n)) * rng.uniform(0.01, 100.0, size=(300, 1))
+    ref = np.array([_to_chamber_rowwise(rs, x) for x in X])
+    assert rs.to_chamber(X).tobytes() == ref.tobytes()
+    one = rs.to_chamber(X[0])
+    assert one.shape == (rs.n,) and one.tobytes() == ref[0].tobytes()
+    assert rs.to_chamber(np.zeros((0, rs.n))).shape == (0, rs.n)
+
+
 def test_nontrivial_action_leaves_chamber(rs_cache, rng):
     """w x is outside the open chamber for nontrivial w, interior x."""
     rs = rs_cache("B3")

@@ -79,6 +79,12 @@ def test_connectivity_single_point_and_clusters(basis_cache):
     c = rng.normal(size=(40, 2)) * 0.01 + 10.0
     two = FiberSample("B2", 1, np.array([1.0]), np.concatenate([a, c]), 0, 0.0)
     assert fiber_connectivity(two, radius=1.0) == 2
+    # a chain of points 0.94 apart joins the clusters only transitively
+    bridge = np.linspace(0.0, 10.0, 16)[1:-1, None] * np.ones(2)
+    pts = np.concatenate([a, c, bridge])[rng.permutation(94)]
+    joined = FiberSample("B2", 1, np.array([1.0]), pts, 0, 0.0)
+    assert fiber_connectivity(joined, radius=1.0) == 1
+    assert fiber_connectivity(joined, radius=0.5) == 16
     empty = FiberSample("B2", 1, np.array([1.0]), np.zeros((0, 2)), 0, 0.0)
     with pytest.raises(UsageError):
         fiber_connectivity(empty)
@@ -159,6 +165,16 @@ def test_regular_target_margins(basis_cache, rs_cache):
         m, x = random_regular_target(b, rs, 2, seed)
         assert np.min(rs.wall_distances(x)) >= 0.05 * np.linalg.norm(x)
         assert np.allclose(b.compiled.P(x[None, :], 2)[0], m)
+    # the H4 chamber is too narrow for the default margin: it is clamped to
+    # half the inradius 1/|A^+ 1| of the chamber on the unit sphere
+    b, rs = basis_cache("H4"), rs_cache("H4")
+    A = rs.simple_unit_f
+    inradius = 1.0 / np.linalg.norm(np.linalg.pinv(A) @ np.ones(len(A)))
+    assert 0.0390 < inradius < 0.0392
+    for k in (1, 2, 3):
+        m, x = random_regular_target(b, rs, k, seed=k)
+        assert np.min(rs.wall_distances(x)) >= 0.5 * inradius * np.linalg.norm(x)
+        assert np.allclose(b.compiled.P(x[None, :], k)[0], m)
 
 
 def test_critical_point_bordering_minors_vanish(basis_cache, rs_cache, strata_cache):
