@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -400,9 +400,14 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         try:
             base = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-    cfg = RunConfig(**{**base}) if base else RunConfig()
+        if not isinstance(base, dict):
+            raise UsageError("config file must hold a JSON object")
+        unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise UsageError(f"unknown config field(s): {', '.join(unknown)}")
+    cfg = RunConfig(**base)
     cfg.command = args.command
     defaults = RunConfig()
     for name in ("type_spec", "seed", "samples", "pairs", "n_points", "k",
@@ -415,6 +420,24 @@ def _config_from_args(args) -> RunConfig:
     return cfg.validate()
 
 
+def _read_report(path: str) -> SuiteReport:
+    try:
+        doc = json.loads(Path(path).read_text())
+        prov = doc["provenance"]
+        cfg = RunConfig(type_spec=prov["type"], command=prov["command"],
+                        seed=prov["seed"])
+        checks = doc["checks"]
+        if not all(isinstance(c, dict) and isinstance(c.get("status"), str)
+                   and {"name", "metrics"} <= c.keys() for c in checks):
+            raise ValueError("every check needs a name, a status and metrics")
+        return SuiteReport(cfg, checks=checks,
+                           runtime_s=float(doc.get("runtime_s", 0.0)))
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise UsageError(
+            f"cannot read suite report {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
@@ -425,13 +448,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             if not args.infile:
                 raise UsageError("report needs --in <suite-report.json>")
-            doc = json.loads(Path(args.infile).read_text())
-            cfg = RunConfig(type_spec=doc["provenance"]["type"],
-                            command=doc["provenance"]["command"],
-                            seed=doc["provenance"]["seed"])
-            rep = SuiteReport(cfg, checks=doc["checks"],
-                              runtime_s=doc.get("runtime_s", 0.0))
-            sys.stdout.write(emit_report(rep, args.fmt).decode())
+            sys.stdout.write(emit_report(_read_report(args.infile), args.fmt).decode())
             return 0
         cfg = _config_from_args(args)
         rep = run_suite(cfg)

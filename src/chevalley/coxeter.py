@@ -313,7 +313,6 @@ def _certify_simple_system(simple, positive) -> None:
     """Exact check: every positive root is a nonnegative combination of the
     claimed simple roots.  Raises on failure."""
     n = len(simple[0])
-    cols = [[simple[j][i] for j in range(len(simple))] for i in range(n)]
     if len(simple) != n:
         raise CheckFailure("simple system has wrong size")
     a = [[simple[j][i] for j in range(n)] for i in range(n)]  # columns = simples
@@ -321,7 +320,6 @@ def _certify_simple_system(simple, positive) -> None:
         coeff = solve_linear(a, list(v))
         if coeff is None or any(c.sign() < 0 for c in coeff):
             raise CheckFailure(f"root {v} is not a nonnegative combination of simples")
-    _ = cols  # columns retained for clarity only
 
 
 def build_root_system(ctype: CoxeterType | str) -> RootSystem:

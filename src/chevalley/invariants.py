@@ -91,60 +91,51 @@ class InvariantBasis:
 
 class CompiledBasis:
     """Batched float evaluation of the invariants, their gradients and
-    Hessians.  This is the hot path for fiber sampling and mesh imaging."""
+    Hessians.  This is the hot path for fiber sampling and mesh imaging.
+
+    Each of the three is one `CompiledPoly` table: the invariants, the
+    gradients flattened by (i, j), and the Hessians' upper triangles
+    flattened by (i, j, l >= j), so the first k invariants use a prefix.
+    The Hessian table is built on first use."""
 
     def __init__(self, basis: InvariantBasis):
         self.basis = basis
         self.n = basis.nvars
         self.k = len(basis.polys)
-        self._p = [p.compiled() for p in basis.polys]
+        self._p = CompiledPoly(basis.polys)
         self._grad_polys = [
             [p.diff(j) for j in range(self.n)] for p in basis.polys
         ]
-        self._g = [[q.compiled() for q in row] for row in self._grad_polys]
-        self._h: list[list[list[CompiledPoly]]] | None = None
+        self._g = CompiledPoly([q for row in self._grad_polys for q in row])
+        self._h: CompiledPoly | None = None
 
     def P(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Invariant values; X of shape (..., n) -> (..., k)."""
         k = self.k if k is None else k
-        X = np.asarray(X, dtype=float)
-        return np.stack([c(X) for c in self._p[:k]], axis=-1)
+        return self._p(X, k)
 
     def J(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Jacobian rows for the first k invariants; (..., n) -> (..., k, n)."""
         k = self.k if k is None else k
         X = np.asarray(X, dtype=float)
-        rows = [
-            np.stack([self._g[i][j](X) for j in range(self.n)], axis=-1)
-            for i in range(k)
-        ]
-        return np.stack(rows, axis=-2)
-
-    def _ensure_hessians(self):
-        if self._h is None:
-            self._h = [
-                [
-                    [
-                        self._grad_polys[i][j].diff(l).compiled()
-                        for l in range(self.n)
-                    ]
-                    for j in range(self.n)
-                ]
-                for i in range(self.k)
-            ]
+        return self._g(X, k * self.n).reshape(X.shape[:-1] + (k, self.n))
 
     def hessians(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Hessians of the first k invariants; (..., n) -> (..., k, n, n)."""
         k = self.k if k is None else k
-        self._ensure_hessians()
+        n = self.n
+        if self._h is None:
+            self._h = CompiledPoly([
+                q.diff(l) for row in self._grad_polys
+                for j, q in enumerate(row) for l in range(j, n)
+            ])
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[:-1] + (k, self.n, self.n))
-        for i in range(k):
-            for j in range(self.n):
-                for l in range(j, self.n):
-                    v = self._h[i][j][l](X)
-                    out[..., i, j, l] = v
-                    out[..., i, l, j] = v
+        upper = self._h(X, k * (n * (n + 1) // 2))
+        upper = upper.reshape(X.shape[:-1] + (k, n * (n + 1) // 2))
+        j, l = np.triu_indices(n)
+        out = np.empty(X.shape[:-1] + (k, n, n))
+        out[..., j, l] = upper
+        out[..., l, j] = upper
         return out
 
 
@@ -320,7 +311,7 @@ def _normalize_leading(p: SparsePoly) -> SparsePoly:
     rng = np.random.default_rng(424242)
     pts = rng.normal(size=(64, n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    grads = np.stack([q.diff(j).compiled()(pts) for j in range(n)], axis=-1)
+    grads = CompiledPoly([q.diff(j) for j in range(n)])(pts)
     scale = float(np.max(np.linalg.norm(grads, axis=1)))
     if scale <= 0 or not np.isfinite(scale):
         return q

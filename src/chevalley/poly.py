@@ -6,9 +6,9 @@ All arithmetic is exact; canonical term order is graded lexicographic
 serialization and hashing are reproducible.
 
 Float evaluation comes in two flavors: a direct per-point monomial sum, and a
-`CompiledPoly` that freezes (exponent matrix, coefficient vector) into numpy
-arrays for batched evaluation on many points at once.  The compiled path is
-what the fiber samplers and mesh builders run on.
+`CompiledPoly` that freezes a list of polynomials into one monomial table and
+coefficient vectors for batched evaluation on many points at once.  The
+compiled path is what the fiber samplers and mesh builders run on.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .field import ONE, Scalar, ZERO
 Exponent = tuple[int, ...]
 
 DET_SIZE_LIMIT = 6  # cofactor expansion budget; larger sizes go numeric
+CHUNK_VALUES = 1 << 20  # monomial values per chunk of rows in CompiledPoly
 
 
 class SparsePoly:
@@ -422,26 +423,75 @@ def poly_det(m: PolyMatrix) -> SparsePoly:
 
 
 class CompiledPoly:
-    """Frozen (exponents, coefficients) arrays for batched float evaluation."""
+    """A list of polynomials frozen into one monomial table for batched float
+    evaluation.
 
-    __slots__ = ("nvars", "expo", "coef")
+    The union of the monomials is numbered in order of first appearance
+    (each polynomial's terms in graded-lex order), so the first `count`
+    polynomials use only a prefix of the table.  A batch is evaluated in
+    chunks of rows: one power table x_i^0..x_i^d, the monomials as products
+    of its entries taken variable by variable, then one matrix-vector
+    product per polynomial over its own monomial columns.
 
-    def __init__(self, p: SparsePoly):
-        terms = p.canonical_terms()
-        self.nvars = p.nvars
-        if terms:
-            self.expo = np.array([e for e, _ in terms], dtype=np.int64)
-            self.coef = np.array([float(c) for _, c in terms], dtype=float)
-        else:
-            self.expo = np.zeros((0, p.nvars), dtype=np.int64)
-            self.coef = np.zeros(0, dtype=float)
+    The rounding is that of evaluating each polynomial on its own as
+    `prod(x ** expo) @ coef` over the whole batch.  Two details keep it:
+    the gathered columns are made C-contiguous (BLAS takes another
+    summation path on F-ordered input), and chunks are a multiple of 64
+    rows, because BLAS sums a row in an order that depends on where the
+    row sits in its batch.
+    """
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at x of shape (..., nvars); returns shape (...)."""
+    __slots__ = ("nvars", "expo", "terms", "ends", "degrees", "single")
+
+    def __init__(self, polys: SparsePoly | Sequence[SparsePoly]):
+        self.single = isinstance(polys, SparsePoly)
+        polys = [polys] if self.single else list(polys)
+        if not polys:
+            raise UsageError("CompiledPoly needs at least one polynomial")
+        self.nvars = polys[0].nvars
+        index: dict[Exponent, int] = {}
+        self.terms: list[tuple[np.ndarray, np.ndarray]] = []
+        self.ends: list[int] = []
+        for p in polys:
+            if p.nvars != self.nvars:
+                raise UsageError("CompiledPoly entries must share nvars")
+            terms = p.canonical_terms()
+            cols = [index.setdefault(e, len(index)) for e, _ in terms]
+            self.terms.append((np.array(cols, dtype=np.intp),
+                               np.array([float(c) for _, c in terms], dtype=float)))
+            self.ends.append(len(index))
+        self.expo = np.array(list(index), dtype=np.int64).reshape(len(index), self.nvars)
+        self.degrees = [int(self.expo[:end].max(initial=0)) for end in self.ends]
+
+    def __call__(self, x: np.ndarray, count: int | None = None) -> np.ndarray:
+        """Values of the first `count` polynomials (default all) at x of
+        shape (..., nvars): shape (..., count), or (...) for a compiled
+        single polynomial."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.nvars:
+        if x.ndim == 0 or x.shape[-1] != self.nvars:
             raise UsageError("evaluation point has wrong length")
-        if self.coef.size == 0:
-            return np.zeros(x.shape[:-1])
-        mono = np.prod(x[..., None, :] ** self.expo, axis=-1)
-        return mono @ self.coef
+        count = len(self.terms) if count is None else count
+        if not 0 <= count <= len(self.terms):
+            raise UsageError(f"count must be in 0..{len(self.terms)}")
+        flat = x.reshape(-1, self.nvars)
+        out = np.zeros((len(flat), count))
+        if count:
+            expo = self.expo[:self.ends[count - 1]]
+            powers = np.arange(self.degrees[count - 1] + 1)
+            rows = self.chunk_rows(count)
+            for start in range(0, len(flat), rows):
+                table = flat[start:start + rows, :, None] ** powers
+                mono = table[:, 0, expo[:, 0]]
+                for v in range(1, self.nvars):
+                    mono *= table[:, v, expo[:, v]]
+                for q, (cols, coef) in enumerate(self.terms[:count]):
+                    out[start:start + rows, q] = np.ascontiguousarray(mono[:, cols]) @ coef
+        out = out.reshape(x.shape[:-1] + (count,))
+        return out[..., 0] if self.single else out
+
+    def chunk_rows(self, count: int) -> int:
+        """Rows per chunk when evaluating the first `count` polynomials: a
+        multiple of 64 holding about 2**20 monomial values."""
+        width = self.ends[count - 1] if count else 0
+        return max(64, CHUNK_VALUES // max(width, 1) // 64 * 64)
+

@@ -28,6 +28,8 @@ FIBER_RESIDUAL_TOL = 1e-9     # acceptance residual for stored fiber points
 NEWTON_TOL = 1e-12
 CRITICAL_RESIDUAL_TOL = 1e-9
 HESSIAN_EIG_FLOOR = 1e-6
+TARGET_CANDIDATES = 500      # draws before random_regular_target gives up
+TARGET_BLOCK = 16            # candidates drawn and reduced per to_chamber call
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -315,13 +317,14 @@ def random_regular_target(
     inradius = 1.0 / np.linalg.norm(np.linalg.pinv(A) @ np.ones(len(A)))
     margin = min(margin, 0.5 * inradius)
     rng = _rng(seed)
-    X = np.empty((500, basis.nvars))
-    for j in range(len(X)):
-        x = rng.normal(size=basis.nvars)
-        X[j] = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
-    for x in rs.to_chamber(X):
-        if np.min(rs.wall_distances(x)) >= margin * np.linalg.norm(x):
-            return basis.compiled.P(x[None, :], k)[0], x
+    for start in range(0, TARGET_CANDIDATES, TARGET_BLOCK):
+        X = np.empty((min(TARGET_BLOCK, TARGET_CANDIDATES - start), basis.nvars))
+        for j in range(len(X)):
+            x = rng.normal(size=basis.nvars)
+            X[j] = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
+        for x in rs.to_chamber(X):
+            if np.min(rs.wall_distances(x)) >= margin * np.linalg.norm(x):
+                return basis.compiled.P(x[None, :], k)[0], x
     raise ConvergenceError("could not sample a regular target")
 
 
@@ -396,7 +399,11 @@ def critical_points(
     Jk = G[:, :k, :]
     gk1 = G[:, k, :]
     JJt = Jk @ np.swapaxes(Jk, 1, 2) + 1e-300 * np.eye(k)
-    mu = np.linalg.solve(JJt, np.einsum("bkn,bn->bk", Jk, gk1)[..., None])[..., 0]
+    rhs = np.einsum("bkn,bn->bk", Jk, gk1)[..., None]
+    try:
+        mu = np.linalg.solve(JJt, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        mu = (np.linalg.pinv(JJt) @ rhs)[..., 0]
 
     Z = np.concatenate([X, mu], axis=1)
     scale = 1.0 + float(np.max(np.abs(m)))

@@ -501,7 +501,6 @@ def _envelope_lipschitz(env: np.ndarray, counts: np.ndarray, edges) -> float:
 def _empty_interior_cells(counts: np.ndarray) -> int:
     """Empty cells with populated cells on both sides along the first axis
     (a cheap interior-resolution warning count)."""
-    k = counts.ndim
     c = counts.reshape(counts.shape[0], -1)
     total = 0
     for col in range(c.shape[1]):
@@ -510,7 +509,6 @@ def _empty_interior_cells(counts: np.ndarray) -> int:
         if len(pop) >= 2:
             inside = col_counts[pop[0]:pop[-1] + 1]
             total += int(np.sum(inside == 0))
-    _ = k
     return total
 
 

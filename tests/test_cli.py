@@ -161,3 +161,36 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", boom)
     assert cli.main(["fiber", "--type", "B2"]) == 4
     assert "stalled" in capsys.readouterr().err
+
+
+def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"type_spec": "B2", "sedd": 5}))
+    assert main(["verify-jacobian", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "sedd" in err and len(err.strip().splitlines()) == 1
+    cfgfile.write_text(json.dumps([1, 2]))
+    assert main(["verify-jacobian", "--config", str(cfgfile)]) == 2
+    assert "object" in capsys.readouterr().err
+
+
+def test_report_on_non_json_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "rep.json"
+    bad.write_text("not json {")
+    assert main(["report", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "JSONDecodeError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_report_on_missing_file_exits_2(tmp_path, capsys):
+    assert main(["report", "--in", str(tmp_path / "absent.json")]) == 2
+    err = capsys.readouterr().err
+    assert "FileNotFoundError" in err and len(err.strip().splitlines()) == 1
+
+
+def test_report_without_provenance_exits_2(tmp_path, capsys):
+    bad = tmp_path / "rep.json"
+    bad.write_text("{}")
+    assert main(["report", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "provenance" in err and len(err.strip().splitlines()) == 1

@@ -277,3 +277,48 @@ def test_cache_env_var_resolution(tmp_path, monkeypatch, basis_cache):
     (tmp_path / "H3.json").write_text(json.dumps(doc))
     with pytest.raises(IntegrityError):
         basic_invariants("H3")
+
+
+def _per_polynomial_reference(polys, X):
+    """Each polynomial on its own over the whole batch, prod(x ** expo) @ coef."""
+    cols = []
+    for p in polys:
+        terms = p.canonical_terms()
+        expo = np.array([e for e, _ in terms], dtype=np.int64).reshape(-1, X.shape[1])
+        coef = np.array([float(c) for _, c in terms])
+        cols.append(np.prod(X[:, None, :] ** expo, -1) @ coef)
+    return np.stack(cols, -1)
+
+
+@pytest.mark.parametrize("name", ["H4", "F4", "D6", "I2:7", "A4"])
+def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng):
+    b = basis_cache(name)
+    cb, n, k = b.compiled, b.nvars, len(b.polys)
+    grads = [p.diff(j) for p in b.polys for j in range(n)]
+    hess = [[[p.diff(j).diff(l) for l in range(n)] for j in range(n)] for p in b.polys]
+    two_chunks = cb._g.chunk_rows(k * n) + 65
+    for size in (0, 1, 65, two_chunks):
+        X = rng.normal(size=(size, n))
+        ref_p = _per_polynomial_reference(b.polys, X)
+        ref_j = _per_polynomial_reference(grads, X).reshape(size, k, n)
+        assert np.array_equal(cb.P(X), ref_p)
+        assert np.array_equal(cb.J(X), ref_j)
+        H = cb.hessians(X)
+        for i in range(k):
+            for j in range(n):
+                ref_h = _per_polynomial_reference(hess[i][j], X)
+                assert np.array_equal(H[:, i, j, j:], ref_h[:, j:])
+                assert np.array_equal(H[:, i, j:, j], ref_h[:, j:])
+
+
+@pytest.mark.parametrize("name", ["H4", "D6", "A4"])
+def test_compiled_basis_prefixes_and_symmetry(name, basis_cache, rng):
+    b = basis_cache(name)
+    cb = b.compiled
+    X = rng.normal(size=(40, b.nvars))
+    P, J, H = cb.P(X), cb.J(X), cb.hessians(X)
+    assert np.array_equal(H, np.swapaxes(H, -1, -2))
+    for k in range(1, len(b.polys) + 1):
+        assert np.array_equal(cb.P(X, k), P[:, :k])
+        assert np.array_equal(cb.J(X, k), J[:, :k])
+        assert np.array_equal(cb.hessians(X, k), H[:, :k])

@@ -8,6 +8,7 @@ import pytest
 from chevalley.errors import CapabilityError, UsageError
 from chevalley.field import ONE, PHI, Scalar
 from chevalley.poly import (
+    CompiledPoly,
     PolyMatrix,
     SparsePoly,
     expand_linear_power,
@@ -218,3 +219,20 @@ def test_compiled_batch_evaluation(rng):
     vals = c(pts)
     for i in range(40):
         assert abs(vals[i] - p.eval_float(pts[i])) < 1e-12 * max(1, abs(vals[i]))
+
+
+def test_compiled_table_of_several_polynomials(rng):
+    polys = [_random_poly(rng, 3), SparsePoly.zero(3), _random_poly(rng, 3)]
+    table = CompiledPoly(polys)
+    pts = rng.uniform(-2, 2, size=(70, 3))
+    vals = table(pts)
+    assert vals.shape == (70, 3)
+    for q, p in enumerate(polys):
+        assert np.array_equal(vals[:, q], p.compiled()(pts))
+    assert np.array_equal(table(pts, 1), vals[:, :1])
+    assert table(pts[0]).shape == (3,)
+    assert table(np.zeros((0, 3))).shape == (0, 3)
+    with pytest.raises(UsageError):
+        table(np.zeros((2, 4)))
+    with pytest.raises(UsageError):
+        CompiledPoly([])

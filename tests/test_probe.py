@@ -241,3 +241,61 @@ def test_critical_values_bracket_fiber_interval(name, k, m, basis_cache, rs_cach
     lo, hi, _ = fiber_value_interval(fs, b, k)
     assert abs(lo - min(values)) < 1e-6
     assert abs(hi - max(values)) < 1e-6
+
+
+def test_regular_target_is_first_passing_draw(basis_cache, rs_cache):
+    """Drawing in blocks gives the target of drawing all 500 candidates up
+    front (the interleaved normal/uniform order), bit for bit.  Margin 1.0
+    is clamped to half the inradius; at these seeds the first block of 16
+    has no passing candidate (D6 seed 0: the first two blocks)."""
+    cases = [("B3", 2, 0, 0.05), ("B3", 2, 19, 1.0), ("A4", 3, 3, 1.0),
+             ("H3", 1, 4, 0.05), ("F4", 2, 3, 1.0), ("H4", 3, 14, 1.0),
+             ("D6", 2, 0, 1.0)]
+    for name, k, seed, margin in cases:
+        b, rs = basis_cache(name), rs_cache(name)
+        n = b.nvars
+        A = rs.simple_unit_f
+        inradius = 1.0 / np.linalg.norm(np.linalg.pinv(A) @ np.ones(len(A)))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        X = np.empty((500, n))
+        for j in range(500):
+            x = rng.normal(size=n)
+            X[j] = x / np.linalg.norm(x) * rng.uniform(0.4, 1.0) ** (1.0 / n)
+        margin_eff = min(margin, 0.5 * inradius)
+        passing = [i for i, x in enumerate(rs.to_chamber(X))
+                   if np.min(rs.wall_distances(x)) >= margin_eff * np.linalg.norm(x)]
+        assert margin == 0.05 or passing[0] >= 16
+        want = rs.to_chamber(X)[passing[0]]
+        m, x = random_regular_target(b, rs, k, seed, margin=margin)
+        assert np.array_equal(x, want)
+        assert np.array_equal(m, b.compiled.P(want[None, :], k)[0])
+
+
+def test_critical_points_survive_singular_multiplier_solve(
+        basis_cache, rs_cache, strata_cache, monkeypatch):
+    """The initial multiplier solve falls back to pinv like the Newton steps."""
+    import chevalley.probe as probe
+
+    b, rs = basis_cache("B2"), rs_cache("B2")
+    want = critical_points(b, rs, 1, [1.0], seed=3, strata=strata_cache("B2"))
+    state = {"projected": False, "raised": False}
+    project, solve = probe._project_batch, np.linalg.solve
+
+    def projected(*args, **kwargs):
+        out = project(*args, **kwargs)
+        state["projected"] = True
+        return out
+
+    def singular_once(a, b_):
+        if state["projected"] and not state["raised"]:
+            state["raised"] = True
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b_)
+
+    monkeypatch.setattr(probe, "_project_batch", projected)
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    got = critical_points(b, rs, 1, [1.0], seed=3, strata=strata_cache("B2"))
+    assert state["raised"]
+    assert len(got) == len(want) == 2
+    for g, w in zip(got, want):
+        assert np.allclose(g.x, w.x, atol=1e-9) and abs(g.value - w.value) < 1e-9
