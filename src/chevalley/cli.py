@@ -106,11 +106,15 @@ class RunConfig:
 
     def validate(self):
         for name in ("tol_zero", "tol_rank", "eps_fiber", "radius", "pitch"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"config field {name} must be positive")
+            if not 0 < getattr(self, name) < float("inf"):
+                raise UsageError(f"config field {name} must be positive and finite")
         for name in ("samples", "pairs", "n_points"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"config field {name} must be positive")
+        # the counter-based generators take keys below 2**128; derived
+        # seeds add small multiples of k to this one
+        if not 0 <= self.seed < 2 ** 64:
+            raise UsageError("config field seed must be in [0, 2**64)")
         if self.fmt not in ("json", "csv", "text"):
             raise UsageError(f"unknown report format {self.fmt!r}")
         return self
@@ -395,6 +399,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fits_annotation(val, annotation: str) -> bool:
+    """Whether a JSON config value fits a RunConfig field annotation such as
+    "int", "float", "str | None" or "list[float] | None".  JSON numbers with
+    a fraction never fit an int field, and booleans fit only bool fields."""
+    kind, _, rest = annotation.partition(" | ")
+    if val is None:
+        return rest == "None"
+    if kind == "list[float]":
+        return isinstance(val, list) and all(_fits_annotation(v, "float") for v in val)
+    if isinstance(val, bool):
+        return kind == "bool"
+    return isinstance(val, {"int": int, "float": (int, float), "str": str}.get(kind, ()))
+
+
 def _config_from_args(args) -> RunConfig:
     base = {}
     if getattr(args, "config", None):
@@ -406,7 +424,11 @@ def _config_from_args(args) -> RunConfig:
             raise UsageError("config file must hold a JSON object")
         unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
         if unknown:
-            raise UsageError(f"unknown config field(s): {', '.join(unknown)}")
+            raise UsageError(f"unknown config field(s): {', '.join(map(repr, unknown))}")
+        for f in fields(RunConfig):
+            if f.name in base and not _fits_annotation(base[f.name], f.type):
+                raise UsageError(f"config field {f.name} must be {f.type}, "
+                                 f"got {json.dumps(base[f.name])}")
     cfg = RunConfig(**base)
     cfg.command = args.command
     defaults = RunConfig()

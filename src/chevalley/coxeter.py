@@ -130,7 +130,7 @@ def coxeter_type(spec: str) -> CoxeterType:
         return CoxeterType(fam, dim, None, fam, _degrees_for(fam, dim, None))
     if s.upper().startswith("I2"):
         sep = s[2:].lstrip(":").strip() if len(s) > 2 else ""
-        if not sep.isdigit():
+        if not sep.isdecimal():
             raise UsageError(f"bad dihedral specifier {spec!r}; expected I2:p")
         p = int(sep)
         lo, hi = _I2_BOUNDS
@@ -138,7 +138,7 @@ def coxeter_type(spec: str) -> CoxeterType:
             raise CapabilityError(f"I2(p) supported for {lo}<=p<={hi}, got {p}")
         return CoxeterType("I2", 2, p, f"I2:{p}", _degrees_for("I2", 2, p))
     fam = s[:1].upper()
-    if fam in _FAMILY_BOUNDS and s[1:].isdigit():
+    if fam in _FAMILY_BOUNDS and s[1:].isdecimal():
         n = int(s[1:])
         lo, hi = _FAMILY_BOUNDS[fam]
         if not lo <= n <= hi:

@@ -18,6 +18,7 @@ and as solver-exact values at matched targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -130,6 +131,25 @@ class ImageGraph:
     def size(self) -> int:
         return len(self.image)
 
+    @cached_property
+    def tree(self) -> cKDTree:
+        """Nearest-vertex index over the mesh, for snapping chamber points."""
+        return cKDTree(self.mesh.vertices)
+
+    @cached_property
+    def resolution(self) -> np.ndarray:
+        """Local image-space resolution at each vertex: the median incident
+        edge length in image coordinates, 0.0 for a vertex without edges.
+        (s[lo] + s[hi]) / 2 on the sorted row is what np.median computes."""
+        indptr, data = self.graph.indptr, self.graph.data
+        deg = np.diff(indptr)
+        s = data[np.lexsort((data, np.repeat(np.arange(len(deg)), deg)))]
+        has = deg > 0
+        lo, hi = (indptr[:-1] + (deg - 1) // 2)[has], (indptr[:-1] + deg // 2)[has]
+        res = np.zeros(len(deg))
+        res[has] = (s[lo] + s[hi]) / 2
+        return res
+
 
 def build_image_graph(basis: InvariantBasis, rs: RootSystem, mesh: ChamberMesh) -> ImageGraph:
     img = basis.compiled.P(mesh.vertices)
@@ -170,17 +190,6 @@ class RatioReport:
 RESOLUTION_FLOOR_FACTOR = 6.0
 
 
-def _image_resolution(g: ImageGraph, idx: np.ndarray) -> np.ndarray:
-    """Local image-space resolution of the graph at the given vertices:
-    the typical (median) incident edge length in image coordinates."""
-    res = np.zeros(len(idx))
-    graph = g.graph
-    for pos, v in enumerate(idx):
-        row = graph.data[graph.indptr[v]:graph.indptr[v + 1]]
-        res[pos] = float(np.median(row)) if len(row) else 0.0
-    return res
-
-
 def _sample_pair_positions(
     g: ImageGraph, pairs: int, seed: int, near_boundary_frac: float,
     targets_per_source: int,
@@ -209,27 +218,19 @@ def _sample_pair_positions(
 
 
 def _snap_indices(g: ImageGraph, src_pos, tgt_pos):
-    tree = cKDTree(g.mesh.vertices)
-    _, src_idx = tree.query(src_pos)
-    flat_t = tgt_pos.reshape(-1, tgt_pos.shape[-1])
-    _, tgt_idx = tree.query(flat_t)
-    return src_idx, tgt_idx.reshape(tgt_pos.shape[:-1])
+    _, src_idx = g.tree.query(src_pos)
+    _, tgt_idx = g.tree.query(tgt_pos)
+    return src_idx, tgt_idx
 
 
 def _admit_pairs(g: ImageGraph, src_idx, tgt_idx, floor_factor: float) -> np.ndarray:
     """Mask of pairs the graph can resolve: image separation above
     `floor_factor` local image edge lengths.  Pairs below that floor would
     only measure discretization noise, not geometry."""
-    mask = np.zeros(tgt_idx.shape, dtype=bool)
-    for row in range(len(src_idx)):
-        t = tgt_idx[row]
-        eu = np.linalg.norm(g.image[t] - g.image[src_idx[row]], axis=1)
-        floor = floor_factor * np.maximum(
-            _image_resolution(g, t),
-            _image_resolution(g, np.full(len(t), src_idx[row])),
-        )
-        mask[row] = eu > np.maximum(floor, 1e-12)
-    return mask
+    eu = np.linalg.norm(g.image[tgt_idx] - g.image[src_idx][:, None, :], axis=-1)
+    res = g.resolution
+    floor = floor_factor * np.maximum(res[tgt_idx], res[src_idx][:, None])
+    return eu > np.maximum(floor, 1e-12)
 
 
 def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
@@ -240,25 +241,22 @@ def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
     row per pair is appended to it for CSV export.
     """
     src_idx, tgt_idx = _snap_indices(g, src_pos, tgt_pos)
-    ratios = []
-    for lo in range(0, len(src_idx), 128):
-        chunk = src_idx[lo:lo + 128]
-        dist = dijkstra(g.graph, directed=False, indices=chunk)
-        for row in range(len(chunk)):
-            t = tgt_idx[lo + row][mask[lo + row]]
-            if len(t) == 0:
-                continue
-            eu = np.linalg.norm(g.image[t] - g.image[chunk[row]], axis=1)
-            rr = dist[row, t] / eu
-            ratios.append(rr)
-            if table is not None:
-                for j in range(len(t)):
-                    table.append((int(chunk[row]), int(t[j]),
-                                  float(eu[j]), float(dist[row, t[j]]),
-                                  float(rr[j])))
-    if not ratios:
+    rows, cols = np.nonzero(mask)   # row-major: grouped by source row
+    if len(rows) == 0:
         raise UsageError("no pair exceeded the graph's image resolution")
-    r = np.concatenate(ratios)
+    s, t = src_idx[rows], tgt_idx[rows, cols]
+    # one search per distinct source; the CSR is symmetric, so a directed
+    # search gives the undirected distances while scanning each edge once
+    sources, which = np.unique(s, return_inverse=True)
+    geo = np.empty(len(s))
+    for lo in range(0, len(sources), 128):
+        dist = dijkstra(g.graph, directed=True, indices=sources[lo:lo + 128])
+        sel = (which >= lo) & (which < lo + 128)
+        geo[sel] = dist[which[sel] - lo, t[sel]]
+    eu = np.linalg.norm(g.image[t] - g.image[s], axis=1)
+    r = geo / eu
+    if table is not None:
+        table.extend(zip(s.tolist(), t.tolist(), eu.tolist(), geo.tolist(), r.tolist()))
     r = r[np.isfinite(r)]
     if len(r) == 0:
         raise UsageError("no finite pair ratios")
@@ -336,9 +334,8 @@ def whitney_study(
 def image_pair_ratio(g: ImageGraph, x_from, x_to) -> float:
     """Geodesic/Euclidean ratio between the image points of two chamber
     points, snapped to their nearest mesh vertices."""
-    tree = cKDTree(g.mesh.vertices)
-    _, i = tree.query(np.asarray(x_from, dtype=float))
-    _, j = tree.query(np.asarray(x_to, dtype=float))
+    _, i = g.tree.query(np.asarray(x_from, dtype=float))
+    _, j = g.tree.query(np.asarray(x_to, dtype=float))
     dist = dijkstra(g.graph, directed=False, indices=[i])[0, j]
     eu = float(np.linalg.norm(g.image[i] - g.image[j]))
     if eu == 0:

@@ -1,9 +1,15 @@
 """Command-line orchestration: suites, reports, exit codes, determinism."""
 
+import contextlib
+import csv
+import dataclasses
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.cli import (
     EXPLAIN,
@@ -194,3 +200,82 @@ def test_report_without_provenance_exits_2(tmp_path, capsys):
     assert main(["report", "--in", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "provenance" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"tol_zero": "x"}, "tol_zero"),
+    ({"seed": "x"}, "seed"),
+    ({"pairs": 1.5}, "pairs"),
+    ({"seed": -1}, "seed"),
+    ({"radius": float("nan")}, "radius"),
+])
+def test_config_value_of_wrong_type_or_range_exits_2(tmp_path, capsys, cfg, field):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    assert main(["invariants", "--type", "A2", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and len(err.strip().splitlines()) == 1
+
+
+def test_config_int_for_float_field_is_accepted(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"radius": 2, "target": [1, 0.5], "k": None}))
+    assert main(["invariants", "--type", "A2", "--config", str(cfgfile)]) == 0
+
+
+_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+_PATH_FIELDS = ("cache_dir", "out", "pairs_out")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6)
+    | st.sampled_from(["A2", "B2", "json", "csv", "text", 0, 1, 2 ** 64, 0.5]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True)
+@given(
+    known=st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=6),
+    unknown=st.dictionaries(st.text(max_size=6).filter(lambda k: k not in _FIELDS),
+                            _JSON, max_size=2),
+    path_names=st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
+                        min_size=3, max_size=3),
+)
+def test_config_exit_codes_property(fuzz_dir, known, unknown, path_names):
+    """Any JSON object as --config: main returns an exit code in 0-4 and
+    raises nothing; a usage error is one line.  String paths are kept inside
+    a scratch directory."""
+    for name, leaf in zip(_PATH_FIELDS, path_names):
+        if isinstance(known.get(name), str):
+            known[name] = str(fuzz_dir / leaf)
+    cfgfile = fuzz_dir / "cfg.json"
+    cfgfile.write_text(json.dumps({**known, **unknown}))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["invariants", "--type", "A2", "--config", str(cfgfile)])
+    assert isinstance(code, int) and 0 <= code <= 4
+    if unknown or code == 2:
+        assert code == 2 and len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_whitney_pairs_out_csv(tmp_path, capsys):
+    pairs = tmp_path / "pairs.csv"
+    code = main(["whitney", "--type", "B2", "--a", "1", "--h", "0.05",
+                 "--pairs", "1000", "--seed", "11", "--pairs-out", str(pairs)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    study = next(c for c in doc["checks"] if c["name"] == "whitney-ratio")
+    with open(pairs, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["source", "target", "euclid", "geodesic", "ratio"]
+    assert len(rows) - 1 == study["metrics"]["n_pairs"] == 467
+    for _, _, euclid, geodesic, ratio in rows[1:]:
+        assert float(ratio) == float(geodesic) / float(euclid)
+        assert float(ratio) >= 1 - 1e-6

@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from chevalley.errors import UsageError
 from chevalley.probe import fiber_value_interval, sample_fiber
 from chevalley.regularity import (
+    ImageGraph,
+    _admit_pairs,
+    _ratio_stats_for_pairs,
+    _sample_pair_positions,
+    _snap_indices,
     build_chamber_mesh,
     build_image_graph,
     envelope_at,
@@ -95,8 +102,6 @@ def test_rescaled_radius_consistency(basis_cache, rs_cache):
     """Re-meshing at twice the radius (same pitch) leaves the ratios of the
     original pairs essentially unchanged: the added outer region offers no
     shortcuts."""
-    from chevalley.regularity import _admit_pairs, _ratio_stats_for_pairs, _sample_pair_positions, _snap_indices
-
     b, rs = basis_cache("B2"), rs_cache("B2")
     mesh1 = build_chamber_mesh(rs, 1.0, 0.04)
     g1 = build_image_graph(b, rs, mesh1)
@@ -198,3 +203,95 @@ def test_envelope_prism_containment(basis_cache, rs_cache):
         env = envelope_functions(b, rs, 1, a=1.0, h=0.06, cells=30)
         assert env.containment_violations == 0
         assert env.empty_interior_cells == 0
+
+
+# Reference copies of the per-row pair path the whole-array one replaced;
+# the new path must reproduce them bit for bit.
+
+def _rowwise_resolution(g, idx):
+    res = np.zeros(len(idx))
+    for pos, v in enumerate(idx):
+        row = g.graph.data[g.graph.indptr[v]:g.graph.indptr[v + 1]]
+        res[pos] = float(np.median(row)) if len(row) else 0.0
+    return res
+
+
+def _rowwise_admit(g, src_idx, tgt_idx, floor_factor):
+    mask = np.zeros(tgt_idx.shape, dtype=bool)
+    for row in range(len(src_idx)):
+        t = tgt_idx[row]
+        eu = np.linalg.norm(g.image[t] - g.image[src_idx[row]], axis=1)
+        floor = floor_factor * np.maximum(
+            _rowwise_resolution(g, t),
+            _rowwise_resolution(g, np.full(len(t), src_idx[row])),
+        )
+        mask[row] = eu > np.maximum(floor, 1e-12)
+    return mask
+
+
+def _rowwise_ratios(g, src_idx, tgt_idx, mask):
+    ratios, table = [], []
+    for lo in range(0, len(src_idx), 128):
+        chunk = src_idx[lo:lo + 128]
+        dist = dijkstra(g.graph, directed=False, indices=chunk)
+        for row in range(len(chunk)):
+            t = tgt_idx[lo + row][mask[lo + row]]
+            if len(t) == 0:
+                continue
+            eu = np.linalg.norm(g.image[t] - g.image[chunk[row]], axis=1)
+            rr = dist[row, t] / eu
+            ratios.append(rr)
+            for j in range(len(t)):
+                table.append((int(chunk[row]), int(t[j]), float(eu[j]),
+                              float(dist[row, t[j]]), float(rr[j])))
+    r = np.concatenate(ratios)
+    r = r[np.isfinite(r)]
+    stats = (len(r), float(np.max(r)), float(np.quantile(r, 0.99)), float(np.min(r)))
+    return stats, table
+
+
+@pytest.fixture(scope="module", params=[("B2", 0.05), ("G2", 0.05), ("B3", 0.08)],
+                ids=lambda p: p[0])
+def pair_case(request, basis_cache, rs_cache):
+    """An image graph and a pair set with duplicate sources, source rows
+    without an admitted target, and more than 128 distinct admitted sources
+    on B2 and B3 (so the Dijkstra chunks split)."""
+    name, h = request.param
+    rs = rs_cache(name)
+    g = build_image_graph(basis_cache(name), rs, build_chamber_mesh(rs, 1.0, h))
+    src, tgt = _sample_pair_positions(g, 3000, 0, 0.5, 5)
+    si, ti = _snap_indices(g, src, tgt)
+    return g, src, tgt, si, ti
+
+
+def test_resolution_matches_rowwise_median(pair_case):
+    g = pair_case[0]
+    assert np.array_equal(g.resolution, _rowwise_resolution(g, np.arange(g.size)))
+
+
+def test_resolution_of_odd_even_and_empty_rows():
+    graph = csr_matrix((np.array([0.3, 0.1, 0.2, 0.4, 0.1, 0.7]),
+                        np.array([1, 2, 3, 0, 3, 0]), np.array([0, 3, 5, 5, 6])),
+                       shape=(4, 4))
+    g = ImageGraph(None, np.zeros((4, 2)), graph, None)
+    assert np.array_equal(g.resolution, _rowwise_resolution(g, np.arange(4)))
+    assert g.resolution.tolist() == [0.2, 0.25, 0.0, 0.7]
+
+
+def test_admit_pairs_matches_rowwise(pair_case):
+    g, _, _, si, ti = pair_case
+    mask = _admit_pairs(g, si, ti, 6.0)
+    assert np.array_equal(mask, _rowwise_admit(g, si, ti, 6.0))
+    assert len(np.unique(si)) < len(si)       # duplicate sources
+    assert not np.all(mask.any(axis=1))       # rows without an admitted target
+
+
+def test_ratio_stats_match_rowwise(pair_case):
+    g, src, tgt, si, ti = pair_case
+    mask = _admit_pairs(g, si, ti, 6.0)
+    table = []
+    rep = _ratio_stats_for_pairs(g, src, tgt, mask, table=table)
+    stats, ref_table = _rowwise_ratios(g, si, ti, mask)
+    assert (rep.n_pairs, rep.max_ratio, rep.p99_ratio, rep.min_ratio) == stats
+    assert table == ref_table
+    assert [type(v) for v in table[0]] == [int, int, float, float, float]
