@@ -89,8 +89,6 @@ class RunConfig:
     command: str = "all"
     seed: int = 1
     tol_zero: float = 1e-9
-    tol_rank: float = 1e-8
-    eps_fiber: float = 1e-9
     radius: float = 1.0
     pitch: float = 0.05
     samples: int = 100
@@ -105,7 +103,7 @@ class RunConfig:
     dump_samples: bool = False
 
     def validate(self):
-        for name in ("tol_zero", "tol_rank", "eps_fiber", "radius", "pitch"):
+        for name in ("tol_zero", "radius", "pitch"):
             if not 0 < getattr(self, name) < float("inf"):
                 raise UsageError(f"config field {name} must be positive and finite")
         for name in ("samples", "pairs", "n_points"):
@@ -256,10 +254,10 @@ def _suite_statement(cfg: RunConfig, rep: SuiteReport, ctx: dict):
 def _suite_morse(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     basis, rs = ctx["basis"], ctx["rs"]
     n = basis.nvars
-    ks = [cfg.k] if cfg.k else list(range(1, n))
+    ks = [cfg.k] if cfg.k is not None else list(range(1, n))
     for k in ks:
-        if cfg.target is not None and cfg.k is not None:
-            m, = (np.asarray(cfg.target, dtype=float),)
+        if cfg.target is not None:
+            m = np.asarray(cfg.target, dtype=float)
         else:
             m, _ = random_regular_target(basis, rs, k, cfg.seed + 17 * k)
         cps = critical_points(basis, rs, k, m, seed=cfg.seed, strata=ctx["strata"])
@@ -280,9 +278,9 @@ def _suite_morse(cfg: RunConfig, rep: SuiteReport, ctx: dict):
 def _suite_fiber(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     basis, rs = ctx["basis"], ctx["rs"]
     n = basis.nvars
-    ks = [cfg.k] if cfg.k else list(range(1, n))
+    ks = [cfg.k] if cfg.k is not None else list(range(1, n))
     for k in ks:
-        if cfg.target is not None and cfg.k is not None:
+        if cfg.target is not None:
             m = np.asarray(cfg.target, dtype=float)
             hint = None
         else:
@@ -339,14 +337,35 @@ _SUITES = {
 }
 
 
+def _check_k_and_target(cfg: RunConfig, n: int):
+    """The fiber suite takes k in 1..n, the morse suite (and so `all`) k in
+    1..n-1; a target needs k and exactly k finite values.  Other commands
+    ignore both."""
+    if cfg.command not in ("morse", "fiber", "all"):
+        return
+    kmax = n if cfg.command == "fiber" else n - 1
+    if cfg.k is not None and not 1 <= cfg.k <= kmax:
+        raise UsageError(f"{cfg.command} on {cfg.type_spec} needs k in 1..{kmax}, got {cfg.k}")
+    if cfg.target is None:
+        return
+    if cfg.k is None:
+        raise UsageError("a target (--m) needs k (--k)")
+    if len(cfg.target) != cfg.k:
+        raise UsageError(f"target has {len(cfg.target)} values, k is {cfg.k}")
+    if not all(abs(v) <= sys.float_info.max for v in cfg.target):
+        raise UsageError("target values must be finite")
+
+
 def run_suite(cfg: RunConfig) -> SuiteReport:
     cfg.validate()
     if cfg.command not in _SUITES:
         raise UsageError(f"unknown command {cfg.command!r}")
     t0 = time.monotonic()
     rep = SuiteReport(cfg)
+    ctype = coxeter_type(cfg.type_spec)
+    _check_k_and_target(cfg, ctype.dim)
     basis = basic_invariants(cfg.type_spec, cache_dir=cfg.cache_dir)
-    rs = build_root_system(coxeter_type(cfg.type_spec))
+    rs = build_root_system(ctype)
     ctx = {"basis": basis, "rs": rs, "strata": enumerate_strata(rs)}
     for piece in _SUITES[cfg.command]:
         piece(cfg, rep, ctx)

@@ -227,14 +227,14 @@ class RootSystem:
 
     # -- chamber --------------------------------------------------------------
 
-    def chamber_contains(self, x, tol: float = 1e-12) -> bool:
+    def chamber_contains(self, x, tol: float = 1e-12):
+        """Whether x, one point (n,) or a stack of rows (B, n), lies in the
+        closed fundamental chamber: a bool, or a (B,) bool array."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise UsageError("point has wrong dimension")
-        return bool(np.all(self.simple_f @ x >= -tol))
-
-    def chamber_contains_many(self, xs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        return np.all(xs @ self.simple_f.T >= -tol, axis=-1)
+        inside = np.all(x @ self.simple_f.T >= -tol, axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
     def wall_distances(self, x) -> np.ndarray:
         """Signed distances of x to the chamber walls (unit normals)."""
@@ -558,9 +558,10 @@ def _build_dihedral(ctype: CoxeterType) -> RootSystem:
 def generate_group(rs: RootSystem, bound: int = GROUP_ORDER_BOUND_DEFAULT):
     """All group elements as matrices (exact where the root data is exact).
 
-    The permutation families are enumerated directly; H3/H4/F4 are closed
-    under multiplication starting from the simple reflections.  The result
-    always has size prod(degrees).
+    The permutation families are enumerated directly, and the float dihedral
+    groups in closed form; H3/H4/F4 and the exact I2(4) are closed under
+    multiplication starting from the simple reflections.  The result always
+    has size prod(degrees).
     """
     ctype = rs.ctype
     expected = ctype.order
@@ -585,8 +586,8 @@ def generate_group(rs: RootSystem, bound: int = GROUP_ORDER_BOUND_DEFAULT):
             for signs in product((1, -1), repeat=n)
             if signs.count(-1) % 2 == 0
         ]
-    elif fam == "I2":
-        return _dihedral_group(ctype)
+    elif fam == "I2" and not rs.exact:
+        return _dihedral_group(ctype.p)
     else:
         elems = _closure_via_root_action(rs, expected)
     if len(elems) != expected:
@@ -614,11 +615,7 @@ def _signed_perm_matrix(perm, signs):
     )
 
 
-def _dihedral_group(ctype: CoxeterType):
-    p = ctype.p
-    if p == 4:
-        rs = _build_dihedral(ctype)
-        return _closure([_reflection_exact(v) for v in rs.simple], 8)
+def _dihedral_group(p: int):
     out = []
     for k in range(p):
         c, s = math.cos(2 * math.pi * k / p), math.sin(2 * math.pi * k / p)
@@ -628,29 +625,6 @@ def _dihedral_group(ctype: CoxeterType):
         c, s = math.cos(2 * g), math.sin(2 * g)
         out.append(np.array([[c, s], [s, -c]]))
     return out
-
-
-def _closure(generators, expected: int):
-    if not generators:
-        raise UsageError("cannot close an empty generator set")
-    n = len(generators[0])
-    ident = identity_matrix(n)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in generators:
-                prod = mat_mul(m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    new.append(prod)
-        frontier = new
-        if len(seen) > expected:
-            raise CheckFailure(
-                f"closure exceeded expected order {expected}; generator data is wrong"
-            )
-    return list(seen)
 
 
 def _closure_via_root_action(rs: RootSystem, expected: int):
@@ -718,7 +692,6 @@ def enumerate_strata(rs: RootSystem) -> list[Stratum]:
     through an interior-point construction (least-squares anchor) backed by
     random sampling, and infeasible subsets would be dropped.
     """
-    n = rs.n
     n_walls = len(rs.simple_f)
     out = []
     for size in range(n_walls + 1):
@@ -801,10 +774,6 @@ def _isotropy_indices(rs: RootSystem, walls) -> list[int]:
         if resid < 1e-10 * max(np.linalg.norm(v), 1):
             out.append(t)
     return out
-
-
-def isotropy_reflections(s: Stratum) -> list[int]:
-    return list(s.isotropy)
 
 
 def sample_stratum(

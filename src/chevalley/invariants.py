@@ -81,10 +81,6 @@ class InvariantBasis:
             self._compiled = CompiledBasis(self)
         return self._compiled
 
-    def eval_exact(self, xs: list[Scalar], k: int | None = None) -> list[Scalar]:
-        k = len(self.polys) if k is None else k
-        return [p.eval_exact(xs) for p in self.polys[:k]]
-
     def __repr__(self):
         return f"InvariantBasis({self.ctype.name}, degrees={self.degrees})"
 

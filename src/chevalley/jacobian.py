@@ -1,5 +1,5 @@
 """Jacobian of the invariant map: symbolic determinant factorization,
-minor evaluation, and the rank-k property on chamber strata.
+batched minors, and the rank-k property on chamber strata.
 
 The determinant of the Jacobian of a basic invariant system equals a nonzero
 constant times the product of the linear forms of all reflection
@@ -27,7 +27,7 @@ from .coxeter import RootSystem, Stratum, sample_stratum
 from .errors import CheckFailure, UsageError
 from .field import Scalar
 from .invariants import InvariantBasis
-from .poly import PolyMatrix, SparsePoly
+from .poly import CompiledPoly, PolyMatrix, SparsePoly
 
 DET_EXACT_RANK_LIMIT = 6
 NUMERIC_RANK_REL_TOL = 1e-8  # singular values below this fraction of the top one
@@ -143,14 +143,15 @@ def _float_product_spread(rs: RootSystem, closed_form: SparsePoly, seed: int) ->
     """Max relative spread of prod(<root,x>) / closed_form(x) over random
     regular points; ties the float per-root forms to the exact product."""
     rng = np.random.default_rng(seed)
-    ratios = []
-    while len(ratios) < 50:
+    points, products = [], []
+    while len(points) < 50:
         x = rng.normal(size=rs.n)
         lam = rs.positive_f @ x
         if np.min(np.abs(lam)) < 1e-3:
             continue
-        ratios.append(float(np.prod(lam)) / closed_form.eval_float(x))
-    ratios = np.array(ratios)
+        points.append(x)
+        products.append(np.prod(lam))
+    ratios = np.array(products) / CompiledPoly(closed_form)(np.array(points))
     mid = np.median(ratios)
     return float(np.max(np.abs(ratios - mid) / abs(mid)))
 
@@ -185,29 +186,6 @@ def _numeric_factorization(
 # ---------------------------------------------------------------------------
 # minors
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MinorSpec:
-    rows: tuple[int, ...]   # invariant indices
-    cols: tuple[int, ...]   # variable indices
-
-    def __post_init__(self):
-        if len(self.rows) != len(self.cols):
-            raise UsageError("minor must be square")
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
-            raise UsageError("minor indices must be distinct")
-
-
-def minor_eval(jm: PolyMatrix, spec: MinorSpec, x) -> float:
-    """Determinant of the selected Jacobian submatrix at a float point."""
-    if max(spec.rows, default=-1) >= jm.rows or max(spec.cols, default=-1) >= jm.cols:
-        raise UsageError("minor indices out of range")
-    x = np.asarray(x, dtype=float)
-    sub = np.array(
-        [[jm[i, j].eval_float(x) for j in spec.cols] for i in spec.rows]
-    )
-    return float(np.linalg.det(sub))
 
 
 def _batched_minor_max(J: np.ndarray, rows, size: int) -> np.ndarray:
@@ -333,7 +311,6 @@ def verify_stratum_rank(
         degenerate = False
         vals = _batched_minor_max(J, rows, k) / float(np.prod(scales[rows]))
         lead = np.maximum(lead, vals)
-    leading_ok = bool(np.all(lead > tol)) and not degenerate
 
     if k < n:
         border = np.zeros(samples)

@@ -5,10 +5,10 @@ All arithmetic is exact; canonical term order is graded lexicographic
 (total degree first, then exponent tuple, leading term first) so that
 serialization and hashing are reproducible.
 
-Float evaluation comes in two flavors: a direct per-point monomial sum, and a
-`CompiledPoly` that freezes a list of polynomials into one monomial table and
-coefficient vectors for batched evaluation on many points at once.  The
-compiled path is what the fiber samplers and mesh builders run on.
+`eval_exact` evaluates at exact points.  Float evaluation has one path,
+`CompiledPoly`, which freezes a list of polynomials into one monomial table
+and coefficient vectors and evaluates it on a batch of points at once; the
+fiber samplers, mesh builders and Jacobian checks all run on it.
 """
 
 from __future__ import annotations
@@ -201,24 +201,6 @@ class SparsePoly:
             total = total + term
         return total
 
-    def eval_float(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.nvars,):
-            raise UsageError("evaluation point has wrong length")
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for xi, p in zip(x, e):
-                if p:
-                    term *= xi ** p
-            total += term
-        return total
-
-    def __call__(self, x):
-        if len(x) and isinstance(x[0], Scalar):
-            return self.eval_exact(x)
-        return self.eval_float(x)
-
     # -- composition with a linear map -------------------------------------------
 
     def substitute_linear(self, m: Sequence[Sequence[Scalar]]) -> "SparsePoly":
@@ -276,9 +258,6 @@ class SparsePoly:
     def loads(s: str) -> "SparsePoly":
         return SparsePoly.from_json_dict(json.loads(s))
 
-    def compiled(self) -> "CompiledPoly":
-        return CompiledPoly(self)
-
 
 def _raw(nvars: int, terms: dict[Exponent, Scalar]) -> SparsePoly:
     """Internal constructor that trusts `terms` to be clean."""
@@ -290,17 +269,6 @@ def _raw(nvars: int, terms: dict[Exponent, Scalar]) -> SparsePoly:
 
 def _as_scalar(c) -> Scalar:
     return c if isinstance(c, Scalar) else Scalar(c)
-
-
-def poly_arith(p: SparsePoly, q: SparsePoly, op: str) -> SparsePoly:
-    """Dispatch form of +, -, *; kept for config-driven callers."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise UsageError(f"unknown op {op!r}")
 
 
 def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> SparsePoly:
@@ -374,9 +342,6 @@ class PolyMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
-
     def det(self) -> SparsePoly:
         """Exact determinant by Laplace expansion with memoized minors.
 
@@ -392,7 +357,7 @@ class PolyMatrix:
                 f"symbolic determinant limited to size {DET_SIZE_LIMIT}; "
                 "use the numeric rank path instead"
             )
-        # minors[S] = det of the submatrix on the last len(S) rows and columns S
+        # minors[S] = minor on the last len(S) rows and the columns S
         minors: dict[tuple[int, ...], SparsePoly] = {
             (j,): self.entries[n - 1][j] for j in range(n)
         }
@@ -411,15 +376,6 @@ class PolyMatrix:
                 nxt[cols] = acc
             minors = nxt
         return minors[tuple(range(n))]
-
-    def eval_float(self, x) -> np.ndarray:
-        return np.array(
-            [[p.eval_float(x) for p in row] for row in self.entries], dtype=float
-        )
-
-
-def poly_det(m: PolyMatrix) -> SparsePoly:
-    return m.det()
 
 
 class CompiledPoly:

@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 from .coxeter import RootSystem, Stratum, enumerate_strata, stratum_of_point
 from .errors import ConvergenceError, UsageError
 from .invariants import InvariantBasis
+from .jacobian import _batched_minor_max
 
 FIBER_RESIDUAL_TOL = 1e-9     # acceptance residual for stored fiber points
 NEWTON_TOL = 1e-12
@@ -217,7 +218,7 @@ def sample_fiber(
     pts = rs.to_chamber(pts)
     resid = np.max(np.abs(cb.P(pts, k) - m), axis=1)
     keep = resid <= FIBER_RESIDUAL_TOL * (1.0 + np.max(np.abs(m)))
-    keep &= rs.chamber_contains_many(pts, tol=1e-9 * max(s, 1.0))
+    keep &= rs.chamber_contains(pts, tol=1e-9 * max(s, 1.0))
     keep &= np.linalg.norm(pts, axis=1) <= cap + 1e-9
     pts = pts[keep]
     if len(pts) == 0:
@@ -384,6 +385,8 @@ def critical_points(
     m = np.asarray(m, dtype=float)
     if not 1 <= k < len(basis.polys):
         raise UsageError("critical points need 1 <= k < n")
+    if len(m) != k:
+        raise UsageError("target length must equal k")
     if strata is None:
         strata = enumerate_strata(rs)
     rng = _rng(seed)
@@ -463,7 +466,6 @@ def critical_points(
 
 def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
     cb = basis.compiled
-    n = basis.nvars
     G = cb.J(x[None, :], k + 1)[0]
     Jk, gk1 = G[:k], G[k]
     resid = max(
@@ -483,12 +485,7 @@ def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
     T = vt[rank:].T  # (n, n-rank)
     eigs = np.linalg.eigvalsh(T.T @ Hl @ T) if T.shape[1] else np.zeros(0)
 
-    from itertools import combinations as _comb
-
-    border = 0.0
-    if k < n:
-        for cols in _comb(range(n), k + 1):
-            border = max(border, abs(float(np.linalg.det(G[:, cols]))))
+    border = float(_batched_minor_max(G[None], range(k + 1), k + 1)[0])
 
     anomaly = False
     reason = ""

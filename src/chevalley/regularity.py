@@ -74,7 +74,7 @@ def _build_mesh_once(rs: RootSystem, a: float, h: float) -> ChamberMesh:
         raise CapabilityError("mesh would exceed the desk-scale point budget")
     axes = [idx * h] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    keep = rs.chamber_contains_many(grid, tol=1e-12)
+    keep = rs.chamber_contains(grid, tol=1e-12)
     keep &= np.linalg.norm(grid, axis=1) <= a + 1e-12
     pts = [grid[keep]]
 
@@ -106,7 +106,7 @@ def _build_mesh_once(rs: RootSystem, a: float, h: float) -> ChamberMesh:
         snapped = cand[near_sphere] * (a / norms[near_sphere])[:, None]
         cand = np.concatenate([cand, snapped], axis=0)
 
-    keep = rs.chamber_contains_many(cand, tol=1e-12)
+    keep = rs.chamber_contains(cand, tol=1e-12)
     keep &= np.linalg.norm(cand, axis=1) <= a + 1e-12
     cand = cand[keep]
     quant = np.round(cand / (1e-9 * max(a, 1.0))).astype(np.int64)
@@ -549,7 +549,7 @@ def envelope_at(
         Y, ok = _project_batch(_Restricted(), k, m, Y0, max_iter=80)
         X = Y[ok] @ B.T
         if len(X):
-            inside = rs.chamber_contains_many(X, tol=1e-9 * max(scale, 1.0))
+            inside = rs.chamber_contains(X, tol=1e-9 * max(scale, 1.0))
             X = X[inside]
         if len(X):
             vals = cb.P(X, k + 1)[:, k]

@@ -5,8 +5,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +219,26 @@ def test_config_value_of_wrong_type_or_range_exits_2(tmp_path, capsys, cfg, fiel
     assert field in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["morse", "--k", "-1"], "k in 1..1"),
+    (["morse", "--k", "0"], "k in 1..1"),
+    (["morse", "--k", "2"], "k in 1..1"),
+    (["fiber", "--k", "0"], "k in 1..2"),
+    (["fiber", "--k", "-1"], "k in 1..2"),
+    (["all", "--k", "2"], "k in 1..1"),
+    (["morse", "--m", "1"], "needs k"),
+    (["fiber", "--m", "1"], "needs k"),
+    (["morse", "--k", "1", "--m", "1", "2"], "2 values"),
+    (["morse", "--m", "nan"], "needs k"),
+    (["morse", "--k", "1", "--m", "nan"], "finite"),
+    (["fiber", "--k", "1", "--m", "inf"], "finite"),
+])
+def test_bad_k_or_target_exits_2(capsys, argv, needle):
+    assert main([*argv, "--type", "B2", "--n", "50"]) == 2
+    err = capsys.readouterr().err
+    assert needle in err and len(err.strip().splitlines()) == 1
+
+
 def test_config_int_for_float_field_is_accepted(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"radius": 2, "target": [1, 0.5], "k": None}))
@@ -263,6 +285,36 @@ def test_config_exit_codes_property(fuzz_dir, known, unknown, path_names):
     assert isinstance(code, int) and 0 <= code <= 4
     if unknown or code == 2:
         assert code == 2 and len(err.getvalue().strip().splitlines()) == 1
+
+
+def _argv_float(v: float) -> str:
+    """A float as a command-line word: positional digits, so that argparse
+    takes a negative value for a number rather than an option."""
+    return repr(v) if not math.isfinite(v) else np.format_float_positional(v, trim="0")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([["morse"], ["fiber", "--n", "50"]]),
+    # valid values are rare among all ints, so they are offered on their own
+    k=st.none() | st.sampled_from([1, 2]) | st.integers(),
+    # -inf cannot be written after --m: argparse reads "-inf" as an option
+    m=st.lists(st.floats().filter(lambda v: v != -math.inf), max_size=3),
+)
+def test_k_and_target_exit_codes_property(command, k, m):
+    """Any --k and --m on morse and fiber: main returns an exit code in 0-4
+    and raises nothing; a usage error is one line."""
+    argv = [*command, "--type", "B2"]
+    if k is not None:
+        argv += ["--k", str(k)]
+    if m:
+        argv += ["--m", *map(_argv_float, m)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert isinstance(code, int) and 0 <= code <= 4
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
 
 
 def test_whitney_pairs_out_csv(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from chevalley.coxeter import (
     coxeter_type,
     generate_group,
-    isotropy_reflections,
     sample_stratum,
     stratum_of_point,
     verify_root_closure,
@@ -54,6 +53,7 @@ def test_h3_f4_root_counts(rs_cache):
 
 @pytest.mark.parametrize("name,order", [
     ("B2", 8), ("A3", 6), ("G2", 12), ("D4", 192), ("H3", 120), ("F4", 1152),
+    ("I2:4", 8),
 ])
 def test_group_orders(name, order, rs_cache):
     g = generate_group(rs_cache(name))
@@ -66,7 +66,7 @@ def test_group_bound_capability(rs_cache):
 
 
 def test_group_closure_under_product(rs_cache, rng):
-    for name in ("B2", "H3"):
+    for name in ("B2", "H3", "I2:4"):
         g = generate_group(rs_cache(name))
         gset = set(g)
         for _ in range(50):
@@ -101,10 +101,22 @@ def test_lambda_forms_vanish_on_their_hyperplanes(rs_cache, rng):
         assert lam.is_zero()
 
 
+def test_i2_4_group_is_the_signed_permutation_group(rs_cache):
+    """I2(4) with its exact roots is B2 in another name: the same 8 matrices."""
+    assert set(generate_group(rs_cache("I2:4"))) == set(generate_group(rs_cache("B2")))
+
+
 def test_chamber_contains_b2(rs_cache):
     rs = rs_cache("B2")
-    assert rs.chamber_contains([2.0, 1.0], tol=1e-12)
-    assert not rs.chamber_contains([1.0, 2.0], tol=1e-12)
+    assert rs.chamber_contains([2.0, 1.0], tol=1e-12) is True
+    assert rs.chamber_contains([1.0, 2.0], tol=1e-12) is False
+    # a stack of rows gives one verdict per row
+    batch = rs.chamber_contains(np.array([[2.0, 1.0], [1.0, 2.0], [1.0, -1e-9]]), tol=1e-12)
+    assert batch.tolist() == [True, False, False]
+    assert rs.chamber_contains(np.zeros((0, 2))).shape == (0,)
+    for bad in ([1.0, 2.0, 3.0], np.zeros((4, 3)), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(UsageError):
+            rs.chamber_contains(bad)
 
 
 def test_chamber_d_family_is_descending_with_abs_last(rs_cache, rng):
@@ -200,7 +212,7 @@ def test_b2_isotropy_examples(rs_cache, strata_cache):
     strata = strata_cache("B2")
     # wall x1 = x2 has isotropy exactly {e1 - e2}
     diag = next(s for s in strata if s.dim == 1 and 0 in s.walls)
-    roots = [tuple(rs.positive_f[i]) for i in isotropy_reflections(diag)]
+    roots = [tuple(rs.positive_f[i]) for i in diag.isotropy]
     assert roots == [(1.0, -1.0)]
     origin = next(s for s in strata if s.dim == 0)
     assert len(origin.isotropy) == 4

@@ -1,5 +1,7 @@
 """Jacobian factorization, minors and rank on strata."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,9 @@ from chevalley.errors import CheckFailure, UsageError
 from chevalley.field import ONE, Scalar
 from chevalley.invariants import InvariantBasis
 from chevalley.jacobian import (
-    MinorSpec,
+    _batched_minor_max,
     det_vanishing_calibration,
     jacobian_matrix,
-    minor_eval,
     numeric_rank,
     verify_det_factorization,
     verify_stratum_rank,
@@ -80,30 +81,36 @@ def test_factorization_flags_broken_basis(basis_cache, rs_cache):
 
 def test_dihedral_wall_product_matches_float_roots(rs_cache, rng):
     """For float dihedral roots the exact product is the closed form; the
-    per-root float product differs from it by one constant only."""
+    per-root float product differs from it by one constant only.  The
+    closed form is evaluated exactly at rational points."""
     for name in ("G2", "I2:7"):
         rs = rs_cache(name)
         prod = wall_form_product(rs)
         ratios = []
         for _ in range(40):
-            x = rng.normal(size=2)
+            ks = rng.integers(-256, 257, size=2)
+            x = ks / 128.0
             lam = rs.positive_f @ x
             if np.min(np.abs(lam)) < 1e-3:
                 continue
-            ratios.append(np.prod(lam) / prod.eval_float(x))
+            exact = prod.eval_exact([Scalar(Fraction(int(k), 128)) for k in ks])
+            ratios.append(np.prod(lam) / float(exact))
         ratios = np.array(ratios)
         assert np.max(np.abs(ratios - np.median(ratios))) <= 1e-9 * abs(np.median(ratios))
 
 
-def test_minor_eval_examples(basis_cache):
-    jm = jacobian_matrix(basis_cache("B2"))
-    assert minor_eval(jm, MinorSpec((0,), (0,)), [1.0, 0.0]) == 2.0
-    # full minor vanishes on the diagonal wall
-    assert abs(minor_eval(jm, MinorSpec((0, 1), (0, 1)), [1.0, 1.0])) < 1e-12
-    with pytest.raises(UsageError):
-        MinorSpec((0, 1), (0,))
-    with pytest.raises(UsageError):
-        minor_eval(jm, MinorSpec((0, 5), (0, 1)), [1.0, 0.0])
+def test_jacobian_minor_examples(basis_cache):
+    b = basis_cache("B2")
+    jm = jacobian_matrix(b)
+    one, zero = Scalar(1), Scalar(0)
+    assert jm[0, 0].eval_exact([one, zero]) == Scalar(2)
+    # the full minor vanishes on the diagonal wall, exactly and in floats
+    assert jm.det().eval_exact([one, one]).is_zero()
+    J = b.compiled.J(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    assert _batched_minor_max(J[:1], [0], 1)[0] == 2.0
+    assert _batched_minor_max(J[1:], [0, 1], 2)[0] < 1e-12
+    # every 1x1 minor of the first row, per sample
+    assert np.array_equal(_batched_minor_max(J, [0], 1), [2.0, 2.0])
 
 
 def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strata_cache):
@@ -113,10 +120,15 @@ def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strat
     jm = jacobian_matrix(b)
     s = next(t for t in strata_cache("B3") if t.dim == 1)
     x = sample_stratum(s, 1, 1.0, 5, rs)[0]
-    worst = 0.0
-    for cols in ((0, 1), (0, 2), (1, 2)):
-        worst = max(worst, abs(minor_eval(jm, MinorSpec((0, 1), cols), x)))
-    assert worst <= 1e-10
+    assert _batched_minor_max(b.compiled.J(x[None, :]), [0, 1], 2)[0] <= 1e-10
+    # B3 faces are spanned by 0/1 vectors: the rounded direction lies on the
+    # face exactly, and there every 2x2 minor of rows 0, 1 is exactly zero
+    xq = [Scalar(int(round(v))) for v in x / np.max(np.abs(x))]
+    xf = np.array([float(v) for v in xq])
+    assert np.allclose(s.basis @ (s.basis.T @ xf), xf) and rs.chamber_contains(xf)
+    for c0, c1 in ((0, 1), (0, 2), (1, 2)):
+        v = [[jm[i, j].eval_exact(xq) for j in (c0, c1)] for i in (0, 1)]
+        assert (v[0][0] * v[1][1] - v[0][1] * v[1][0]).is_zero()
 
 
 def test_b2_wall_stratum_rank_closed_form(basis_cache, rs_cache, strata_cache):

@@ -12,8 +12,6 @@ from chevalley.poly import (
     PolyMatrix,
     SparsePoly,
     expand_linear_power,
-    poly_arith,
-    poly_det,
 )
 
 X = SparsePoly.variable
@@ -37,7 +35,7 @@ def test_difference_of_squares():
 def test_add_zero_identity():
     p = X(2, 0) * X(2, 1) + SparsePoly.const(2, 3)
     assert p + SparsePoly.zero(2) == p
-    assert poly_arith(p, SparsePoly.zero(2), "add") == p
+    assert SparsePoly.zero(2) + p == p
 
 
 def test_product_expansion_against_convolution_oracle(rng):
@@ -54,6 +52,20 @@ def test_product_expansion_against_convolution_oracle(rng):
         assert a * b == brute_force_mul(a, b)
 
 
+def _dyadic_point(rng, nvars, lo=-2, hi=2):
+    """A random point with coordinates k/64 in [lo, hi], as exact Scalars and
+    as the floats that hold them exactly."""
+    ks = rng.integers(lo * 64, hi * 64 + 1, size=nvars)
+    return [Scalar(Fraction(int(k), 64)) for k in ks], ks / 64.0
+
+
+def _abs_terms(p, x):
+    """Sum of |c_i m_i(x)| over the terms of p: the scale of the rounding
+    error of any float evaluation at x."""
+    return sum(abs(float(c)) * float(np.prod(np.abs(x) ** np.array(e)))
+               for e, c in p.terms.items())
+
+
 def _random_poly(rng, nvars, nterms=5, maxdeg=3):
     terms = {}
     for _ in range(nterms):
@@ -66,7 +78,7 @@ def test_mismatched_nvars_is_usage_error():
     with pytest.raises(UsageError):
         X(2, 0) + X(3, 0)
     with pytest.raises(UsageError):
-        poly_arith(X(2, 0), X(3, 0), "mul")
+        X(2, 0) * X(3, 0)
 
 
 def test_diff_simple_cases():
@@ -78,26 +90,33 @@ def test_diff_simple_cases():
 
 
 def test_diff_matches_central_finite_differences(rng):
+    """Exact central differences at rational points approach the exact
+    derivative to O(h^2), and the compiled derivative matches it in floats."""
     # degree-6 dihedral-style polynomial in 2 vars
     p = SparsePoly(2, {(6, 0): ONE, (4, 2): Scalar(-15), (2, 4): Scalar(15), (0, 6): -ONE})
     dp = [p.diff(0), p.diff(1)]
-    h = 1e-6
+    h = Scalar(Fraction(1, 10 ** 6))
     for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, size=2)
+        xq, xf = _dyadic_point(rng, 2, -1, 1)
         for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd = (p.eval_float(x + e) - p.eval_float(x - e)) / (2 * h)
-            val = dp[i].eval_float(x)
-            assert abs(fd - val) <= 1e-8 * max(1.0, abs(val))
+            step = [h if j == i else Scalar(0) for j in range(2)]
+            plus = p.eval_exact([a + b for a, b in zip(xq, step)])
+            minus = p.eval_exact([a - b for a, b in zip(xq, step)])
+            fd = (plus - minus) / (h * 2)
+            val = dp[i].eval_exact(xq)
+            assert abs(float(fd - val)) <= 1e-8 * max(1.0, abs(float(val)))
+            got = CompiledPoly(dp[i])(xf)
+            assert abs(got - float(val)) <= 1e-14 * _abs_terms(dp[i], xf)
 
 
 def test_eval_exact_and_float():
     p = SparsePoly(2, {(2, 0): ONE, (0, 2): ONE})
-    assert p.eval_float([3.0, 4.0]) == 25.0
+    assert p.eval_exact([Scalar(3), Scalar(4)]) == Scalar(25)
+    assert CompiledPoly(p)([3.0, 4.0]) == 25.0
     # value at 0 is the constant term
     q = p + SparsePoly.const(2, Scalar(7))
-    assert q.eval_float([0.0, 0.0]) == 7.0
+    assert q.eval_exact([Scalar(0), Scalar(0)]) == Scalar(7)
+    assert CompiledPoly(q)([0.0, 0.0]) == 7.0
     # golden ratio: phi^2 = (3+sqrt5)/2 exactly
     sq = SparsePoly(1, {(2,): ONE})
     assert sq.eval_exact([PHI]) == Scalar(Fraction(3, 2), Fraction(1, 2))
@@ -138,13 +157,13 @@ def test_chain_rule_commutation(rng):
 def test_det_identity_and_hand_case():
     ident = PolyMatrix([[SparsePoly.const(2, 1), SparsePoly.zero(2)],
                         [SparsePoly.zero(2), SparsePoly.const(2, 1)]])
-    assert poly_det(ident) == SparsePoly.const(2, 1)
+    assert ident.det() == SparsePoly.const(2, 1)
     m = PolyMatrix([
         [SparsePoly(2, {(1, 0): Scalar(2)}), SparsePoly(2, {(0, 1): Scalar(2)})],
         [SparsePoly(2, {(1, 2): Scalar(2)}), SparsePoly(2, {(2, 1): Scalar(2)})],
     ])
     expected = SparsePoly(2, {(3, 1): Scalar(4), (1, 3): Scalar(-4)})
-    assert poly_det(m) == expected
+    assert m.det() == expected
 
 
 def test_det_newton_vandermonde_oracle():
@@ -155,29 +174,37 @@ def test_det_newton_vandermonde_oracle():
             SparsePoly(3, {tuple(k - 1 if j == i else 0 for j in range(3)): Scalar(k)})
             for i in range(3)
         ])
-    det = poly_det(PolyMatrix(rows))
+    det = PolyMatrix(rows).det()
     x1, x2, x3 = (X(3, i) for i in range(3))
     vandermonde = (x2 - x1) * (x3 - x1) * (x3 - x2)
     assert det == vandermonde.scale(Scalar(6))
 
 
 def test_det_numeric_agreement(rng):
+    """The symbolic determinant agrees with the determinant of the entry
+    values: exactly at rational points, and in floats with every entry on
+    one compiled table."""
     polys = [[_random_poly(rng, 3, nterms=3, maxdeg=2) for _ in range(3)] for _ in range(3)]
     m = PolyMatrix(polys)
-    d = poly_det(m)
+    d = m.det()
+    entries = CompiledPoly([p for row in polys for p in row])
     for _ in range(50):
-        x = rng.uniform(-1, 1, size=3)
-        sym = d.eval_float(x)
-        num = np.linalg.det(m.eval_float(x))
-        assert abs(sym - num) <= 1e-9 * max(1.0, abs(num))
+        xq, xf = _dyadic_point(rng, 3, -1, 1)
+        v = [[p.eval_exact(xq) for p in row] for row in polys]
+        leibniz = (v[0][0] * (v[1][1] * v[2][2] - v[1][2] * v[2][1])
+                   - v[0][1] * (v[1][0] * v[2][2] - v[1][2] * v[2][0])
+                   + v[0][2] * (v[1][0] * v[2][1] - v[1][1] * v[2][0]))
+        assert d.eval_exact(xq) == leibniz
+        num = np.linalg.det(entries(xf).reshape(3, 3))
+        assert abs(CompiledPoly(d)(xf) - num) <= 1e-9 * max(1.0, abs(num))
 
 
 def test_det_errors():
     with pytest.raises(UsageError):
-        poly_det(PolyMatrix([[SparsePoly.zero(1)], [SparsePoly.zero(1)]]))
+        PolyMatrix([[SparsePoly.zero(1)], [SparsePoly.zero(1)]]).det()
     big = PolyMatrix([[SparsePoly.const(1, 1)] * 7 for _ in range(7)])
     with pytest.raises(CapabilityError):
-        poly_det(big)
+        big.det()
 
 
 def test_serialization_round_trip(rng):
@@ -213,12 +240,14 @@ def test_eval_product_homomorphism_random_points(rng):
 
 
 def test_compiled_batch_evaluation(rng):
+    """Batched values against exact values at rational points, to a few
+    units of rounding of the terms' magnitudes."""
     p = _random_poly(rng, 3)
-    c = p.compiled()
-    pts = rng.uniform(-2, 2, size=(40, 3))
-    vals = c(pts)
-    for i in range(40):
-        assert abs(vals[i] - p.eval_float(pts[i])) < 1e-12 * max(1, abs(vals[i]))
+    points = [_dyadic_point(rng, 3) for _ in range(40)]
+    vals = CompiledPoly(p)(np.array([xf for _, xf in points]))
+    for i, (xq, xf) in enumerate(points):
+        exact = float(p.eval_exact(xq))
+        assert abs(vals[i] - exact) <= 1e-14 * max(1.0, _abs_terms(p, xf))
 
 
 def test_compiled_table_of_several_polynomials(rng):
@@ -228,7 +257,7 @@ def test_compiled_table_of_several_polynomials(rng):
     vals = table(pts)
     assert vals.shape == (70, 3)
     for q, p in enumerate(polys):
-        assert np.array_equal(vals[:, q], p.compiled()(pts))
+        assert np.array_equal(vals[:, q], CompiledPoly(p)(pts))
     assert np.array_equal(table(pts, 1), vals[:, :1])
     assert table(pts[0]).shape == (3,)
     assert table(np.zeros((0, 3))).shape == (0, 3)

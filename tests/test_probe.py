@@ -115,6 +115,8 @@ def test_b2_critical_points_closed_form(basis_cache, rs_cache, strata_cache):
         assert cp.bordering_minor_max <= 1e-8
     assert abs(lo.hessian_eigs[0] - 2.0) < 1e-6
     assert abs(hi.hessian_eigs[0] + 2.0) < 1e-6
+    with pytest.raises(UsageError):
+        critical_points(b, rs, 1, [1.0, 2.0], seed=3, strata=strata_cache("B2"))
 
 
 def test_b2_critical_values_bracket_fiber(basis_cache, rs_cache):
@@ -219,7 +221,7 @@ def test_fiber_sample_invariants(basis_cache, rs_cache):
     fs = sample_fiber(b, rs, 2, m, n_points=500, seed=3, x_hint=hint)
     assert not fs.empty
     assert fs.residual_max <= 1e-9 * (1 + np.max(np.abs(m)))
-    assert np.all(rs.chamber_contains_many(fs.points, tol=1e-8))
+    assert np.all(rs.chamber_contains(fs.points, tol=1e-8))
 
 
 @pytest.mark.parametrize("name,k,m", [
