@@ -39,9 +39,7 @@ from .field import (
     PSI,
     ZERO,
     Scalar,
-    identity_matrix,
     in_span,
-    mat_mul,
     mat_vec,
     solve_linear,
     vec_dot,
@@ -51,8 +49,6 @@ M_ONE = -ONE
 
 _FAMILY_BOUNDS = {"A": (2, 6), "B": (1, 4), "D": (2, 6)}
 _I2_BOUNDS = (3, 12)
-
-GROUP_ORDER_BOUND_DEFAULT = 200_000
 
 
 @dataclass(frozen=True)
@@ -311,14 +307,24 @@ def _simple_roots_by_extreme_rays(positive_f: np.ndarray) -> list[int]:
 
 def _certify_simple_system(simple, positive) -> None:
     """Exact check: every positive root is a nonnegative combination of the
-    claimed simple roots.  Raises on failure."""
-    n = len(simple[0])
-    if len(simple) != n:
+    claimed simple roots.  Raises on failure.
+
+    The simple roots of the reducible A family span only the hyperplane
+    sum(x) = 0; a system with fewer simple roots than dimensions is padded
+    with the invariant diagonal, whose coefficient must then be 0.
+    """
+    n = len(positive[0])
+    columns = list(simple)
+    if len(simple) < n:
+        columns.append(tuple(ONE for _ in range(n)))
+    if len(columns) != n:
         raise CheckFailure("simple system has wrong size")
-    a = [[simple[j][i] for j in range(n)] for i in range(n)]  # columns = simples
+    a = [[c[i] for c in columns] for i in range(n)]
+    k = len(simple)
     for v in positive:
         coeff = solve_linear(a, list(v))
-        if coeff is None or any(c.sign() < 0 for c in coeff):
+        if (coeff is None or any(c.sign() < 0 for c in coeff[:k])
+                or not all(c.is_zero() for c in coeff[k:])):
             raise CheckFailure(f"root {v} is not a nonnegative combination of simples")
 
 
@@ -399,7 +405,7 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
             f"{ctype.name}: built {len(positive)} positive roots, expected {expected}"
         )
     if fam not in ("H3", "H4"):
-        _certify_simple_system_padded(simple, positive, ctype)
+        _certify_simple_system(simple, positive)
     rs = RootSystem(
         ctype,
         simple,
@@ -423,22 +429,6 @@ def _sum_root(i, j, n):
     v[i] = ONE
     v[j] = ONE
     return tuple(v)
-
-
-def _certify_simple_system_padded(simple, positive, ctype) -> None:
-    """Nonnegativity certificate that also handles the reducible A family,
-    where the simple roots span only the hyperplane sum(x)=0."""
-    n = ctype.dim
-    if len(simple) == n:
-        _certify_simple_system(simple, positive)
-        return
-    # pad with the invariant diagonal direction; its coefficient must be 0
-    diag = tuple(ONE for _ in range(n))
-    a = [[row[i] for row in list(simple) + [diag]] for i in range(n)]
-    for v in positive:
-        coeff = solve_linear(a, list(v))
-        if coeff is None or any(c.sign() < 0 for c in coeff[:-1]) or not coeff[-1].is_zero():
-            raise CheckFailure(f"root {v} is not a nonnegative combination of simples")
 
 
 def _icosahedral_roots(fam: str) -> list[tuple[Scalar, ...]]:
@@ -555,64 +545,65 @@ def _build_dihedral(ctype: CoxeterType) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 
-def generate_group(rs: RootSystem, bound: int = GROUP_ORDER_BOUND_DEFAULT):
-    """All group elements as matrices (exact where the root data is exact).
+def generate_group(rs: RootSystem):
+    """All group elements as matrices: exact tuples where the root data is
+    exact, float arrays for the inexact I2(p) (closed form).
 
-    The permutation families are enumerated directly, and the float dihedral
-    groups in closed form; H3/H4/F4 and the exact I2(4) are closed under
-    multiplication starting from the simple reflections.  The result always
-    has size prod(degrees).
+    Every exact type goes through one closure.  The orbit O of
+    {+-e_1, ..., +-e_n} under the simple reflections spans R^n, so W acts
+    faithfully on it and each element is the index permutation it induces on
+    O; composing with a generator is one gather.  A breadth-first search
+    from the identity deduplicates on the images of e_1..e_n, which fix the
+    element, and column j of its matrix is the orbit vector e_j maps to.
+    The search does no field arithmetic: the matrices share the orbit's
+    `Scalar` entries.  The result has size prod(degrees), and a closure
+    that grows past it raises `CheckFailure`.
     """
     ctype = rs.ctype
-    expected = ctype.order
-    if expected > bound:
-        raise CapabilityError(
-            f"group order {expected} exceeds bound {bound} for {ctype.name}"
-        )
-    fam = ctype.family
-    n = ctype.dim
-    if fam == "A":
-        elems = [_perm_matrix(perm) for perm in permutations(range(n))]
-    elif fam == "B":
-        elems = [
-            _signed_perm_matrix(perm, signs)
-            for perm in permutations(range(n))
-            for signs in product((1, -1), repeat=n)
-        ]
-    elif fam == "D":
-        elems = [
-            _signed_perm_matrix(perm, signs)
-            for perm in permutations(range(n))
-            for signs in product((1, -1), repeat=n)
-            if signs.count(-1) % 2 == 0
-        ]
-    elif fam == "I2" and not rs.exact:
+    if not rs.exact:
         return _dihedral_group(ctype.p)
-    else:
-        elems = _closure_via_root_action(rs, expected)
-    if len(elems) != expected:
+    n, expected = rs.n, ctype.order
+    orbit = [_unit(i, n) for i in range(n)] + [_neg(_unit(i, n)) for i in range(n)]
+    index = {v: i for i, v in enumerate(orbit)}
+    images = [[] for _ in rs.simple_reflections]
+    for v in orbit:  # grows while it is walked
+        for g, img in zip(rs.simple_reflections, images):
+            w = mat_vec(g, v)
+            if w not in index:
+                if len(orbit) >= 2 * n * expected:
+                    raise CheckFailure(
+                        f"{ctype.name}: orbit of +-e_i outgrew 2n * {expected}; "
+                        "generator data is wrong"
+                    )
+                index[w] = len(orbit)
+                orbit.append(w)
+            img.append(index[w])
+    gens = np.array(images, dtype=np.int64)
+    # an element is fixed by the images of e_1..e_n, its first n entries;
+    # they key it as one base-|O| integer
+    weights = len(orbit) ** np.arange(n, dtype=np.int64)
+    frontier = np.arange(len(orbit), dtype=np.int64)[None, :]
+    seen = frontier[:, :n] @ weights
+    levels = [frontier]
+    while len(frontier):
+        cand = frontier[:, gens].reshape(-1, len(orbit))
+        keys, first = np.unique(cand[:, :n] @ weights, return_index=True)
+        fresh = ~np.isin(keys, seen, assume_unique=True)
+        frontier = cand[first[fresh]]
+        seen = np.concatenate([seen, keys[fresh]])
+        if len(seen) > expected:
+            raise CheckFailure(
+                f"closure exceeded expected order {expected}; generator data is wrong"
+            )
+        levels.append(frontier)
+    if len(seen) != expected:
         raise CheckFailure(
-            f"{ctype.name}: generated {len(elems)} elements, expected {expected}"
+            f"{ctype.name}: generated {len(seen)} elements, expected {expected}"
         )
-    return elems
-
-
-def _perm_matrix(perm):
-    n = len(perm)
-    return tuple(
-        tuple(ONE if perm[i] == j else ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def _signed_perm_matrix(perm, signs):
-    n = len(perm)
-    return tuple(
-        tuple(
-            (ONE if signs[i] > 0 else M_ONE) if perm[i] == j else ZERO
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    return [
+        tuple(zip(*map(orbit.__getitem__, cols)))
+        for cols in np.concatenate(levels)[:, :n].tolist()
+    ]
 
 
 def _dihedral_group(p: int):
@@ -625,43 +616,6 @@ def _dihedral_group(p: int):
         c, s = math.cos(2 * g), math.sin(2 * g)
         out.append(np.array([[c, s], [s, -c]]))
     return out
-
-
-def _closure_via_root_action(rs: RootSystem, expected: int):
-    """Exact closure with deduplication on the root permutation.
-
-    The group acts faithfully on the (full, signed) root set since the roots
-    span.  Composing 120-entry index tuples is far cheaper than hashing
-    matrices of field elements, and each new element costs exactly one exact
-    matrix product along its discovery edge.
-    """
-    allroots = list(rs.positive) + [_neg(v) for v in rs.positive]
-    index = {v: i for i, v in enumerate(allroots)}
-    n = rs.n
-
-    def perm_of(matrix):
-        return tuple(index[tuple(mat_vec(matrix, v))] for v in allroots)
-
-    gens = [(perm_of(g), g) for g in rs.simple_reflections]
-    ident = identity_matrix(n)
-    ident_perm = tuple(range(len(allroots)))
-    seen = {ident_perm: ident}
-    frontier = [(ident_perm, ident)]
-    while frontier:
-        new = []
-        for pm, m in frontier:
-            for pg, g in gens:
-                perm = tuple(pm[j] for j in pg)
-                if perm not in seen:
-                    prod = mat_mul(m, g)
-                    seen[perm] = prod
-                    new.append((perm, prod))
-        frontier = new
-        if len(seen) > expected:
-            raise CheckFailure(
-                f"closure exceeded expected order {expected}; generator data is wrong"
-            )
-    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

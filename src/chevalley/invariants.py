@@ -6,8 +6,7 @@ Closed forms are used wherever they exist:
   B(n)   elementary symmetric polynomials in the squares
   D(n)   elementary symmetric in squares (degrees 2..2(n-1)) plus prod x_i,
          placed in nondecreasing degree order; at a degree tie the product
-         invariant goes after the elementary one (both orders can be built
-         for the tie study)
+         invariant goes after the elementary one
   I2(p)  x^2 + y^2 and Re((x+iy)^p), exact over Q for every p
 
 H3 and F4 are built once as group averages of power monomials, realized as
@@ -177,11 +176,12 @@ def _coordinate_product(n: int) -> SparsePoly:
     return SparsePoly(n, {(1,) * n: ONE})
 
 
-def _d_family_polys(n: int, product_first: bool = False) -> list[SparsePoly]:
-    tagged = [(2 * k, 1, _elementary_in_squares(n, k)) for k in range(1, n)]
-    tagged.append((n, 0 if product_first else 2, _coordinate_product(n)))
-    tagged.sort(key=lambda t: (t[0], t[1]))
-    return [p for _, _, p in tagged]
+def _d_family_polys(n: int) -> list[SparsePoly]:
+    tagged = [(2 * k, _elementary_in_squares(n, k)) for k in range(1, n)]
+    tagged.append((n, _coordinate_product(n)))
+    # stable sort: at a degree tie the product stays after the elementary one
+    tagged.sort(key=lambda t: t[0])
+    return [p for _, p in tagged]
 
 
 def _dihedral_polys(p: int) -> list[SparsePoly]:
@@ -520,21 +520,6 @@ def basic_invariants(
     if target is not None:
         save_basis(basis, target)
     return basis
-
-
-def d_family_orderings(t: CoxeterType | str) -> list[InvariantBasis]:
-    """Both placements of the degree-n product invariant at a degree tie
-    (D(2k) only); single basis otherwise."""
-    ctype = coxeter_type(t) if isinstance(t, str) else t
-    if ctype.family != "D":
-        raise UsageError("tie orderings only exist for the D family")
-    first = InvariantBasis(ctype, _d_family_polys(ctype.dim), "closed-form")
-    if ctype.dim % 2:
-        return [first]
-    variant = InvariantBasis(
-        ctype, _d_family_polys(ctype.dim, product_first=True), "closed-form"
-    )
-    return [first, variant]
 
 
 def verify_invariance(basis: InvariantBasis, generators) -> bool:

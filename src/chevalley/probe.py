@@ -127,19 +127,6 @@ class FiberSample:
         }
 
 
-def solve_fiber_point(basis: InvariantBasis, rs: RootSystem, k, m, x0,
-                      tol=NEWTON_TOL, max_iter=100) -> np.ndarray:
-    """One Newton solve of P_k(x) = m from x0, reflected into the chamber."""
-    m = np.asarray(m, dtype=float)
-    if len(m) != k:
-        raise UsageError("target length must equal k")
-    X, ok = _project_batch(basis.compiled, k, m, np.asarray(x0, float)[None, :],
-                           tol=tol, max_iter=max_iter)
-    if not ok[0]:
-        raise ConvergenceError("fiber projection did not converge from this start")
-    return rs.to_chamber(X[0])
-
-
 def _fiber_scale(basis: InvariantBasis, m, x_hint) -> float:
     if basis.degrees[0] == 2 and m[0] > 0:
         return float(np.sqrt(m[0]))

@@ -76,7 +76,7 @@ def test_criterion_2_roots_and_orders():
     assert len(rs.positive_f) == 24 and coxeter_type("F4").order == 1152
     elapsed = time.monotonic() - t0
     conclude(2, "root counts and group orders for every supported type",
-             elapsed <= 60, f"{len(names)} types, {elapsed:.1f}s")
+             elapsed <= 15, f"{len(names)} types, {elapsed:.1f}s")
 
 
 # -- 3: rank on strata for H3, D6, F4 -----------------------------------------

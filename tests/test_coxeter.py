@@ -1,16 +1,23 @@
 """Root systems, groups, chambers and strata."""
 
+import copy
+import math
+from dataclasses import replace
+from fractions import Fraction
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
 from chevalley.coxeter import (
+    build_root_system,
     coxeter_type,
     generate_group,
     sample_stratum,
     stratum_of_point,
     verify_root_closure,
 )
-from chevalley.errors import CapabilityError, UsageError
+from chevalley.errors import CapabilityError, CheckFailure, UsageError
 from chevalley.field import Scalar, mat_mul, mat_vec, identity_matrix
 
 ALL_TYPES = ["A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4",
@@ -60,19 +67,98 @@ def test_group_orders(name, order, rs_cache):
     assert len(g) == order
 
 
-def test_group_bound_capability(rs_cache):
-    with pytest.raises(CapabilityError):
-        generate_group(rs_cache("H3"), bound=100)
-
-
 def test_group_closure_under_product(rs_cache, rng):
-    for name in ("B2", "H3", "I2:4"):
+    for name in ("B2", "H3", "I2:4", "F4", "H4"):
         g = generate_group(rs_cache(name))
         gset = set(g)
         for _ in range(50):
             a = g[int(rng.integers(0, len(g)))]
             b = g[int(rng.integers(0, len(g)))]
             assert mat_mul(a, b) in gset
+
+
+def _signed_permutation_group(family, n):
+    """Reference: A permutes the coordinates, B also flips any of their
+    signs, D an even number of them."""
+    out = set()
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            if (family == "A" and -1 in signs) or (family == "D" and signs.count(-1) % 2):
+                continue
+            out.add(tuple(
+                tuple(Scalar(signs[i]) if perm[i] == j else Scalar(0) for j in range(n))
+                for i in range(n)
+            ))
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B1", "B2", "B3", "B4",
+                                  "D2", "D3", "D4", "D5"])
+def test_permutation_families_match_signed_permutations(name, rs_cache):
+    rs = rs_cache(name)
+    g = generate_group(rs)
+    ref = _signed_permutation_group(rs.ctype.family, rs.n)
+    assert len(g) == len(ref) == rs.ctype.order
+    assert set(g) == ref
+
+
+def _integer_form(arrays):
+    """Exact arrays over Q(sqrt5) as integer arrays A, B and a common
+    denominator d, each entry being (A + B sqrt5) / d."""
+    obj = np.array(arrays, dtype=object)
+    flat = obj.ravel().tolist()
+    d = math.lcm(*(f.denominator for x in flat for f in (x.a, x.b)))
+    A, B = (
+        np.array([f.numerator * (d // f.denominator) for f in part],
+                 dtype=np.int64).reshape(obj.shape)
+        for part in ([x.a for x in flat], [x.b for x in flat])
+    )
+    return A, B, d
+
+
+@pytest.mark.parametrize("name", ["H3", "F4", "H4"])
+def test_exceptional_groups_orthogonal_and_root_preserving(name, rs_cache):
+    """Every element satisfies w w^T = I and maps every root to a root,
+    exactly; being injective, it then permutes the finite root set."""
+    rs = rs_cache(name)
+    g = generate_group(rs)
+    assert len(g) == len(set(g)) == math.prod(rs.ctype.degrees)
+    A, B, d = _integer_form(g)
+    At, Bt = np.swapaxes(A, 1, 2), np.swapaxes(B, 1, 2)
+    assert np.array_equal(A @ At + 5 * (B @ Bt),
+                          np.broadcast_to(d * d * np.eye(rs.n, dtype=np.int64), A.shape))
+    assert not np.any(A @ Bt + B @ At)
+    roots = list(rs.positive) + [tuple(-x for x in v) for v in rs.positive]
+    RA, RB, _ = _integer_form(roots)
+    # images and roots as integer rows (A | B) over one common denominator
+    images = np.concatenate([A @ RA.T + 5 * (B @ RB.T), A @ RB.T + B @ RA.T], axis=1)
+    images = np.swapaxes(images, 1, 2).reshape(-1, 2 * rs.n)
+    targets = np.concatenate([RA, RB], axis=1) * d
+    lo = min(images.min(), targets.min())
+    base = max(images.max(), targets.max()) - lo + 1
+    assert base ** (2 * rs.n) < 2 ** 62
+    weights = base ** np.arange(2 * rs.n, dtype=np.int64)
+    assert np.isin((images - lo) @ weights, (targets - lo) @ weights).all()
+
+
+@pytest.mark.parametrize("degrees", [(2, 4, 4), (2, 4, 8)])
+def test_group_closure_checks_the_order(degrees):
+    """A degree table that does not match the generators is caught: the
+    closure outgrows the claimed order, or falls short of it."""
+    rs = copy.copy(build_root_system("B3"))
+    rs.ctype = replace(rs.ctype, degrees=degrees)
+    with pytest.raises(CheckFailure):
+        generate_group(rs)
+
+
+def test_group_closure_rejects_generators_of_an_infinite_group():
+    """Reflections across (0, 1) and (1, 2) meet at an angle that is no
+    rational multiple of pi, so the orbit of e_1 never closes."""
+    rs = copy.copy(build_root_system("B2"))
+    f = lambda a: Scalar(Fraction(a, 5))
+    rs.simple_reflections = [rs.simple_reflections[1], ((f(3), f(-4)), (f(-4), f(-3)))]
+    with pytest.raises(CheckFailure, match="orbit"):
+        generate_group(rs)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3", "F4", "B2"])

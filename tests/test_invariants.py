@@ -15,7 +15,6 @@ from chevalley.invariants import (
     basis_content_hash,
     chevalley_eval,
     coxeter_number,
-    d_family_orderings,
     degrees,
     load_basis,
     numeric_jacobian_rank,
@@ -70,16 +69,6 @@ def test_d_family_degree_list_and_product(basis_cache):
         # elementary symmetric
         idx = b.polys.index(prod_poly)
         assert b.degrees[idx - 1] == n and b.polys[idx - 1] != prod_poly
-
-
-def test_d_family_tie_orderings():
-    both = d_family_orderings("D4")
-    assert len(both) == 2
-    assert both[0].degrees == both[1].degrees
-    assert both[0].polys[1] == both[1].polys[2]
-    assert len(d_family_orderings("D5")) == 1
-    with pytest.raises(UsageError):
-        d_family_orderings("B3")
 
 
 def test_first_invariant_is_squared_norm(basis_cache):

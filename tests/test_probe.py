@@ -3,41 +3,49 @@
 import numpy as np
 import pytest
 
-from chevalley.errors import ConvergenceError, UsageError
+from chevalley.errors import UsageError
 from chevalley.probe import (
     FiberSample,
+    _project_batch,
     critical_points,
     fiber_connectivity,
     fiber_value_interval,
     isotropy_components,
     random_regular_target,
     sample_fiber,
-    solve_fiber_point,
 )
 
 
-def test_solve_fiber_point_b2_circle(basis_cache, rs_cache):
+def _fiber_point(b, rs, k, m, x0):
+    """One Newton projection onto P_k = m from x0, reflected into the chamber."""
+    X, ok = _project_batch(b.compiled, k, m, np.asarray(x0, dtype=float)[None, :])
+    assert ok[0]
+    return rs.to_chamber(X[0])
+
+
+def test_project_batch_b2_circle(basis_cache, rs_cache):
     b, rs = basis_cache("B2"), rs_cache("B2")
-    x = solve_fiber_point(b, rs, 1, [1.0], [0.9, 0.1])
+    x = _fiber_point(b, rs, 1, [1.0], [0.9, 0.1])
     assert abs(np.linalg.norm(x) - 1.0) < 1e-12
     assert rs.chamber_contains(x, tol=1e-12)
     # k = 2: the target (1, 1/4) pins the diagonal point
-    x = solve_fiber_point(b, rs, 2, [1.0, 0.25], [0.6, 0.8])
+    x = _fiber_point(b, rs, 2, [1.0, 0.25], [0.6, 0.8])
     assert np.allclose(x, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-5)
 
 
-def test_solve_fiber_point_norm_constraint(basis_cache, rs_cache, rng):
+def test_project_batch_norm_constraint(basis_cache, rs_cache, rng):
     """For p1 = |x|^2 any solution satisfies |x| = sqrt(m1)."""
     for name in ("B3", "H3"):
         b, rs = basis_cache(name), rs_cache(name)
         for m1 in (0.5, 2.0):
-            x = solve_fiber_point(b, rs, 1, [m1], rng.normal(size=rs.n))
+            x = _fiber_point(b, rs, 1, [m1], rng.normal(size=rs.n))
             assert abs(np.linalg.norm(x) - np.sqrt(m1)) < 1e-10
 
 
-def test_solve_fiber_point_convergence_error(basis_cache, rs_cache):
-    with pytest.raises(ConvergenceError):
-        solve_fiber_point(basis_cache("B2"), rs_cache("B2"), 1, [-1.0], [0.5, 0.1])
+def test_project_batch_unreachable_target_not_ok(basis_cache):
+    """|x|^2 = -1 has no real solution: the convergence mask is False."""
+    _, ok = _project_batch(basis_cache("B2").compiled, 1, [-1.0], np.array([[0.5, 0.1]]))
+    assert ok.tolist() == [False]
 
 
 def test_b2_arc_sample_against_parameterization(basis_cache, rs_cache):
