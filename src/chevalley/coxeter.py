@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -39,7 +40,6 @@ from .field import (
     PSI,
     ZERO,
     Scalar,
-    in_span,
     mat_vec,
     solve_linear,
     vec_dot,
@@ -182,32 +182,26 @@ def _float_mat(m) -> np.ndarray:
 class RootSystem:
     """Positive roots, simple roots and per-root reflection data for a type.
 
-    Float mirrors of every exact object are precomputed since almost all
-    downstream numerics run on them.  `exact` is False only for I2(p) with
-    p != 4; in that case the exact fields are None.
+    Float mirrors of the simple data are precomputed since almost all
+    downstream numerics run on them; the reflections of all positive roots
+    are built on first use.  `exact` is False only for I2(p) with p != 4;
+    in that case the exact fields are None.  `support[t, i]` says whether
+    simple root i has a nonzero coefficient in positive root t.
     """
 
     def __init__(self, ctype: CoxeterType, simple_exact, positive_exact,
-                 simple_f, positive_f, exact: bool):
+                 simple_f, positive_f, support: np.ndarray):
         self.ctype = ctype
         self.n = ctype.dim
-        self.exact = exact
+        self.exact = simple_exact is not None
         self.simple = simple_exact
         self.positive = positive_exact
         self.simple_f = np.asarray(simple_f, dtype=float)
         self.positive_f = np.asarray(positive_f, dtype=float)
-        if exact:
-            self.reflections = [_reflection_exact(v) for v in positive_exact]
-            self.reflections_f = np.array([_float_mat(m) for m in self.reflections])
-            self.simple_reflections = [
-                _reflection_exact(v) for v in simple_exact
-            ]
-        else:
-            self.reflections = None
-            self.reflections_f = np.array(
-                [self._float_reflection(v) for v in self.positive_f]
-            )
-            self.simple_reflections = None
+        self.support = support
+        self.simple_reflections = (
+            [_reflection_exact(v) for v in simple_exact] if self.exact else None
+        )
         self.simple_reflections_f = np.array(
             [self._float_reflection(v) for v in self.simple_f]
         )
@@ -220,6 +214,18 @@ class RootSystem:
     def _float_reflection(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         return np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v)
+
+    @cached_property
+    def reflections(self):
+        """Exact reflection of every positive root; None for float types."""
+        return [_reflection_exact(v) for v in self.positive] if self.exact else None
+
+    @cached_property
+    def reflections_f(self) -> np.ndarray:
+        """Float reflection of every positive root, shape (|positive|, n, n)."""
+        if self.exact:
+            return np.array([_float_mat(m) for m in self.reflections])
+        return np.array([self._float_reflection(v) for v in self.positive_f])
 
     # -- chamber --------------------------------------------------------------
 
@@ -305,11 +311,13 @@ def _simple_roots_by_extreme_rays(positive_f: np.ndarray) -> list[int]:
     return out
 
 
-def _certify_simple_system(simple, positive) -> None:
+def _certify_simple_system(simple, positive) -> np.ndarray:
     """Exact check: every positive root is a nonnegative combination of the
-    claimed simple roots.  Raises on failure.
+    claimed simple roots.  Raises on failure; returns the (|positive|, k)
+    bool support of the coefficients.
 
-    The simple roots of the reducible A family span only the hyperplane
+    One Gauss-Jordan elimination solves for all positive roots at once.  The
+    simple roots of the reducible A family span only the hyperplane
     sum(x) = 0; a system with fewer simple roots than dimensions is padded
     with the invariant diagonal, whose coefficient must then be 0.
     """
@@ -320,12 +328,15 @@ def _certify_simple_system(simple, positive) -> None:
     if len(columns) != n:
         raise CheckFailure("simple system has wrong size")
     a = [[c[i] for c in columns] for i in range(n)]
+    coeff = solve_linear(a, [[v[i] for v in positive] for i in range(n)])
+    if coeff is None:
+        raise CheckFailure("claimed simple roots are linearly dependent")
     k = len(simple)
-    for v in positive:
-        coeff = solve_linear(a, list(v))
-        if (coeff is None or any(c.sign() < 0 for c in coeff[:k])
-                or not all(c.is_zero() for c in coeff[k:])):
+    for t, v in enumerate(positive):
+        if (any(coeff[i][t].sign() < 0 for i in range(k))
+                or not all(row[t].is_zero() for row in coeff[k:])):
             raise CheckFailure(f"root {v} is not a nonnegative combination of simples")
+    return np.array([[not x.is_zero() for x in row] for row in coeff[:k]]).T
 
 
 def build_root_system(ctype: CoxeterType | str) -> RootSystem:
@@ -349,7 +360,6 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
                 v[j] = ONE
                 v[i] = M_ONE
                 positive.append(tuple(v))
-        exact = True
     elif fam == "B":
         simple = [tuple(
             ONE if j == i else (M_ONE if j == i + 1 else ZERO) for j in range(n)
@@ -359,7 +369,6 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
             + [_sum_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
             + [_unit(i, n) for i in range(n)]
         )
-        exact = True
     elif fam == "D":
         simple = [tuple(
             ONE if j == i else (M_ONE if j == i + 1 else ZERO) for j in range(n)
@@ -370,7 +379,6 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
             [_diff_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
             + [_sum_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
         )
-        exact = True
     elif fam == "F4":
         e = lambda i: _unit(i, 4)
         simple = [
@@ -389,11 +397,11 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
             + [e(i) for i in range(4)]
             + halves
         )
-        exact = True
     elif fam in ("H3", "H4"):
-        allroots = _icosahedral_roots(fam)
-        positive, simple = _positives_and_simples(allroots)
-        exact = True
+        positive, simple = _positives_and_simples(_icosahedral_roots(fam))
+    elif fam == "I2" and ctype.p == 4:
+        positive = [(ONE, M_ONE), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
+        simple = [positive[0], positive[3]]
     elif fam == "I2":
         return _build_dihedral(ctype)
     else:
@@ -404,17 +412,14 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
         raise CheckFailure(
             f"{ctype.name}: built {len(positive)} positive roots, expected {expected}"
         )
-    if fam not in ("H3", "H4"):
-        _certify_simple_system(simple, positive)
-    rs = RootSystem(
+    return RootSystem(
         ctype,
         simple,
         positive,
         [_float_vec(v) for v in simple],
         [_float_vec(v) for v in positive],
-        exact,
+        _certify_simple_system(simple, positive),
     )
-    return rs
 
 
 def _diff_root(i, j, n):
@@ -491,7 +496,8 @@ def _perm_sign(p) -> int:
 
 def _positives_and_simples(allroots):
     """Split a full root set into positives w.r.t. a generic functional and
-    extract the simple system (extreme rays), with an exact certificate."""
+    extract the simple system (extreme rays); `build_root_system` certifies
+    it exactly."""
     n = len(allroots[0])
     floats = np.array([[float(x) for x in v] for v in allroots])
     rng = np.random.default_rng(2)
@@ -511,33 +517,24 @@ def _positives_and_simples(allroots):
             f"extreme-ray search found {len(simple_local)} simple roots, expected {n}"
         )
     simple = [positive[i] for i in simple_local]
-    _certify_simple_system(simple, positive)
     order = sorted(range(len(positive)), key=lambda i: tuple(pos_f[i]))
     return [positive[i] for i in order], simple
 
 
 def _build_dihedral(ctype: CoxeterType) -> RootSystem:
-    """I2(p): chamber is the sector 0 <= theta <= pi/p.
+    """Float I2(p), p != 4: chamber is the sector 0 <= theta <= pi/p.
 
     Wall forms are (sin g, -cos g) for line angles g = j*pi/p, j=1..p; all of
-    them are nonnegative on the sector.  Entries are exact only for p = 4.
+    them are nonnegative on the sector.  The simple-root support comes from
+    one float solve; the roots are unit vectors, and coefficients below 1e-10
+    are read as 0.
     """
     p = ctype.p
     angles = [j * math.pi / p for j in range(1, p + 1)]
     positive_f = np.array([[math.sin(g), -math.cos(g)] for g in angles])
     simple_f = np.array([positive_f[0], positive_f[-1]])  # walls theta=pi/p, theta=0
-    if p == 4:
-        positive = [
-            (ONE, M_ONE),
-            (ONE, ZERO),
-            (ONE, ONE),
-            (ZERO, ONE),
-        ]
-        simple = [positive[0], positive[3]]
-        positive_f = np.array([[float(x) for x in v] for v in positive])
-        simple_f = np.array([[float(x) for x in v] for v in simple])
-        return RootSystem(ctype, simple, positive, simple_f, positive_f, True)
-    return RootSystem(ctype, None, None, simple_f, positive_f, False)
+    coeff = np.linalg.solve(simple_f.T, positive_f.T).T
+    return RootSystem(ctype, None, None, simple_f, positive_f, np.abs(coeff) >= 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +641,10 @@ def enumerate_strata(rs: RootSystem) -> list[Stratum]:
     Simple roots are linearly independent, so each subset cuts a face of the
     expected dimension; feasibility of the sign conditions is still verified
     through an interior-point construction (least-squares anchor) backed by
-    random sampling, and infeasible subsets would be dropped.
+    random sampling, and infeasible subsets would be dropped.  Isotropy is
+    read off the simple-root support `rs.support`: a root vanishes on the
+    face of walls S exactly when its simple-root coefficients are zero
+    outside S (the parabolic subsystem of S).
     """
     n_walls = len(rs.simple_f)
     out = []
@@ -677,7 +677,8 @@ def _make_stratum(rs: RootSystem, walls) -> Stratum | None:
     if dim == 0:
         anchor = np.zeros(n)
 
-    iso = _isotropy_indices(rs, walls)
+    # roots vanishing on span(S): their simple-root support lies inside S
+    iso = np.flatnonzero(~rs.support[:, others].any(axis=1)).tolist()
     wall_str = ",".join(str(w) for w in walls) if walls else "-"
     sid = f"d{dim}:w{wall_str}"
     return Stratum(tuple(walls), dim, basis, tuple(iso), anchor, sid)
@@ -707,27 +708,6 @@ def _interior_anchor(rs, walls, others, basis) -> np.ndarray | None:
         if np.all(rs.simple_f[others] @ x > 1e-9 * np.linalg.norm(x)):
             return x / np.linalg.norm(x)
     return None
-
-
-def _isotropy_indices(rs: RootSystem, walls) -> list[int]:
-    """Positive roots whose form vanishes identically on the stratum span,
-    i.e. roots lying in the span of the wall normals."""
-    if not walls:
-        return []
-    out = []
-    if rs.exact:
-        wall_roots = [list(rs.simple[w]) for w in walls]
-        for t, v in enumerate(rs.positive):
-            if in_span(list(v), wall_roots):
-                out.append(t)
-        return out
-    a = rs.simple_f[list(walls)]
-    for t, v in enumerate(rs.positive_f):
-        coef, res, *_ = np.linalg.lstsq(a.T, v, rcond=None)
-        resid = np.linalg.norm(a.T @ coef - v)
-        if resid < 1e-10 * max(np.linalg.norm(v), 1):
-            out.append(t)
-    return out
 
 
 def sample_stratum(

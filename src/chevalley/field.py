@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import UsageError
 
@@ -210,10 +210,14 @@ def identity_matrix(n: int) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
 
-def solve_linear(a, b) -> list[Scalar] | None:
-    """Solve the square exact system a x = b; None if singular."""
+def solve_linear(a, b) -> list[list[Scalar]] | None:
+    """Solve the square exact system a X = b for every column of b at once.
+
+    One Gauss-Jordan elimination on [a | b]; b and the returned X are lists
+    of rows.  None if a is singular.
+    """
     n = len(a)
-    m = [list(row) + [bi] for row, bi in zip(a, b)]
+    m = [list(row) + list(bi) for row, bi in zip(a, b)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
         if piv is None:
@@ -225,35 +229,4 @@ def solve_linear(a, b) -> list[Scalar] | None:
             if r != col and not m[r][col].is_zero():
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
-def exact_rank(rows: Iterable[Sequence[Scalar]]) -> int:
-    """Rank of a list of exact vectors by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def in_span(vector: Sequence[Scalar], spanning: Sequence[Sequence[Scalar]]) -> bool:
-    """Exact membership of `vector` in the span of `spanning`."""
-    if not spanning:
-        return all(x.is_zero() for x in vector)
-    base = exact_rank(spanning)
-    return exact_rank(list(spanning) + [list(vector)]) == base
+    return [row[n:] for row in m]

@@ -317,6 +317,30 @@ def test_k_and_target_exit_codes_property(command, k, m):
         assert len(err.getvalue().strip().splitlines()) == 1
 
 
+_SUPPORTED_TYPES = (["A1"] + [f"A{n}" for n in range(2, 7)]
+                    + [f"B{n}" for n in range(1, 5)] + [f"D{n}" for n in range(2, 7)]
+                    + [f"I2:{p}" for p in range(3, 13)] + ["G2", "H3", "H4", "F4"])
+_NEAR_MISS_TYPES = ["A0", "D1", "I2:2", "I2:", "H2", "B12", "A\u00b2"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_SUPPORTED_TYPES) | st.sampled_from(_NEAR_MISS_TYPES)
+       | st.text(max_size=6))
+def test_type_exit_codes_property(spec):
+    """Any --type on invariants: main returns an exit code in 0-4 and raises
+    nothing; a usage error is one line."""
+    # argparse reads a word that starts with "-" as an option, so such a
+    # value is attached to the flag with "="
+    argv = (["invariants", f"--type={spec}"] if spec.startswith("-")
+            else ["invariants", "--type", spec])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert isinstance(code, int) and 0 <= code <= 4
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
+
+
 def test_whitney_pairs_out_csv(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     code = main(["whitney", "--type", "B2", "--a", "1", "--h", "0.05",

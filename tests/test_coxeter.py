@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from chevalley.coxeter import (
+    RootSystem,
+    _certify_simple_system,
+    _float_mat,
+    _reflection_exact,
     build_root_system,
     coxeter_type,
     generate_group,
@@ -23,6 +27,10 @@ from chevalley.field import Scalar, mat_mul, mat_vec, identity_matrix
 ALL_TYPES = ["A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4",
              "D2", "D3", "D4", "D5", "D6",
              "I2:3", "I2:5", "I2:7", "I2:12", "G2", "H3", "H4", "F4", "A1"]
+# every supported type, as listed by acceptance criterion 2
+CRITERION_2_TYPES = (["A1"] + [f"A{n}" for n in range(2, 7)]
+                     + [f"B{n}" for n in range(1, 5)] + [f"D{n}" for n in range(2, 7)]
+                     + [f"I2:{p}" for p in range(3, 13)] + ["G2", "H3", "F4", "H4"])
 
 
 def test_type_parsing():
@@ -172,9 +180,40 @@ def test_reflections_orthogonal_involutions_exact(name, rs_cache):
         assert mat_mul(w, wt) == ident
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3", "H4", "F4", "G2", "I2:7"])
+@pytest.mark.parametrize("name", CRITERION_2_TYPES)
 def test_root_set_closed_under_reflections(name, rs_cache):
     assert verify_root_closure(rs_cache(name))
+
+
+@pytest.mark.parametrize("name", CRITERION_2_TYPES)
+def test_reflections_are_lazy_and_match_the_eager_construction(name):
+    rs = build_root_system(name)
+    assert "reflections" not in vars(rs) and "reflections_f" not in vars(rs)
+    if rs.exact:
+        eager = np.array([_float_mat(_reflection_exact(v)) for v in rs.positive])
+    else:
+        eager = np.array([RootSystem._float_reflection(v) for v in rs.positive_f])
+    assert rs.reflections_f.dtype == eager.dtype and rs.reflections_f.shape == eager.shape
+    assert rs.reflections_f.tobytes() == eager.tobytes()
+    assert rs.reflections_f is rs.reflections_f
+    assert (rs.reflections is None) == (not rs.exact)
+
+
+def test_simple_system_certificate_and_support():
+    b2 = build_root_system("B2")
+    # positive roots e1-e2, e1+e2, e1, e2 over the simple roots e1-e2, e2
+    assert b2.support.tolist() == [[True, False], [True, True], [True, True], [False, True]]
+    assert np.array_equal(_certify_simple_system(b2.simple, b2.positive), b2.support)
+    e1, e2 = b2.positive[2], b2.positive[3]
+    # e1 - e2 = e1 + (-1) e2: a negative coordinate
+    with pytest.raises(CheckFailure, match="nonnegative"):
+        _certify_simple_system([e1, e2], b2.positive)
+    # e1 and 2 e1 are dependent
+    with pytest.raises(CheckFailure, match="dependent"):
+        _certify_simple_system([e1, tuple(2 * x for x in e1)], b2.positive)
+    # padded (A-family) case: e1 + e2 needs the diagonal, whose coefficient must be 0
+    with pytest.raises(CheckFailure, match="nonnegative"):
+        _certify_simple_system([b2.positive[0]], [b2.positive[0], b2.positive[1]])
 
 
 def test_lambda_forms_vanish_on_their_hyperplanes(rs_cache, rng):
@@ -318,6 +357,41 @@ def test_b3_isotropy_sub_system(rs_cache, strata_cache):
     got = {tuple(rs.positive_f[i]) for i in target.isotropy}
     assert got == {(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, -1.0), (0.0, 1.0, 1.0)}
     assert len(target.isotropy) >= rs.n - target.dim
+
+
+@pytest.mark.parametrize("name", CRITERION_2_TYPES)
+def test_isotropy_is_the_set_of_roots_in_the_wall_span(name, rs_cache, strata_cache):
+    rs = rs_cache(name)
+    for s in strata_cache(name):
+        walls = rs.simple_f[list(s.walls)]
+        ref = [t for t, v in enumerate(rs.positive_f)
+               if np.linalg.matrix_rank(np.vstack([walls, v])) == len(s.walls)]
+        assert list(s.isotropy) == ref, s.stratum_id
+
+
+def _rank_q5(rows):
+    """Rank of exact Q(sqrt5) rows by Gaussian elimination."""
+    work, rank = [list(r) for r in rows], 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((r for r in range(rank, len(work)) if not work[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][col] / work[rank][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "F4"])
+def test_isotropy_matches_rank_over_q_sqrt5(name, rs_cache, strata_cache):
+    rs = rs_cache(name)
+    for s in strata_cache(name):
+        walls = [rs.simple[w] for w in s.walls]
+        ref = [t for t, v in enumerate(rs.positive)
+               if _rank_q5(walls + [v]) == len(walls)]
+        assert list(s.isotropy) == ref, s.stratum_id
 
 
 def test_isotropy_gradient_rank_equals_codimension(rs_cache, strata_cache):

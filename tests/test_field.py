@@ -13,8 +13,6 @@ from chevalley.field import (
     SQRT5,
     ZERO,
     Scalar,
-    exact_rank,
-    in_span,
     solve_linear,
     vec_dot,
 )
@@ -89,11 +87,18 @@ def test_coercion_errors():
 
 def test_exact_linear_solve_and_rank():
     a = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(1)]]
-    x = solve_linear(a, [Scalar(3), Scalar(2)])
-    assert x == [Scalar(1), Scalar(1)]
+    x = solve_linear(a, [[Scalar(3)], [Scalar(2)]])
+    assert x == [[Scalar(1)], [Scalar(1)]]
+    # several right-hand sides in one elimination: the solution and a^-1
+    x = solve_linear(a, [[Scalar(3), ONE, ZERO], [Scalar(2), ZERO, ONE]])
+    assert x == [[Scalar(1), ONE, Scalar(-1)], [Scalar(1), Scalar(-1), Scalar(2)]]
+    # a rank-1 matrix is singular whether or not b lies in its column span
     singular = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)]]
-    assert solve_linear(singular, [Scalar(1), Scalar(1)]) is None
-    assert exact_rank(singular) == 1
-    assert in_span([Scalar(2), Scalar(4)], [[Scalar(1), Scalar(2)]])
-    assert not in_span([Scalar(1), Scalar(0)], [[Scalar(1), Scalar(2)]])
+    assert solve_linear(singular, [[Scalar(1)], [Scalar(1)]]) is None
+    assert solve_linear(singular, [[Scalar(1)], [Scalar(2)]]) is None
+    # span membership from coordinates: in the basis (1, 2), (0, 1) a vector
+    # lies on the line through (1, 2) exactly when its second coordinate is 0
+    basis = [[ONE, ZERO], [Scalar(2), ONE]]  # basis vectors as columns
+    coeff = solve_linear(basis, [[Scalar(2), ONE], [Scalar(4), ZERO]])
+    assert coeff[1][0].is_zero() and not coeff[1][1].is_zero()
     assert vec_dot([PHI, ONE], [ONE, PSI]) == PHI + PSI
