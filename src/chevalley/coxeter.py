@@ -49,6 +49,7 @@ M_ONE = -ONE
 
 _FAMILY_BOUNDS = {"A": (2, 6), "B": (1, 4), "D": (2, 6)}
 _I2_BOUNDS = (3, 12)
+STRATUM_REL_TOL = 1e-7   # wall form of a point, relative to its norm, read as zero
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def coxeter_type(spec: str) -> CoxeterType:
         return CoxeterType(fam, dim, None, fam, _degrees_for(fam, dim, None))
     if s.upper().startswith("I2"):
         sep = s[2:].lstrip(":").strip() if len(s) > 2 else ""
-        if not sep.isdecimal():
+        if not (sep.isascii() and sep.isdecimal()):
             raise UsageError(f"bad dihedral specifier {spec!r}; expected I2:p")
         p = int(sep)
         lo, hi = _I2_BOUNDS
@@ -134,7 +135,7 @@ def coxeter_type(spec: str) -> CoxeterType:
             raise CapabilityError(f"I2(p) supported for {lo}<=p<={hi}, got {p}")
         return CoxeterType("I2", 2, p, f"I2:{p}", _degrees_for("I2", 2, p))
     fam = s[:1].upper()
-    if fam in _FAMILY_BOUNDS and s[1:].isdecimal():
+    if fam in _FAMILY_BOUNDS and s[1:].isascii() and s[1:].isdecimal():
         n = int(s[1:])
         lo, hi = _FAMILY_BOUNDS[fam]
         if not lo <= n <= hi:
@@ -636,47 +637,32 @@ class Stratum:
 
 
 def enumerate_strata(rs: RootSystem) -> list[Stratum]:
-    """One stratum per wall subset with a nonempty relative interior.
+    """One stratum per wall subset: every subset of the simple roots cuts a
+    face of the closed chamber.
 
-    Simple roots are linearly independent, so each subset cuts a face of the
-    expected dimension; feasibility of the sign conditions is still verified
-    through an interior-point construction (least-squares anchor) backed by
-    random sampling, and infeasible subsets would be dropped.  Isotropy is
-    read off the simple-root support `rs.support`: a root vanishes on the
-    face of walls S exactly when its simple-root coefficients are zero
-    outside S (the parabolic subsystem of S).
+    The simple roots are linearly independent, so the face of walls S has
+    dimension n - |S| and its relative interior is nonempty: the point of
+    span(S) where every other simple-root form equals 1 lies in it, and that
+    point is the anchor.  Isotropy is read off the simple-root support
+    `rs.support`: a root vanishes on the face of walls S exactly when its
+    simple-root coefficients are zero outside S (the parabolic subsystem of
+    S).
     """
     n_walls = len(rs.simple_f)
-    out = []
-    for size in range(n_walls + 1):
-        for walls in combinations(range(n_walls), size):
-            st = _make_stratum(rs, walls)
-            if st is not None:
-                out.append(st)
-    return out
+    return [_make_stratum(rs, walls)
+            for size in range(n_walls + 1)
+            for walls in combinations(range(n_walls), size)]
 
 
-def _make_stratum(rs: RootSystem, walls) -> Stratum | None:
-    n = rs.n
-    a_walls = rs.simple_f[list(walls)] if walls else np.zeros((0, n))
+def _make_stratum(rs: RootSystem, walls) -> Stratum:
     others = [i for i in range(len(rs.simple_f)) if i not in walls]
-    # span(S) = null space of the wall normals
-    if len(walls):
-        _, sv, vt = np.linalg.svd(a_walls)
-        rank = int(np.sum(sv > 1e-10 * max(sv[0], 1)))
-        if rank != len(walls):
-            return None  # dependent walls force extra dimension loss; drop
-        basis = vt[rank:].T
+    # span(S) = null space of the wall normals, which are independent
+    if walls:
+        basis = np.linalg.svd(rs.simple_f[list(walls)])[2][len(walls):].T
     else:
-        basis = np.eye(n)
+        basis = np.eye(rs.n)
     dim = basis.shape[1]
-
-    anchor = _interior_anchor(rs, walls, others, basis)
-    if dim > 0 and anchor is None:
-        return None
-    if dim == 0:
-        anchor = np.zeros(n)
-
+    anchor = _interior_anchor(rs, others, basis)
     # roots vanishing on span(S): their simple-root support lies inside S
     iso = np.flatnonzero(~rs.support[:, others].any(axis=1)).tolist()
     wall_str = ",".join(str(w) for w in walls) if walls else "-"
@@ -684,30 +670,19 @@ def _make_stratum(rs: RootSystem, walls) -> Stratum | None:
     return Stratum(tuple(walls), dim, basis, tuple(iso), anchor, sid)
 
 
-def _interior_anchor(rs, walls, others, basis) -> np.ndarray | None:
-    """Unit direction in span(S) with all non-wall forms strictly positive."""
-    n = rs.n
+def _interior_anchor(rs, others, basis) -> np.ndarray:
+    """Unit direction in span(S) with every non-wall form positive: the
+    least-squares point of span(S) where each of them equals 1.  The forms
+    are independent on span(S), so that point solves the system exactly."""
     if basis.shape[1] == 0:
-        return np.zeros(n)
+        return np.zeros(rs.n)
     if not others:
         v = basis[:, 0]
         return v / np.linalg.norm(v)
     a_on_span = rs.simple_f[others] @ basis  # (|others|, dim)
-    # least-squares point with every non-wall form equal to 1
     y, *_ = np.linalg.lstsq(a_on_span, np.ones(len(others)), rcond=None)
     x = basis @ y
-    if np.all(rs.simple_f[others] @ x > 1e-9) and (
-        not walls or np.max(np.abs(rs.simple_f[list(walls)] @ x)) < 1e-9
-    ):
-        return x / np.linalg.norm(x)
-    # sign-condition sampling fallback
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        y = rng.normal(size=basis.shape[1])
-        x = basis @ y
-        if np.all(rs.simple_f[others] @ x > 1e-9 * np.linalg.norm(x)):
-            return x / np.linalg.norm(x)
-    return None
+    return x / np.linalg.norm(x)
 
 
 def sample_stratum(
@@ -754,12 +729,13 @@ def sample_stratum(
     return out
 
 
-def stratum_of_point(rs: RootSystem, strata: list[Stratum], x, rel_tol: float = 1e-7):
-    """The stratum whose wall set matches the near-zero wall forms of x."""
+def stratum_of_point(rs: RootSystem, strata: list[Stratum], x):
+    """The stratum whose wall set matches the wall forms of x that are zero
+    to STRATUM_REL_TOL relative to |x|."""
     x = np.asarray(x, dtype=float)
     scale = max(np.linalg.norm(x), 1e-30)
     dots = rs.simple_unit_f @ x
-    active = tuple(i for i, d in enumerate(dots) if abs(d) <= rel_tol * scale)
+    active = tuple(i for i, d in enumerate(dots) if abs(d) <= STRATUM_REL_TOL * scale)
     for s in strata:
         if s.walls == active:
             return s

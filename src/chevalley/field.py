@@ -95,9 +95,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
-    def is_rational(self) -> bool:
-        return not self.b
-
     def sign(self) -> int:
         """Exact sign of the real value a + b*sqrt5."""
         a, b = self.a, self.b

@@ -39,6 +39,10 @@ _PACKAGE_DATA = Path(__file__).parent / "data"
 
 # types whose invariants come from averaging (and are therefore cached)
 _CACHED_TYPES = {"H3", "F4", "H4"}
+# exact polynomial arithmetic (generator substitution, the Jacobian
+# determinant) is affordable up to this Coxeter number, the top degree;
+# the degree-30 H4 system is beyond it
+EXACT_COXETER_LIMIT = 12
 
 
 def degrees(t: CoxeterType | str) -> tuple[int, ...]:
@@ -485,7 +489,6 @@ def _cache_candidates(ctype: CoxeterType, cache_dir) -> list[Path]:
 def basic_invariants(
     t: CoxeterType | str,
     cache_dir: str | Path | None = None,
-    allow_build: bool = True,
 ) -> InvariantBasis:
     """The invariant system for a type; averaged types go through the cache."""
     ctype = coxeter_type(t) if isinstance(t, str) else t
@@ -509,8 +512,6 @@ def basic_invariants(
             "H4 invariants require the shipped coefficient file "
             "(see tools/build_h4_invariants.py); none was found"
         )
-    if not allow_build:
-        raise CapabilityError(f"no cached invariants for {ctype.name}")
     basis = _build_averaged_basis(ctype)
     target = None
     if cache_dir:

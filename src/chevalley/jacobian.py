@@ -24,12 +24,11 @@ from itertools import combinations
 import numpy as np
 
 from .coxeter import RootSystem, Stratum, sample_stratum
-from .errors import CheckFailure, UsageError
+from .errors import CapabilityError, CheckFailure, UsageError
 from .field import Scalar
-from .invariants import InvariantBasis
+from .invariants import EXACT_COXETER_LIMIT, InvariantBasis
 from .poly import CompiledPoly, PolyMatrix, SparsePoly
 
-DET_EXACT_RANK_LIMIT = 6
 NUMERIC_RANK_REL_TOL = 1e-8  # singular values below this fraction of the top one
 
 
@@ -76,10 +75,10 @@ class FactorizationReport:
     type_name: str
     exact: bool
     c: float                      # constant as a float, for reporting
-    c_exact: Scalar | None        # exact constant on the symbolic path
+    c_exact: Scalar               # exact constant
     det_degree: int
     n_forms: int
-    residual: float               # 0.0 on the exact path; max rel. deviation numeric
+    residual: float               # 0.0: the identity is checked exactly
     float_product_ratio_spread: float = 0.0  # inexact roots: per-root vs closed form
 
     def to_dict(self) -> dict:
@@ -91,52 +90,56 @@ class FactorizationReport:
             "n_forms": self.n_forms,
             "residual": self.residual,
         }
-        if self.c_exact is not None:
-            a, b = self.c_exact.to_strings()
-            d["c_exact"] = {"a": a, "b": b}
+        a, b = self.c_exact.to_strings()
+        d["c_exact"] = {"a": a, "b": b}
         if self.float_product_ratio_spread:
             d["float_product_ratio_spread"] = self.float_product_ratio_spread
         return d
 
 
 def verify_det_factorization(
-    basis: InvariantBasis, rs: RootSystem, seed: int = 3, numeric_points: int = 100
+    basis: InvariantBasis, rs: RootSystem, seed: int = 3
 ) -> FactorizationReport:
-    """Check det J == c * prod(wall forms) and return the constant.
+    """Check det J == c * prod(wall forms) exactly and return the constant.
 
-    Exact path for rank <= 6 (symbolic determinant and product); numeric
-    ratio test at random regular points otherwise.  A zero or non-constant
-    ratio raises CheckFailure: it flags an invariant-construction bug.
+    The symbolic determinant is affordable up to Coxeter number
+    EXACT_COXETER_LIMIT; beyond it (H4) the check raises CapabilityError.
+    A zero or non-constant ratio raises CheckFailure: it flags an
+    invariant-construction bug.
     """
-    n = basis.nvars
-    d_expected = rs.ctype.n_positive_roots
-    if n <= DET_EXACT_RANK_LIMIT:
-        det = jacobian_matrix(basis).det()
-        if det.is_zero():
-            raise CheckFailure(f"{rs.ctype.name}: Jacobian determinant is zero")
-        if det.degree() != d_expected:
-            raise CheckFailure(
-                f"{rs.ctype.name}: det degree {det.degree()} != reflection count {d_expected}"
-            )
-        prod = wall_form_product(rs)
-        lead_det = det.leading()
-        lead_prod = prod.leading()
-        if lead_det[0] != lead_prod[0]:
-            raise CheckFailure(
-                f"{rs.ctype.name}: det and wall product have different leading monomials"
-            )
-        c = lead_det[1] / lead_prod[1]
-        if (det - prod.scale(c)).is_zero():
-            spread = 0.0
-            if not rs.exact:
-                spread = _float_product_spread(rs, prod, seed)
-            return FactorizationReport(
-                rs.ctype.name, True, float(c), c, det.degree(), d_expected, 0.0, spread
-            )
-        raise CheckFailure(
-            f"{rs.ctype.name}: det J - c * prod(wall forms) is not identically zero"
+    ct = rs.ctype
+    if ct.coxeter_number > EXACT_COXETER_LIMIT:
+        raise CapabilityError(
+            f"{ct.name}: the exact Jacobian determinant is supported up to Coxeter "
+            f"number {EXACT_COXETER_LIMIT}, got {ct.coxeter_number}; it would need "
+            "exact interpolation at rational points, which is not implemented"
         )
-    return _numeric_factorization(basis, rs, seed, numeric_points)
+    d_expected = ct.n_positive_roots
+    det = jacobian_matrix(basis).det()
+    if det.is_zero():
+        raise CheckFailure(f"{ct.name}: Jacobian determinant is zero")
+    if det.degree() != d_expected:
+        raise CheckFailure(
+            f"{ct.name}: det degree {det.degree()} != reflection count {d_expected}"
+        )
+    prod = wall_form_product(rs)
+    lead_det = det.leading()
+    lead_prod = prod.leading()
+    if lead_det[0] != lead_prod[0]:
+        raise CheckFailure(
+            f"{ct.name}: det and wall product have different leading monomials"
+        )
+    c = lead_det[1] / lead_prod[1]
+    if (det - prod.scale(c)).is_zero():
+        spread = 0.0
+        if not rs.exact:
+            spread = _float_product_spread(rs, prod, seed)
+        return FactorizationReport(
+            ct.name, True, float(c), c, det.degree(), d_expected, 0.0, spread
+        )
+    raise CheckFailure(
+        f"{ct.name}: det J - c * prod(wall forms) is not identically zero"
+    )
 
 
 def _float_product_spread(rs: RootSystem, closed_form: SparsePoly, seed: int) -> float:
@@ -154,33 +157,6 @@ def _float_product_spread(rs: RootSystem, closed_form: SparsePoly, seed: int) ->
     ratios = np.array(products) / CompiledPoly(closed_form)(np.array(points))
     mid = np.median(ratios)
     return float(np.max(np.abs(ratios - mid) / abs(mid)))
-
-
-def _numeric_factorization(
-    basis: InvariantBasis, rs: RootSystem, seed: int, numeric_points: int
-) -> FactorizationReport:
-    rng = np.random.default_rng(seed)
-    cb = basis.compiled
-    ratios = []
-    while len(ratios) < numeric_points:
-        x = rng.normal(size=rs.n)
-        lam = rs.positive_f @ x
-        if np.min(np.abs(lam)) < 1e-3 * np.linalg.norm(x):
-            continue
-        det = float(np.linalg.det(cb.J(x[None, :])[0]))
-        ratios.append(det / float(np.prod(lam)))
-    ratios = np.array(ratios)
-    mid = float(np.median(ratios))
-    if mid == 0.0:
-        raise CheckFailure(f"{rs.ctype.name}: numeric det/product ratio is zero")
-    spread = float(np.max(np.abs(ratios - mid) / abs(mid)))
-    if spread > 1e-8:
-        raise CheckFailure(
-            f"{rs.ctype.name}: det/product ratio varies by {spread:.2e} (> 1e-8)",
-            witness={"ratios": ratios.tolist()},
-        )
-    d = sum(k - 1 for k in basis.degrees)
-    return FactorizationReport(rs.ctype.name, False, mid, None, d, d, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +288,16 @@ def verify_stratum_rank(
         vals = _batched_minor_max(J, rows, k) / float(np.prod(scales[rows]))
         lead = np.maximum(lead, vals)
 
-    if k < n:
-        border = np.zeros(samples)
-        for rows in _degree_row_options(degs, k + 1):
-            vals = _batched_minor_max(J, rows, k + 1) / float(np.prod(scales[rows]))
+    # one pass over every (k+1)-row minor (none when k = n); the bordering
+    # minors are those on the degree-admissible row sets
+    admissible = {tuple(rows) for rows in _degree_row_options(degs, k + 1)}
+    border = np.zeros(samples)
+    any_minor = np.zeros(samples)
+    for rows in combinations(range(J.shape[1]), k + 1):
+        vals = _batched_minor_max(J, list(rows), k + 1) / float(np.prod(scales[list(rows)]))
+        any_minor = np.maximum(any_minor, vals)
+        if rows in admissible:
             border = np.maximum(border, vals)
-        any_minor = np.zeros(samples)
-        for rows in combinations(range(J.shape[1]), k + 1):
-            vals = _batched_minor_max(J, list(rows), k + 1)
-            any_minor = np.maximum(any_minor, vals / float(np.prod(scales[list(rows)])))
-    else:
-        border = np.zeros(samples)
-        any_minor = np.zeros(samples)
     ranks = numeric_rank(J)
 
     checks = (border <= tol) & (ranks == k) & (any_minor <= tol)
@@ -339,8 +313,8 @@ def verify_stratum_rank(
         samples=samples,
         k=k,
         min_leading_minor=float(np.min(lead)),
-        max_bordering_minor=float(np.max(border)) if k < n else 0.0,
-        max_any_minor=float(np.max(any_minor)) if k < n else 0.0,
+        max_bordering_minor=float(np.max(border)),
+        max_any_minor=float(np.max(any_minor)),
         leading_degenerate=degenerate,
         degenerate_rows=dead_rows,
         ranks=[int(r) for r in ranks],

@@ -29,6 +29,7 @@ FIBER_RESIDUAL_TOL = 1e-9     # acceptance residual for stored fiber points
 NEWTON_TOL = 1e-12
 CRITICAL_RESIDUAL_TOL = 1e-9
 HESSIAN_EIG_FLOOR = 1e-6
+FIBER_MULTISTARTS = 128      # Newton starts seeding each fiber sample
 TARGET_CANDIDATES = 500      # draws before random_regular_target gives up
 TARGET_BLOCK = 16            # candidates drawn and reduced per to_chamber call
 
@@ -40,6 +41,20 @@ def _rng(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # batched Newton projection onto a fiber
 # ---------------------------------------------------------------------------
+
+
+def _solve(A, b):
+    """Batched solve of A x = b; the pseudo-inverse for the whole batch
+    when some A is singular."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(A) @ b
+
+
+def _gram_solve(J, rhs):
+    """(J J^T + 1e-300 I)^-1 rhs per sample, as a (B, k, 1) array."""
+    return _solve(J @ np.swapaxes(J, 1, 2) + 1e-300 * np.eye(J.shape[1]), rhs[..., None])
 
 
 def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
@@ -60,13 +75,7 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
         bad = ~np.all(np.isfinite(R), axis=1) | (np.max(np.abs(Xa), axis=1) > 1e8)
         done = np.max(np.abs(R), axis=1) <= tol * scale
         J = cb.J(Xa, k)
-        JJt = J @ np.swapaxes(J, 1, 2)
-        JJt += 1e-300 * np.eye(k)
-        try:
-            alpha = np.linalg.solve(JJt, R[..., None])
-        except np.linalg.LinAlgError:
-            alpha = np.linalg.pinv(JJt) @ R[..., None]
-        step = np.squeeze(np.swapaxes(J, 1, 2) @ alpha, axis=-1)
+        step = np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve(J, R), axis=-1)
         # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         cap = 0.5 * (1.0 + np.linalg.norm(Xa, axis=1, keepdims=True))
@@ -86,12 +95,7 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
 def _tangent_directions(cb, k, X, G):
     """Project the random directions G onto the tangent space of the fiber."""
     J = cb.J(X, k)
-    JJt = J @ np.swapaxes(J, 1, 2) + 1e-300 * np.eye(k)
-    rhs = np.einsum("bkn,bn->bk", J, G)
-    try:
-        alpha = np.linalg.solve(JJt, rhs[..., None])
-    except np.linalg.LinAlgError:
-        alpha = np.linalg.pinv(JJt) @ rhs[..., None]
+    alpha = _gram_solve(J, np.einsum("bkn,bn->bk", J, G))
     T = G - np.squeeze(np.swapaxes(J, 1, 2) @ alpha, axis=-1)
     norms = np.linalg.norm(T, axis=1, keepdims=True)
     return T / np.maximum(norms, 1e-300)
@@ -143,7 +147,6 @@ def sample_fiber(
     n_points: int = 2000,
     seed: int = 0,
     x_hint=None,
-    multistarts: int = 128,
     radius_cap: float | None = None,
 ) -> FiberSample:
     """Multistart solves plus a tangential random walk with re-projection.
@@ -170,7 +173,7 @@ def sample_fiber(
 
     rng = _rng(seed)
     s = _fiber_scale(basis, m, x_hint)
-    X0 = rng.normal(size=(multistarts, n)) * s
+    X0 = rng.normal(size=(FIBER_MULTISTARTS, n)) * s
     if x_hint is not None:
         X0[0] = np.asarray(x_hint, dtype=float)
     X0, ok = _project_batch(cb, k, m, X0)
@@ -387,13 +390,7 @@ def critical_points(
     # initial multipliers from least squares on the gradient equation
     G = cb.J(X, k + 1)
     Jk = G[:, :k, :]
-    gk1 = G[:, k, :]
-    JJt = Jk @ np.swapaxes(Jk, 1, 2) + 1e-300 * np.eye(k)
-    rhs = np.einsum("bkn,bn->bk", Jk, gk1)[..., None]
-    try:
-        mu = np.linalg.solve(JJt, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        mu = (np.linalg.pinv(JJt) @ rhs)[..., 0]
+    mu = _gram_solve(Jk, np.einsum("bkn,bn->bk", Jk, G[:, k, :]))[..., 0]
 
     Z = np.concatenate([X, mu], axis=1)
     scale = 1.0 + float(np.max(np.abs(m)))
@@ -413,10 +410,7 @@ def critical_points(
         jac[:, :k, :n] = Jk
         jac[:, k:, :n] = Hl
         jac[:, k:, n:] = -np.swapaxes(Jk, 1, 2)
-        try:
-            step = np.linalg.solve(jac, R[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = (np.linalg.pinv(jac) @ R[..., None])[..., 0]
+        step = _solve(jac, R[..., None])[..., 0]
         norms = np.linalg.norm(step, axis=1, keepdims=True)
         cap = 0.5 * s + 0.5
         step = np.where(norms > cap, step * cap / np.maximum(norms, 1e-300), step)
@@ -461,7 +455,7 @@ def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
     )
     value = float(cb.P(x[None, :], k + 1)[0, k])
 
-    st = stratum_of_point(rs, strata, x, rel_tol=1e-7)
+    st = stratum_of_point(rs, strata, x)
     sdim = st.dim if st is not None else -1
 
     # tangent space of the fiber and projected Hessian of the Lagrange function

@@ -187,12 +187,13 @@ class RatioReport:
         }
 
 
-RESOLUTION_FLOOR_FACTOR = 6.0
+RESOLUTION_FLOOR_FACTOR = 6.0   # admitted pairs: image separation in local edge lengths
+NEAR_BOUNDARY_FRAC = 0.5        # share of pair sources within 2h of a chamber wall
+TARGETS_PER_SOURCE = 20
 
 
 def _sample_pair_positions(
-    g: ImageGraph, pairs: int, seed: int, near_boundary_frac: float,
-    targets_per_source: int,
+    g: ImageGraph, pairs: int, seed: int, targets_per_source: int = TARGETS_PER_SOURCE,
 ):
     """Pair endpoints as chamber positions (reusable across pitches)."""
     rng = _rng(seed)
@@ -201,7 +202,7 @@ def _sample_pair_positions(
     if len(near_idx) == 0:
         near_idx = np.arange(V)
     n_sources = max(1, pairs // targets_per_source)
-    n_near = int(round(n_sources * near_boundary_frac))
+    n_near = int(round(n_sources * NEAR_BOUNDARY_FRAC))
     src = []
     tgt = []
     for s_i in range(n_sources):
@@ -223,14 +224,21 @@ def _snap_indices(g: ImageGraph, src_pos, tgt_pos):
     return src_idx, tgt_idx
 
 
-def _admit_pairs(g: ImageGraph, src_idx, tgt_idx, floor_factor: float) -> np.ndarray:
+def _admit_pairs(g: ImageGraph, src_idx, tgt_idx) -> np.ndarray:
     """Mask of pairs the graph can resolve: image separation above
-    `floor_factor` local image edge lengths.  Pairs below that floor would
-    only measure discretization noise, not geometry."""
+    RESOLUTION_FLOOR_FACTOR local image edge lengths.  Pairs below that
+    floor would only measure discretization noise, not geometry."""
     eu = np.linalg.norm(g.image[tgt_idx] - g.image[src_idx][:, None, :], axis=-1)
     res = g.resolution
-    floor = floor_factor * np.maximum(res[tgt_idx], res[src_idx][:, None])
+    floor = RESOLUTION_FLOOR_FACTOR * np.maximum(res[tgt_idx], res[src_idx][:, None])
     return eu > np.maximum(floor, 1e-12)
+
+
+def _draw_pairs(g: ImageGraph, pairs: int, seed: int):
+    """(src_pos, tgt_pos, mask): drawn pair positions, snapped to g and
+    admitted there."""
+    src_pos, tgt_pos = _sample_pair_positions(g, pairs, seed)
+    return src_pos, tgt_pos, _admit_pairs(g, *_snap_indices(g, src_pos, tgt_pos))
 
 
 def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
@@ -269,28 +277,15 @@ def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
     )
 
 
-def whitney_ratio(
-    g: ImageGraph,
-    pairs: int = 5000,
-    seed: int = 0,
-    near_boundary_frac: float = 0.5,
-    targets_per_source: int = 20,
-    floor_factor: float = RESOLUTION_FLOOR_FACTOR,
-    pair_table: list | None = None,
-) -> RatioReport:
+def whitney_ratio(g: ImageGraph, pairs: int = 5000, seed: int = 0) -> RatioReport:
     """Geodesic-to-Euclidean ratio statistics over random vertex pairs.
 
-    Half of the pairs (by default) have both endpoints within two pitches of
-    a chamber wall, where 1-regularity is actually at stake.  Pairs are
-    grouped by source so one Dijkstra sweep serves many targets; pairs below
-    the graph's image resolution are excluded (see _admit_pairs).
+    Half of the pairs have both endpoints within two pitches of a chamber
+    wall, where 1-regularity is actually at stake.  Pairs are grouped by source so one
+    Dijkstra sweep serves many targets; pairs below the graph's image
+    resolution are excluded (see _admit_pairs).
     """
-    src_pos, tgt_pos = _sample_pair_positions(
-        g, pairs, seed, near_boundary_frac, targets_per_source
-    )
-    src_idx, tgt_idx = _snap_indices(g, src_pos, tgt_pos)
-    mask = _admit_pairs(g, src_idx, tgt_idx, floor_factor)
-    return _ratio_stats_for_pairs(g, src_pos, tgt_pos, mask, table=pair_table)
+    return _ratio_stats_for_pairs(g, *_draw_pairs(g, pairs, seed))
 
 
 def whitney_study(
@@ -300,23 +295,22 @@ def whitney_study(
     h: float,
     pairs: int = 5000,
     seed: int = 0,
-    floor_factor: float = RESOLUTION_FLOOR_FACTOR,
+    pair_table: list | None = None,
 ) -> RatioReport:
     """Ratio statistics at pitch h and h/2 on one fixed pair set.
 
-    Pairs are drawn and admitted once on the coarse mesh (grid points of the
-    coarse lattice are grid points of the fine one) and the same set is
-    re-evaluated after refinement, so the stability delta compares like with
-    like rather than chasing newly resolvable pairs.
+    The coarse stage is `whitney_ratio` on the pitch-h image graph.  Its
+    pairs are drawn and admitted once (grid points of the coarse lattice are
+    grid points of the fine one) and the same set is re-evaluated after
+    refinement, so the stability delta compares like with like rather than
+    chasing newly resolvable pairs.  When `pair_table` is given, the coarse
+    stage appends one (source, target, euclid, geodesic, ratio) row per pair
+    to it.
     """
-    mesh = build_chamber_mesh(rs, a, h)
-    g = build_image_graph(basis, rs, mesh)
-    src_pos, tgt_pos = _sample_pair_positions(g, pairs, seed, 0.5, 20)
-    src_idx, tgt_idx = _snap_indices(g, src_pos, tgt_pos)
-    mask = _admit_pairs(g, src_idx, tgt_idx, floor_factor)
-    reports = [_ratio_stats_for_pairs(g, src_pos, tgt_pos, mask)]
-    mesh2 = build_chamber_mesh(rs, a, h / 2)
-    g2 = build_image_graph(basis, rs, mesh2)
+    g = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h))
+    src_pos, tgt_pos, mask = _draw_pairs(g, pairs, seed)
+    reports = [_ratio_stats_for_pairs(g, src_pos, tgt_pos, mask, table=pair_table)]
+    g2 = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h / 2))
     reports.append(_ratio_stats_for_pairs(g2, src_pos, tgt_pos, mask))
     out = reports[0]
     out.refinement = [
@@ -398,6 +392,9 @@ def lift_derivatives(
 # ---------------------------------------------------------------------------
 
 
+ENVELOPE_STRATUM_SAMPLES = 4000
+
+
 @dataclass
 class EnvelopeTable:
     k: int
@@ -427,24 +424,21 @@ def envelope_functions(
     rs: RootSystem,
     k: int,
     a: float,
-    mesh: ChamberMesh | None = None,
     h: float | None = None,
     cells: int = 40,
-    stratum_samples: int = 4000,
     seed: int = 31,
 ) -> EnvelopeTable:
     """Min/max of p_{k+1} per cell of a grid over the image of the ball
-    under P_k, from mesh points plus dense samples of the k-dim strata
-    (whose images carry the envelope graphs).
+    under P_k, from the points of a pitch-h chamber mesh (default a/24) plus
+    ENVELOPE_STRATUM_SAMPLES samples of each k-dim stratum (whose images
+    carry the envelope graphs).
     """
     if k >= len(basis.polys):
         raise UsageError("envelopes need k < n")
-    if mesh is None:
-        mesh = build_chamber_mesh(rs, a, h if h is not None else a / 24)
-    pts = [mesh.vertices]
+    pts = [build_chamber_mesh(rs, a, h if h is not None else a / 24).vertices]
     for s in enumerate_strata(rs):
         if s.dim == k:
-            pts.append(sample_stratum(s, stratum_samples, a, seed, rs))
+            pts.append(sample_stratum(s, ENVELOPE_STRATUM_SAMPLES, a, seed, rs))
     X = np.concatenate(pts, axis=0)
     X = X[np.linalg.norm(X, axis=1) <= a + 1e-12]
     vals = basis.compiled.P(X, k + 1)

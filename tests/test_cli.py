@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,36 @@ def test_cli_fiber_and_morse_commands(capsys):
     doc = json.loads(capsys.readouterr().out)
     fib = next(c for c in doc["checks"] if c["name"].startswith("fiber"))
     assert fib["metrics"]["components"] == 1
+
+
+def test_morse_needs_both_extremes_on_a_compact_fiber(capsys):
+    """The B2 fiber |x|^2 = m is a circle, so p_2 has a minimum and a
+    maximum on it; a run that finds only one of them fails."""
+    assert main(["morse", "--type", "B2", "--k", "1", "--m", "1"]) == 0
+    capsys.readouterr()
+    assert main(["morse", "--type", "B2", "--k", "1", "--m", "1e10"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    check = next(c for c in doc["checks"] if c["name"] == "morse:k=1")
+    assert check["status"] == "fail" and check["metrics"]["n_critical"] < 2
+
+
+def test_h4_jacobian_determinant_is_a_capability_error(capsys):
+    """The exact degree-30 determinant is out of reach: exit 2, promptly."""
+    t0 = time.monotonic()
+    assert main(["verify-jacobian", "--type", "H4"]) == 2
+    assert time.monotonic() - t0 < 20
+    err = capsys.readouterr().err
+    assert "Coxeter number" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--type", "-x"],
+    ["invariants", "--type", "B2", "--no-such-flag"],
+])
+def test_argparse_error_exits_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -320,7 +351,13 @@ def test_k_and_target_exit_codes_property(command, k, m):
 _SUPPORTED_TYPES = (["A1"] + [f"A{n}" for n in range(2, 7)]
                     + [f"B{n}" for n in range(1, 5)] + [f"D{n}" for n in range(2, 7)]
                     + [f"I2:{p}" for p in range(3, 13)] + ["G2", "H3", "H4", "F4"])
-_NEAR_MISS_TYPES = ["A0", "D1", "I2:2", "I2:", "H2", "B12", "A\u00b2"]
+_NEAR_MISS_TYPES = ["A0", "D1", "I2:2", "I2:", "H2", "B12", "A\u00b2", "I2:\u0663"]
+
+
+@pytest.mark.parametrize("spec", _NEAR_MISS_TYPES)
+def test_near_miss_type_exits_2(capsys, spec):
+    assert main(["invariants", "--type", spec]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -329,13 +366,9 @@ _NEAR_MISS_TYPES = ["A0", "D1", "I2:2", "I2:", "H2", "B12", "A\u00b2"]
 def test_type_exit_codes_property(spec):
     """Any --type on invariants: main returns an exit code in 0-4 and raises
     nothing; a usage error is one line."""
-    # argparse reads a word that starts with "-" as an option, so such a
-    # value is attached to the flag with "="
-    argv = (["invariants", f"--type={spec}"] if spec.startswith("-")
-            else ["invariants", "--type", spec])
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(argv)
+        code = main(["invariants", "--type", spec])
     assert isinstance(code, int) and 0 <= code <= 4
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1

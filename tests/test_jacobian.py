@@ -59,15 +59,6 @@ def test_factorization_exact_everywhere(name, basis_cache, rs_cache):
     assert rep.det_degree == sum(k - 1 for k in basis_cache(name).degrees)
 
 
-def test_factorization_numeric_path(basis_cache, rs_cache):
-    """D6 exceeds the symbolic budget; the constant-ratio check still runs."""
-    import chevalley.jacobian as jac
-
-    b, rs = basis_cache("D6"), rs_cache("D6")
-    rep = jac._numeric_factorization(b, rs, seed=5, numeric_points=100)
-    assert not rep.exact and rep.residual <= 1e-8 and rep.c != 0.0
-
-
 def test_factorization_flags_broken_basis(basis_cache, rs_cache):
     b = basis_cache("B2")
     broken = InvariantBasis(

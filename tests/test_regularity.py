@@ -11,8 +11,10 @@ from scipy.sparse.csgraph import dijkstra
 from chevalley.errors import UsageError
 from chevalley.probe import fiber_value_interval, sample_fiber
 from chevalley.regularity import (
+    RESOLUTION_FLOOR_FACTOR,
     ImageGraph,
     _admit_pairs,
+    _draw_pairs,
     _ratio_stats_for_pairs,
     _sample_pair_positions,
     _snap_indices,
@@ -105,9 +107,7 @@ def test_rescaled_radius_consistency(basis_cache, rs_cache):
     b, rs = basis_cache("B2"), rs_cache("B2")
     mesh1 = build_chamber_mesh(rs, 1.0, 0.04)
     g1 = build_image_graph(b, rs, mesh1)
-    src, tgt = _sample_pair_positions(g1, 800, 3, 0.5, 20)
-    si, ti = _snap_indices(g1, src, tgt)
-    mask = _admit_pairs(g1, si, ti, 6.0)
+    src, tgt, mask = _draw_pairs(g1, 800, 3)
     # keep endpoints clear of the outer sphere: its snapped vertices exist
     # only in the radius-1 mesh
     inner = np.linalg.norm(src, axis=1) <= 1.0 - 2 * 0.04
@@ -259,7 +259,7 @@ def pair_case(request, basis_cache, rs_cache):
     name, h = request.param
     rs = rs_cache(name)
     g = build_image_graph(basis_cache(name), rs, build_chamber_mesh(rs, 1.0, h))
-    src, tgt = _sample_pair_positions(g, 3000, 0, 0.5, 5)
+    src, tgt = _sample_pair_positions(g, 3000, 0, targets_per_source=5)
     si, ti = _snap_indices(g, src, tgt)
     return g, src, tgt, si, ti
 
@@ -280,15 +280,15 @@ def test_resolution_of_odd_even_and_empty_rows():
 
 def test_admit_pairs_matches_rowwise(pair_case):
     g, _, _, si, ti = pair_case
-    mask = _admit_pairs(g, si, ti, 6.0)
-    assert np.array_equal(mask, _rowwise_admit(g, si, ti, 6.0))
+    mask = _admit_pairs(g, si, ti)
+    assert np.array_equal(mask, _rowwise_admit(g, si, ti, RESOLUTION_FLOOR_FACTOR))
     assert len(np.unique(si)) < len(si)       # duplicate sources
     assert not np.all(mask.any(axis=1))       # rows without an admitted target
 
 
 def test_ratio_stats_match_rowwise(pair_case):
     g, src, tgt, si, ti = pair_case
-    mask = _admit_pairs(g, si, ti, 6.0)
+    mask = _admit_pairs(g, si, ti)
     table = []
     rep = _ratio_stats_for_pairs(g, src, tgt, mask, table=table)
     stats, ref_table = _rowwise_ratios(g, si, ti, mask)
