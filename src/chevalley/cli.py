@@ -7,6 +7,9 @@ its report byte for byte (the wall-clock runtime field aside).
 
 Exit codes: 0 all checks passed; 1 a check failed or an anomaly was found;
 2 usage or capability error; 3 cache integrity error; 4 convergence error.
+Under `all` a suite the type does not support is recorded as one
+`unsupported` check named after its subcommand and the other suites still
+run; such a run exits 2 unless some check failed or found an anomaly.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .coxeter import build_root_system, coxeter_type, enumerate_strata
-from .errors import ChevalleyError, UsageError
+from .errors import CapabilityError, ChevalleyError, UsageError
 from .invariants import (
     EXACT_COXETER_LIMIT,
     basic_invariants,
@@ -127,6 +130,15 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return all(c["status"] == "pass" for c in self.checks)
 
+    @property
+    def exit_code(self) -> int:
+        """0 all passed; 1 a check failed or found an anomaly; 2 every check
+        that did not pass is unsupported."""
+        statuses = {c["status"] for c in self.checks} - {"pass"}
+        if not statuses:
+            return 0
+        return 2 if statuses == {"unsupported"} else 1
+
     def add(self, name: str, status: str, **metrics):
         self.checks.append({"name": name, "status": status, "metrics": metrics})
 
@@ -165,7 +177,8 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
         ]
         for c in doc["checks"]:
             lines.append(f"[{c['status'].upper():7s}] {c['name']}")
-        lines.append("ALL PASSED" if doc["all_passed"] else "FAILURES PRESENT")
+        verdict = {0: "ALL PASSED", 1: "FAILURES PRESENT", 2: "UNSUPPORTED CHECKS PRESENT"}
+        lines.append(verdict[report.exit_code])
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown report format {fmt!r}")
 
@@ -321,15 +334,14 @@ def _suite_whitney(cfg: RunConfig, rep: SuiteReport, ctx: dict):
         rep.add("envelope-containment", "pass" if ok else "fail", **env.to_dict())
 
 
+# in the order `all` runs them
 _SUITES = {
-    "invariants": [_suite_invariants],
-    "verify-jacobian": [_suite_jacobian],
-    "verify-statement": [_suite_statement],
-    "morse": [_suite_morse],
-    "fiber": [_suite_fiber],
-    "whitney": [_suite_whitney],
-    "all": [_suite_invariants, _suite_jacobian, _suite_statement,
-            _suite_morse, _suite_fiber, _suite_whitney],
+    "invariants": _suite_invariants,
+    "verify-jacobian": _suite_jacobian,
+    "verify-statement": _suite_statement,
+    "morse": _suite_morse,
+    "fiber": _suite_fiber,
+    "whitney": _suite_whitney,
 }
 
 
@@ -354,7 +366,7 @@ def _check_k_and_target(cfg: RunConfig, n: int):
 
 def run_suite(cfg: RunConfig) -> SuiteReport:
     cfg.validate()
-    if cfg.command not in _SUITES:
+    if cfg.command != "all" and cfg.command not in _SUITES:
         raise UsageError(f"unknown command {cfg.command!r}")
     t0 = time.monotonic()
     rep = SuiteReport(cfg)
@@ -363,8 +375,13 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     basis = basic_invariants(cfg.type_spec, cache_dir=cfg.cache_dir)
     rs = build_root_system(ctype)
     ctx = {"basis": basis, "rs": rs, "strata": enumerate_strata(rs)}
-    for piece in _SUITES[cfg.command]:
-        piece(cfg, rep, ctx)
+    for name in _SUITES if cfg.command == "all" else [cfg.command]:
+        try:
+            _SUITES[name](cfg, rep, ctx)
+        except CapabilityError as exc:
+            if cfg.command != "all":
+                raise
+            rep.add(name, "unsupported", message=str(exc))
     rep.runtime_s = time.monotonic() - t0
     return rep
 
@@ -388,26 +405,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("invariants", "verify-jacobian", "verify-statement",
-                 "morse", "fiber", "whitney", "all"):
-        p = sub.add_parser(name, help=EXPLAIN[name])
-        p.add_argument("--type", default="B2", dest="type_spec",
+    for name in (*_SUITES, "all"):
+        # only the flags given reach the namespace; RunConfig holds the defaults
+        p = sub.add_parser(name, help=EXPLAIN[name], argument_default=argparse.SUPPRESS)
+        p.add_argument("--type", dest="type_spec",
                        help="group type: A3, B2, D6, I2:7, G2, H3, H4, F4")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--pairs", type=int, default=2000)
-        p.add_argument("--n", type=int, default=1000, dest="n_points")
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--m", type=float, nargs="+", default=None, dest="target")
-        p.add_argument("--a", type=float, default=1.0, dest="radius")
-        p.add_argument("--h", type=float, default=0.05, dest="pitch")
-        p.add_argument("--tol", type=float, default=1e-9, dest="tol_zero")
-        p.add_argument("--cache-dir", default=None, dest="cache_dir")
-        p.add_argument("--out", default=None, help="write the report (or cache) here")
-        p.add_argument("--format", default="json", dest="fmt",
-                       choices=("json", "csv", "text"))
-        p.add_argument("--pairs-out", default=None, dest="pairs_out",
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--pairs", type=int)
+        p.add_argument("--n", type=int, dest="n_points")
+        p.add_argument("--k", type=int)
+        p.add_argument("--m", type=float, nargs="+", dest="target")
+        p.add_argument("--a", type=float, dest="radius")
+        p.add_argument("--h", type=float, dest="pitch")
+        p.add_argument("--tol", type=float, dest="tol_zero")
+        p.add_argument("--cache-dir", dest="cache_dir")
+        p.add_argument("--out", help="write the report (or cache) here")
+        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
+        p.add_argument("--pairs-out", dest="pairs_out",
                        help="whitney: write a per-pair CSV (euclid, geodesic, ratio)")
         p.add_argument("--dump-samples", action="store_true", dest="dump_samples",
                        help="fiber/morse: embed full sample and critical-point dumps")
@@ -451,17 +467,9 @@ def _config_from_args(args) -> RunConfig:
             if f.name in base and not _fits_annotation(base[f.name], f.type):
                 raise UsageError(f"config field {f.name} must be {f.type}, "
                                  f"got {json.dumps(base[f.name])}")
-    cfg = RunConfig(**base)
-    cfg.command = args.command
-    defaults = RunConfig()
-    for name in ("type_spec", "seed", "samples", "pairs", "n_points", "k",
-                 "target", "radius", "pitch", "tol_zero", "cache_dir", "out", "fmt",
-                 "pairs_out", "dump_samples"):
-        if hasattr(args, name):
-            val = getattr(args, name)
-            if val != getattr(defaults, name) or name not in base:
-                setattr(cfg, name, val)
-    return cfg.validate()
+    names = {f.name for f in fields(RunConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return RunConfig(**{**base, **given}).validate()
 
 
 def _read_report(path: str) -> SuiteReport:
@@ -500,7 +508,7 @@ def main(argv=None) -> int:
             Path(cfg.out).write_bytes(payload)
         else:
             sys.stdout.write(payload.decode())
-        return 0 if rep.all_passed else 1
+        return rep.exit_code
     except ChevalleyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -23,7 +23,6 @@ floats; the dihedral invariants themselves stay exact over Q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,29 +267,6 @@ class RootSystem:
                 return Y.reshape(x.shape)
             Y[active] = (self.simple_reflections_f[i] @ Ya[out][..., None])[..., 0]
         raise ConvergenceError("chamber reduction did not terminate")
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "type": self.ctype.name,
-            "dim": self.n,
-            "degrees": list(self.ctype.degrees),
-            "exact": self.exact,
-            "simple": [list(map(float, v)) for v in self.simple_f],
-            "positive": [list(map(float, v)) for v in self.positive_f],
-        }
-        if self.exact:
-            d["simple_exact"] = [
-                [list(x.to_strings()) for x in v] for v in self.simple
-            ]
-            d["positive_exact"] = [
-                [list(x.to_strings()) for x in v] for v in self.positive
-            ]
-        return d
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _simple_roots_by_extreme_rays(positive_f: np.ndarray) -> list[int]:

@@ -86,10 +86,6 @@ class Scalar:
             k >>= 1
         return out
 
-    def conjugate(self) -> "Scalar":
-        """Galois conjugate a - b*sqrt(5)."""
-        return Scalar(self.a, -self.b)
-
     # -- predicates and order ---------------------------------------------
 
     def is_zero(self) -> bool:
@@ -171,7 +167,6 @@ def _frac_str(f: Fraction) -> str:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-TWO = Scalar(2)
 SQRT5 = Scalar(0, 1)
 # golden ratio (1+sqrt5)/2 and its inverse companion (sqrt5-1)/2
 PHI = Scalar(Fraction(1, 2), Fraction(1, 2))

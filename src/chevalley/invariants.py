@@ -9,12 +9,13 @@ Closed forms are used wherever they exist:
          invariant goes after the elementary one
   I2(p)  x^2 + y^2 and Re((x+iy)^p), exact over Q for every p
 
-H3 and F4 are built once as group averages of power monomials, realized as
-power sums over a root orbit (the average of x_1^k over the group equals,
-up to a positive factor, sum_{v in orbit(e_1)} <v,x>^k, and e_1 lies in a
-root orbit for these realizations).  Results are cached as JSON with a
-content hash.  H4 (degree 30) is never built at runtime: it is loaded from
-a shipped data file produced by the offline job in tools/.
+H3, F4 and H4 have no closed form here.  Their invariants are group
+averages of power monomials, realized as power sums over a root orbit (the
+average of x_1^k over the group equals, up to a positive factor,
+sum_{v in orbit(e_1)} <v,x>^k, and e_1 lies in a root orbit for these
+realizations), built by the offline job in tools/ and shipped as JSON
+files with a content hash.  None of the three is built at runtime: a
+missing file is a CapabilityError.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .coxeter import CoxeterType, RootSystem, build_root_system, coxeter_type, generate_group
+from .coxeter import CoxeterType, RootSystem, build_root_system, coxeter_type
 from .errors import CapabilityError, CheckFailure, IntegrityError, UsageError
 from .field import ONE, Scalar, vec_dot
 from .poly import CompiledPoly, PolyMatrix, SparsePoly, expand_linear_power
@@ -37,24 +37,11 @@ SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
-# types whose invariants come from averaging (and are therefore cached)
-_CACHED_TYPES = {"H3", "F4", "H4"}
 # exact polynomial arithmetic (generator substitution, the Jacobian
 # determinant) is affordable up to this Coxeter number, the top degree;
 # the degree-30 H4 system is beyond it
 EXACT_COXETER_LIMIT = 12
-
-
-def degrees(t: CoxeterType | str) -> tuple[int, ...]:
-    if isinstance(t, str):
-        t = coxeter_type(t)
-    return t.degrees
-
-
-def coxeter_number(t: CoxeterType | str) -> int:
-    if isinstance(t, str):
-        t = coxeter_type(t)
-    return t.coxeter_number
+NUMERIC_RANK_REL_TOL = 1e-8  # singular values below this fraction of the top one
 
 
 class InvariantBasis:
@@ -206,46 +193,8 @@ def sum_of_squares(n: int) -> SparsePoly:
 
 
 # ---------------------------------------------------------------------------
-# averaged constructions (H3, F4; H4 offline)
+# averaged constructions (H3, F4, H4; offline only)
 # ---------------------------------------------------------------------------
-
-
-def reynolds_average(monomial: tuple[int, ...], group) -> SparsePoly:
-    """Group average of a monomial: (1/|W|) sum_w (x^e) о w.
-
-    Requires exact group matrices.  Monomials concentrated on one variable
-    go through the multiset of matrix rows, which collapses the sum to one
-    expansion per distinct row.
-    """
-    if not group:
-        raise UsageError("reynolds_average needs a nonempty group")
-    if isinstance(group[0], np.ndarray):
-        raise UsageError("reynolds_average requires exact group matrices")
-    n = len(group[0])
-    if len(monomial) != n:
-        raise UsageError("monomial length must match matrix size")
-    live = [i for i, e in enumerate(monomial) if e]
-    inv_order = Scalar(1) / Scalar(len(group))
-    if len(live) == 1:
-        i, k = live[0], monomial[live[0]]
-        rows = Counter(w[i] for w in group)
-        acc = SparsePoly.zero(n)
-        for row, mult in rows.items():
-            acc = acc + expand_linear_power(row, k).scale(Scalar(mult))
-        return acc.scale(inv_order)
-    acc = SparsePoly.zero(n)
-    row_power_cache: dict[tuple, SparsePoly] = {}
-    for w in group:
-        term = SparsePoly.const(n, 1)
-        for i in live:
-            key = (w[i], monomial[i])
-            piece = row_power_cache.get(key)
-            if piece is None:
-                piece = expand_linear_power(w[i], monomial[i])
-                row_power_cache[key] = piece
-            term = term * piece
-        acc = acc + term
-    return acc.scale(inv_order)
 
 
 def orbit_power_sum(positive_roots, k: int) -> SparsePoly:
@@ -283,7 +232,7 @@ def _exact_rank_advances(polys: list[SparsePoly], candidate: SparsePoly) -> bool
     polynomial matrix (checked by finding one nonvanishing minor)."""
     rows = _gradient_rows(polys + [candidate])
     j = len(rows)
-    n = polys[0].nvars if polys else candidate.nvars
+    n = candidate.nvars
     for cols in combinations(range(n), j):
         sub = PolyMatrix([[rows[r][c] for c in cols] for r in range(j)])
         if not sub.det().is_zero():
@@ -337,7 +286,7 @@ def _degree_products(polys: list[SparsePoly], degs: list[int], target: int):
         if degs[i] <= remaining:
             rec(i, remaining - degs[i], acc * polys[i])
 
-    rec(0, target, SparsePoly.const(polys[0].nvars if polys else 1, 1))
+    rec(0, target, SparsePoly.const(polys[0].nvars, 1))
     return [p for p in out if p.degree() == target]
 
 
@@ -368,57 +317,22 @@ def _reduce_mod_products(q: SparsePoly, products: list[SparsePoly]) -> SparsePol
 
 def _build_averaged_basis(ctype: CoxeterType) -> InvariantBasis:
     """H3 / F4 / H4 construction: first invariant is sum x_i^2 exactly;
-    each higher degree takes a root-class power sum, exactly reduced modulo
-    products of the accepted invariants, with a full group-average fallback
-    if every class degenerates."""
-    rs = build_root_system(ctype)
-    n = ctype.dim
-    polys = [sum_of_squares(n)]
-    classes = _root_classes(rs)
-    group = None
-
-    def reduce_and_check(q):
-        q = _reduce_mod_products(
-            q, _degree_products(polys, [p.degree() for p in polys], q.degree())
-        )
-        if q.is_zero() or not _exact_rank_advances(polys, q):
-            return None
-        return _normalize_leading(q)
-
+    each higher degree takes the first root-class power sum that, exactly
+    reduced modulo products of the accepted invariants, raises the rank of
+    the Jacobian.  Runs offline only (tools/build_h4_invariants.py); the
+    runtime loads its shipped output."""
+    polys = [sum_of_squares(ctype.dim)]
+    classes = _root_classes(build_root_system(ctype))
     for k in ctype.degrees[1:]:
-        candidate = None
+        products = _degree_products(polys, [p.degree() for p in polys], k)
         for cls in classes:
-            q = orbit_power_sum(cls, k)
-            if not q.is_zero():
-                candidate = reduce_and_check(q)
-                if candidate is not None:
-                    break
-        if candidate is None:
-            # fall back to averaging low monomials over the full group
-            if group is None:
-                group = generate_group(rs)
-            for mono in _monomials_of_degree(n, k):
-                q = reynolds_average(mono, group)
-                if not q.is_zero():
-                    candidate = reduce_and_check(q)
-                    if candidate is not None:
-                        break
-        if candidate is None:
+            q = _reduce_mod_products(orbit_power_sum(cls, k), products)
+            if not q.is_zero() and _exact_rank_advances(polys, q):
+                polys.append(_normalize_leading(q))
+                break
+        else:
             raise CheckFailure(f"{ctype.name}: no independent invariant of degree {k}")
-        polys.append(candidate)
     return InvariantBasis(ctype, polys, "orbit-sums")
-
-
-def _monomials_of_degree(n: int, k: int):
-    """Graded-lex order, heaviest on the first variable first."""
-    def rec(prefix, remaining, pos):
-        if pos == n - 1:
-            yield tuple(prefix + [remaining])
-            return
-        for take in range(remaining, -1, -1):
-            yield from rec(prefix + [take], remaining - take, pos + 1)
-
-    yield from rec([], k, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +384,8 @@ def load_basis(path: Path, ctype: CoxeterType) -> InvariantBasis:
 
 
 def _cache_candidates(ctype: CoxeterType, cache_dir) -> list[Path]:
-    names = [f"{ctype.canonical_key}.json"]
-    out = []
-    if cache_dir:
-        out += [Path(cache_dir) / nm for nm in names]
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        out += [Path(env) / nm for nm in names]
-    out += [_PACKAGE_DATA / nm for nm in names]
-    return out
+    dirs = (cache_dir, os.environ.get(CACHE_ENV_VAR), _PACKAGE_DATA)
+    return [Path(d) / f"{ctype.canonical_key}.json" for d in dirs if d]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +397,9 @@ def basic_invariants(
     t: CoxeterType | str,
     cache_dir: str | Path | None = None,
 ) -> InvariantBasis:
-    """The invariant system for a type; averaged types go through the cache."""
+    """The invariant system for a type; averaged types are loaded from the
+    first data file found in cache_dir, $CHEVALLEY_CACHE_DIR or the package
+    data, in that order."""
     ctype = coxeter_type(t) if isinstance(t, str) else t
     fam = ctype.family
     if fam == "A":
@@ -503,24 +412,13 @@ def basic_invariants(
     if fam == "I2":
         return InvariantBasis(ctype, _dihedral_polys(ctype.p), "closed-form")
 
-    # averaged types: resolve through cache
     for path in _cache_candidates(ctype, cache_dir):
         if path.exists():
             return load_basis(path, ctype)
-    if ctype.family == "H4":
-        raise CapabilityError(
-            "H4 invariants require the shipped coefficient file "
-            "(see tools/build_h4_invariants.py); none was found"
-        )
-    basis = _build_averaged_basis(ctype)
-    target = None
-    if cache_dir:
-        target = Path(cache_dir) / f"{ctype.canonical_key}.json"
-    elif os.environ.get(CACHE_ENV_VAR):
-        target = Path(os.environ[CACHE_ENV_VAR]) / f"{ctype.canonical_key}.json"
-    if target is not None:
-        save_basis(basis, target)
-    return basis
+    raise CapabilityError(
+        f"{ctype.name} invariants require the shipped coefficient file "
+        "(see tools/build_h4_invariants.py); none was found"
+    )
 
 
 def verify_invariance(basis: InvariantBasis, generators) -> bool:
@@ -554,6 +452,11 @@ def numeric_jacobian_rank(basis: InvariantBasis, x=None, seed: int = 5) -> int:
         x = rng.normal(size=basis.nvars) + 0.1
     x = np.asarray(x, dtype=float)
     x = x / max(np.linalg.norm(x), 1e-300)
-    j = basis.compiled.J(x[None, :])[0]
-    sv = np.linalg.svd(j, compute_uv=False)
-    return int(np.sum(sv > 1e-8 * max(sv[0], 1e-300)))
+    return int(numeric_rank(basis.compiled.J(x[None, :]))[0])
+
+
+def numeric_rank(J: np.ndarray) -> np.ndarray:
+    """Singular-value rank per sample with a scale-free threshold."""
+    sv = np.linalg.svd(J, compute_uv=False)
+    top = np.maximum(sv[..., 0], 1e-300)
+    return np.sum(sv > NUMERIC_RANK_REL_TOL * top[..., None], axis=-1)

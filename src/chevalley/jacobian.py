@@ -26,10 +26,8 @@ import numpy as np
 from .coxeter import RootSystem, Stratum, sample_stratum
 from .errors import CapabilityError, CheckFailure, UsageError
 from .field import Scalar
-from .invariants import EXACT_COXETER_LIMIT, InvariantBasis
+from .invariants import EXACT_COXETER_LIMIT, InvariantBasis, numeric_rank
 from .poly import CompiledPoly, PolyMatrix, SparsePoly
-
-NUMERIC_RANK_REL_TOL = 1e-8  # singular values below this fraction of the top one
 
 
 def jacobian_matrix(basis: InvariantBasis) -> PolyMatrix:
@@ -176,13 +174,6 @@ def _batched_minor_max(J: np.ndarray, rows, size: int) -> np.ndarray:
         vals = np.abs(np.linalg.det(sub[:, :, cols]))
         best = np.maximum(best, vals)
     return best
-
-
-def numeric_rank(J: np.ndarray) -> np.ndarray:
-    """Singular-value rank per sample with a scale-free threshold."""
-    sv = np.linalg.svd(J, compute_uv=False)
-    top = np.maximum(sv[..., 0], 1e-300)
-    return np.sum(sv > NUMERIC_RANK_REL_TOL * top[..., None], axis=-1)
 
 
 @dataclass

@@ -13,19 +13,17 @@ fiber samplers, mesh builders and Jacobian checks all run on it.
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, UsageError
+from .errors import UsageError
 from .field import ONE, Scalar, ZERO
 
 Exponent = tuple[int, ...]
 
-DET_SIZE_LIMIT = 6  # cofactor expansion budget; larger sizes go numeric
 CHUNK_VALUES = 1 << 20  # monomial values per chunk of rows in CompiledPoly
 
 
@@ -251,13 +249,6 @@ class SparsePoly:
         }
         return SparsePoly(d["nvars"], terms)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @staticmethod
-    def loads(s: str) -> "SparsePoly":
-        return SparsePoly.from_json_dict(json.loads(s))
-
 
 def _raw(nvars: int, terms: dict[Exponent, Scalar]) -> SparsePoly:
     """Internal constructor that trusts `terms` to be clean."""
@@ -352,11 +343,6 @@ class PolyMatrix:
         if self.rows != self.cols:
             raise UsageError("determinant of a non-square PolyMatrix")
         n = self.rows
-        if n > DET_SIZE_LIMIT:
-            raise CapabilityError(
-                f"symbolic determinant limited to size {DET_SIZE_LIMIT}; "
-                "use the numeric rank path instead"
-            )
         # minors[S] = minor on the last len(S) rows and the columns S
         minors: dict[tuple[int, ...], SparsePoly] = {
             (j,): self.entries[n - 1][j] for j in range(n)

@@ -307,11 +307,12 @@ def whitney_study(
     stage appends one (source, target, euclid, geodesic, ratio) row per pair
     to it.
     """
+    # the fine mesh first: it is the one that can exceed the point budget
+    g2 = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h / 2))
     g = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h))
     src_pos, tgt_pos, mask = _draw_pairs(g, pairs, seed)
-    reports = [_ratio_stats_for_pairs(g, src_pos, tgt_pos, mask, table=pair_table)]
-    g2 = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h / 2))
-    reports.append(_ratio_stats_for_pairs(g2, src_pos, tgt_pos, mask))
+    reports = [_ratio_stats_for_pairs(g, src_pos, tgt_pos, mask, table=pair_table),
+               _ratio_stats_for_pairs(g2, src_pos, tgt_pos, mask)]
     out = reports[0]
     out.refinement = [
         {"pitch": r.pitch, "max_ratio": r.max_ratio, "p99_ratio": r.p99_ratio,

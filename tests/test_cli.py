@@ -158,6 +158,39 @@ def test_h4_jacobian_determinant_is_a_capability_error(capsys):
     assert "Coxeter number" in err and len(err.strip().splitlines()) == 1
 
 
+def test_all_records_unsupported_suites_and_exits_2(capsys):
+    """Under `all` a capability gap of one suite is one `unsupported` check;
+    every other suite still runs and reports what it reports on its own."""
+    assert main(["all", "--type", "H4"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    unsupported = {c["name"]: c["metrics"]["message"]
+                   for c in checks if c["status"] == "unsupported"}
+    assert sorted(unsupported) == ["verify-jacobian", "whitney"]
+    assert "Coxeter number" in unsupported["verify-jacobian"]
+    assert "point budget" in unsupported["whitney"]
+    single = []
+    for command in ("invariants", "verify-statement", "morse", "fiber"):
+        rep = run_suite(RunConfig(type_spec="H4", command=command))
+        single += json.loads(emit_report(rep))["checks"]
+    assert [c for c in checks if c["status"] != "unsupported"] == single
+    # a single-suite command keeps its one-line capability error
+    assert main(["whitney", "--type", "H4"]) == 2
+    err = capsys.readouterr().err
+    assert "point budget" in err and len(err.strip().splitlines()) == 1
+
+
+def test_exit_code_ranks_failures_over_unsupported():
+    rep = SuiteReport(RunConfig())
+    assert rep.exit_code == 0
+    rep.add("a", "pass")
+    rep.add("b", "unsupported", message="x")
+    assert rep.exit_code == 2
+    assert emit_report(rep, "text").decode().endswith("UNSUPPORTED CHECKS PRESENT\n")
+    rep.add("c", "anomaly")
+    assert rep.exit_code == 1
+    assert emit_report(rep, "text").decode().endswith("FAILURES PRESENT\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "--type", "-x"],
     ["invariants", "--type", "B2", "--no-such-flag"],
@@ -176,6 +209,22 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["provenance"]["seed"] == 9
     assert doc["provenance"]["type"] == "B2"
+
+
+def test_flag_equal_to_its_default_overrides_config(tmp_path, capsys):
+    """A flag given on the command line wins over the config file even when
+    its value is the flag's default; a flag not given leaves the file's."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": 5, "samples": 20}))
+    argv = ["verify-statement", "--type", "B2", "--config", str(cfgfile)]
+    assert main([*argv, "--seed", "1", "--samples", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["seed"] == 1
+    assert {c["metrics"]["samples"] for c in doc["checks"][:-1]} == {100}
+    assert main([*argv, "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["seed"] == 1
+    assert {c["metrics"]["samples"] for c in doc["checks"][:-1]} == {20}
 
 
 def test_invariants_out_writes_cache(tmp_path, capsys):

@@ -439,9 +439,3 @@ def test_stratum_of_point(rs_cache, strata_cache):
     assert s is not None and s.dim == 1
     s = stratum_of_point(rs, strata, np.array([2.0, 1.0]))
     assert s is not None and s.dim == 2
-
-
-def test_root_system_json_dump(rs_cache):
-    doc = rs_cache("H3").to_json_dict()
-    assert doc["type"] == "H3" and len(doc["positive"]) == 15
-    assert "positive_exact" in doc

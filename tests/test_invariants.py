@@ -14,11 +14,8 @@ from chevalley.invariants import (
     basic_invariants,
     basis_content_hash,
     chevalley_eval,
-    coxeter_number,
-    degrees,
     load_basis,
     numeric_jacobian_rank,
-    reynolds_average,
     save_basis,
     sum_of_squares,
     verify_invariance,
@@ -29,12 +26,16 @@ DATA_DIR = Path(__file__).parent.parent / "src" / "chevalley" / "data"
 
 
 def test_degree_tables():
-    assert degrees("H3") == (2, 6, 10) and coxeter_number("H3") == 10
-    assert degrees("F4") == (2, 6, 8, 12) and coxeter_number("F4") == 12
-    assert degrees("B2") == (2, 4) and coxeter_number("B2") == 4
-    assert degrees("H4") == (2, 12, 20, 30)
-    assert degrees("A4") == (1, 2, 3, 4)
-    assert degrees("D6") == (2, 4, 6, 6, 8, 10)
+    def table(name):
+        t = coxeter_type(name)
+        return t.degrees, t.coxeter_number
+
+    assert table("H3") == ((2, 6, 10), 10)
+    assert table("F4") == ((2, 6, 8, 12), 12)
+    assert table("B2") == ((2, 4), 4)
+    assert coxeter_type("H4").degrees == (2, 12, 20, 30)
+    assert coxeter_type("A4").degrees == (1, 2, 3, 4)
+    assert coxeter_type("D6").degrees == (2, 4, 6, 6, 8, 10)
     # degree table ties to the root count: sum(k_i - 1) = number of reflections
     for name in ("H3", "F4", "B2", "D6", "A4"):
         t = coxeter_type(name)
@@ -62,7 +63,7 @@ def test_g2_closed_form(basis_cache):
 def test_d_family_degree_list_and_product(basis_cache):
     for name, n in (("D4", 4), ("D6", 6)):
         b = basis_cache(name)
-        assert b.degrees == degrees(name)
+        assert b.degrees == coxeter_type(name).degrees
         prod_poly = SparsePoly(n, {(1,) * n: ONE})
         assert prod_poly in b.polys
         # tie order: the product invariant comes after the same-degree
@@ -142,35 +143,6 @@ def test_numeric_jacobian_rank_full(basis_cache):
         assert numeric_jacobian_rank(b) == b.nvars
 
 
-def test_reynolds_b2_average(rs_cache):
-    g = generate_group(rs_cache("B2"))
-    avg = reynolds_average((2, 0), g)
-    expected = SparsePoly(2, {(2, 0): Scalar(1, 0), (0, 2): Scalar(1, 0)}).scale(
-        Scalar(1) / Scalar(2)
-    )
-    assert avg == expected
-
-
-def test_reynolds_trivial_group():
-    from chevalley.field import identity_matrix
-
-    mono = (3, 1)
-    avg = reynolds_average(mono, [identity_matrix(2)])
-    assert avg == SparsePoly(2, {mono: ONE})
-    with pytest.raises(UsageError):
-        reynolds_average(mono, [])
-
-
-def test_reynolds_invariance_check(rs_cache):
-    """Averages are invariant: checked by exact substitution on generators."""
-    rs = rs_cache("B2")
-    g = generate_group(rs)
-    for mono in ((2, 0), (4, 0), (2, 2), (3, 1)):
-        avg = reynolds_average(mono, g)
-        for w in rs.simple_reflections:
-            assert avg.substitute_linear(w) == avg
-
-
 def test_dihedral_average_numeric_invariance(rs_cache, rng):
     """Averaging x^6 over the I2(6) group yields an invariant function.
 
@@ -200,19 +172,19 @@ def test_cache_round_trip_and_hash_stability(tmp_path, basis_cache):
     assert h1 == h2
 
 
-def test_averaged_construction_reproducible(tmp_path):
+def test_averaged_construction_reproducible():
+    """The offline construction is deterministic and reproduces the shipped
+    H3 and F4 files polynomial for polynomial."""
     from chevalley.invariants import _build_averaged_basis
 
-    b1 = _build_averaged_basis(coxeter_type("H3"))
-    b2 = _build_averaged_basis(coxeter_type("H3"))
-    assert basis_content_hash("H3", b1.degrees, b1.polys) == basis_content_hash(
-        "H3", b2.degrees, b2.polys
-    )
-    # and matches the shipped file
-    shipped = load_basis(DATA_DIR / "H3.json", coxeter_type("H3"))
-    assert basis_content_hash("H3", b1.degrees, b1.polys) == basis_content_hash(
-        "H3", shipped.degrees, shipped.polys
-    )
+    for name in ("H3", "F4"):
+        b1 = _build_averaged_basis(coxeter_type(name))
+        b2 = _build_averaged_basis(coxeter_type(name))
+        assert basis_content_hash(name, b1.degrees, b1.polys) == basis_content_hash(
+            name, b2.degrees, b2.polys
+        )
+        shipped = load_basis(DATA_DIR / f"{name}.json", coxeter_type(name))
+        assert b1.polys == shipped.polys
 
 
 def test_tampered_cache_is_rejected(tmp_path, basis_cache):
@@ -231,14 +203,20 @@ def test_h4_loads_from_package_data():
     assert numeric_jacobian_rank(b) == 4
 
 
-def test_h4_requires_data_file(tmp_path, monkeypatch):
-    """Without any cache candidate the H4 construction refuses to run."""
+@pytest.mark.parametrize("name", ["H3", "F4", "H4"])
+def test_averaged_types_require_data_file(name, tmp_path, monkeypatch):
+    """With no data file to load, an averaged type is a capability error:
+    nothing is built at runtime and the lookup writes no file."""
     import chevalley.invariants as inv
 
+    cache, env = tmp_path / "cache", tmp_path / "env"
+    cache.mkdir()
+    env.mkdir()
     monkeypatch.setattr(inv, "_PACKAGE_DATA", tmp_path / "nowhere")
-    monkeypatch.delenv("CHEVALLEY_CACHE_DIR", raising=False)
-    with pytest.raises(CapabilityError):
-        basic_invariants("H4")
+    monkeypatch.setenv(inv.CACHE_ENV_VAR, str(env))
+    with pytest.raises(CapabilityError, match=name):
+        basic_invariants(name, cache_dir=cache)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cache", "env"]
 
 
 def test_h4_numeric_invariance(basis_cache, rs_cache, rng):

@@ -1,11 +1,12 @@
 """Sparse polynomial arithmetic, differentiation, substitution, determinants."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from chevalley.errors import CapabilityError, UsageError
+from chevalley.errors import UsageError
 from chevalley.field import ONE, PHI, Scalar
 from chevalley.poly import (
     CompiledPoly,
@@ -202,20 +203,20 @@ def test_det_numeric_agreement(rng):
 def test_det_errors():
     with pytest.raises(UsageError):
         PolyMatrix([[SparsePoly.zero(1)], [SparsePoly.zero(1)]]).det()
-    big = PolyMatrix([[SparsePoly.const(1, 1)] * 7 for _ in range(7)])
-    with pytest.raises(CapabilityError):
-        big.det()
 
 
 def test_serialization_round_trip(rng):
+    def round_trip(p):
+        return SparsePoly.from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+
     for _ in range(20):
         p = _random_poly(rng, 4)
-        assert SparsePoly.loads(p.dumps()) == p
+        assert round_trip(p) == p
     # canonical graded-lex order: leading term first, deterministic bytes
     p = SparsePoly(2, {(0, 2): ONE, (1, 0): ONE, (2, 0): ONE})
     es = [tuple(t["e"]) for t in p.to_json_dict()["terms"]]
     assert es == [(2, 0), (0, 2), (1, 0)]
-    assert p.dumps() == SparsePoly.loads(p.dumps()).dumps()
+    assert json.dumps(p.to_json_dict()) == json.dumps(round_trip(p).to_json_dict())
 
 
 def test_expand_linear_power_matches_repeated_multiplication(rng):
