@@ -5,6 +5,13 @@ All arithmetic is exact; canonical term order is graded lexicographic
 (total degree first, then exponent tuple, leading term first) so that
 serialization and hashing are reproducible.
 
+Products, sums, scaling, powers, linear substitution and determinants run on
+one integer form: the operands go over a shared denominator d once, a term
+becomes a pair of ints (a, b) meaning (a + b*sqrt5)/d under a packed-int
+exponent, and the result comes back as normalized `Scalar`s once, at the end
+of the operation.  `Scalar` is the type at the kernel's boundary; total
+degrees are limited to MAX_DEGREE.
+
 `eval_exact` evaluates at exact points.  Float evaluation has one path,
 `CompiledPoly`, which freezes a list of polynomials into one monomial table
 and coefficient vectors and evaluates it on a batch of points at once; the
@@ -14,7 +21,9 @@ fiber samplers, mesh builders and Jacobian checks all run on it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,7 +87,7 @@ class SparsePoly:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def canonical_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in graded-lex order, leading term first."""
@@ -117,60 +126,51 @@ class SparsePoly:
                 f"nvars mismatch: {self.nvars} vs {other.nvars}"
             )
 
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
+    def __add__(self, other: "SparsePoly", sign: int = 1) -> "SparsePoly":
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return _raw(self.nvars, out)
+        d, (out, f) = _forms(self, other)
+        for e, (a, b) in f.items():
+            x, y = out.get(e, (0, 0))
+            out[e] = (x + sign * a, y + sign * b)
+        return _poly(self.nvars, out, d)
 
     def __neg__(self) -> "SparsePoly":
         return _raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         self._check_same_vars(other)
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return _raw(self.nvars, out)
+        _check_degree(self.degree() + other.degree())
+        d, (f, g) = _forms(self, other)
+        return _poly(self.nvars, _mul_into({}, f, g), d * d)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "SparsePoly":
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if c.is_zero():
-            return SparsePoly(self.nvars)
-        return _raw(self.nvars, {e: c * v for e, v in self.terms.items()})
+        c = _as_scalar(c)
+        d, (f,) = _forms(self)
+        dc = math.lcm(c.a.denominator, c.b.denominator)
+        ca, cb = _ints(c, dc)
+        return _poly(self.nvars, {e: (a * ca + 5 * b * cb, a * cb + b * ca)
+                                  for e, (a, b) in f.items()}, d * dc)
 
     def __pow__(self, k: int) -> "SparsePoly":
         if k < 0:
             raise UsageError("negative polynomial power")
-        out = SparsePoly.const(self.nvars, 1)
-        base = self
+        _check_degree(k * max(self.degree(), 0))
+        d, (base,) = _forms(self)
+        out, dout = _ONE, 1
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out, dout = _mul_into({}, out, base), dout * d
             k >>= 1
-        return out
+            if k:
+                base, d = _mul_into({}, base, base), d * d
+        return _poly(self.nvars, out, dout)
 
     def diff(self, i: int) -> "SparsePoly":
         """Exact partial derivative with respect to variable i."""
@@ -206,30 +206,25 @@ class SparsePoly:
         n = self.nvars
         if len(m) != n or any(len(row) != n for row in m):
             raise UsageError("substitution matrix must be square of size nvars")
-        rows = [
-            _raw(n, {tuple(1 if k == j else 0 for k in range(n)): c
-                     for j, c in enumerate(row) if not _as_scalar(c).is_zero()})
-            for row in [[_as_scalar(c) for c in r] for r in m]
-        ]
-        # cache powers of each row form up to the max exponent used
-        maxexp = [0] * n
-        for e in self.terms:
-            for i, p in enumerate(e):
-                maxexp[i] = max(maxexp[i], p)
-        pows: list[list[SparsePoly]] = []
+        unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        rows = [SparsePoly(n, {unit[j]: _as_scalar(c) for j, c in enumerate(r)}) for r in m]
+        # one denominator d for p and the rows: a term of degree k comes out
+        # over d^(k+1) and is lifted to d^(top+1)
+        d, (f, *rows) = _forms(self, *rows)
+        top = max(self.degree(), 0)
+        pows = [[_ONE] for _ in range(n)]
         for i in range(n):
-            cur = [SparsePoly.const(n, 1)]
-            for _ in range(maxexp[i]):
-                cur.append(cur[-1] * rows[i])
-            pows.append(cur)
-        out = SparsePoly.zero(n)
-        for e, c in self.terms.items():
-            term = SparsePoly.const(n, c)
-            for i, p in enumerate(e):
-                if p:
-                    term = term * pows[i][p]
-            out = out + term
-        return out
+            for _ in range(max((e[i] for e in self.terms), default=0)):
+                pows[i].append(_mul_into({}, pows[i][-1], rows[i]))
+        out: dict[int, tuple[int, int]] = {}
+        for e, (a, b) in zip(self.terms, f.values()):
+            s = d ** (top - sum(e))
+            term = {0: (a * s, b * s)}
+            factors = [pows[i][p] for i, p in enumerate(e) if p] or [_ONE]
+            for g in factors[:-1]:
+                term = _mul_into({}, term, g)
+            _mul_into(out, term, factors[-1])
+        return _poly(n, out, d ** (top + 1))
 
     # -- serialization ------------------------------------------------------------
 
@@ -260,6 +255,67 @@ def _raw(nvars: int, terms: dict[Exponent, Scalar]) -> SparsePoly:
 
 def _as_scalar(c) -> Scalar:
     return c if isinstance(c, Scalar) else Scalar(c)
+
+
+# -- integer kernel: a form is {packed exponent: (a, b)} over a denominator d
+# kept by the caller, each term (a + b*sqrt5)/d * x^e.  e_i sits in bits
+# [FIELD_BITS*i, FIELD_BITS*(i+1)), so exponents of a product add as ints;
+# total degrees <= MAX_DEGREE keep each field from carrying into the next.
+
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
+_ONE = MappingProxyType({0: (1, 0)})
+
+
+def _check_degree(deg: int) -> None:
+    if deg > MAX_DEGREE:
+        raise UsageError(f"total degree {deg} exceeds the exact kernel's limit {MAX_DEGREE}")
+
+
+def _ints(c: Scalar, d: int) -> tuple[int, int]:
+    """Numerators of c over the denominator d (a multiple of c's)."""
+    return (c.a.numerator * (d // c.a.denominator), c.b.numerator * (d // c.b.denominator))
+
+
+def _forms(*polys: SparsePoly) -> tuple[int, list[dict[int, tuple[int, int]]]]:
+    """The polys as forms over their least common denominator."""
+    for p in polys:
+        _check_degree(p.degree())
+    d = math.lcm(*(x.denominator for p in polys for c in p.terms.values() for x in (c.a, c.b)))
+    forms = []
+    for p in polys:
+        f = {}
+        for e, c in p.terms.items():
+            k = 0
+            for x in reversed(e):
+                k = (k << FIELD_BITS) | x
+            f[k] = _ints(c, d)
+        forms.append(f)
+    return d, forms
+
+
+def _poly(nvars: int, f: dict[int, tuple[int, int]], d: int) -> SparsePoly:
+    """The form f over d back as a SparsePoly of normalized Scalars; equal
+    coefficients share one Scalar."""
+    shifts = range(0, FIELD_BITS * nvars, FIELD_BITS)
+    scalars: dict[tuple[int, int], Scalar] = {}
+    return _raw(nvars, {
+        tuple([k >> s & MAX_DEGREE for s in shifts]):
+            scalars.get(v) or scalars.setdefault(v, Scalar(Fraction(v[0], d), Fraction(v[1], d)))
+        for k, v in f.items() if v[0] or v[1]})
+
+
+def _mul_into(out: dict, f: dict, g: dict, sign: int = 1) -> dict:
+    """out += sign * f * g on forms; the denominators multiply."""
+    get = out.get
+    gi = list(g.items())
+    for e1, (a1, b1) in f.items():
+        a1, b1 = sign * a1, sign * b1
+        for e2, (a2, b2) in gi:
+            e = e1 + e2
+            x, y = get(e, (0, 0))
+            out[e] = (x + a1 * a2 + 5 * b1 * b2, y + a1 * b2 + b1 * a2)
+    return out
 
 
 def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> SparsePoly:
@@ -334,34 +390,27 @@ class PolyMatrix:
         return self.entries[i][j]
 
     def det(self) -> SparsePoly:
-        """Exact determinant by Laplace expansion with memoized minors.
-
-        Minors over column subsets are shared across rows, which keeps the
-        rank-4 cases (F4, H3 padded) in the low millions of coefficient
-        multiplications.
-        """
+        """Exact determinant by Laplace expansion with memoized minors, on
+        integer forms: entries over one denominator d, a k-minor over d^k."""
         if self.rows != self.cols:
             raise UsageError("determinant of a non-square PolyMatrix")
         n = self.rows
+        _check_degree(sum(max(max(p.degree() for p in row), 0) for row in self.entries))
+        d, flat = _forms(*(p for row in self.entries for p in row))
+        ent = [flat[i * n:(i + 1) * n] for i in range(n)]
         # minors[S] = minor on the last len(S) rows and the columns S
-        minors: dict[tuple[int, ...], SparsePoly] = {
-            (j,): self.entries[n - 1][j] for j in range(n)
-        }
+        minors = {(j,): ent[n - 1][j] for j in range(n)}
         for size in range(2, n + 1):
-            row = n - size
-            nxt: dict[tuple[int, ...], SparsePoly] = {}
+            row = ent[n - size]
+            nxt = {}
             for cols in combinations(range(n), size):
-                acc = SparsePoly.zero(self.nvars)
+                acc: dict[int, tuple[int, int]] = {}
                 for t, j in enumerate(cols):
-                    entry = self.entries[row][j]
-                    if entry.is_zero():
-                        continue
-                    rest = cols[:t] + cols[t + 1:]
-                    piece = entry * minors[rest]
-                    acc = acc + piece if t % 2 == 0 else acc - piece
-                nxt[cols] = acc
+                    if row[j]:
+                        _mul_into(acc, row[j], minors[cols[:t] + cols[t + 1:]], -1 if t % 2 else 1)
+                nxt[cols] = {e: v for e, v in acc.items() if v[0] or v[1]}
             minors = nxt
-        return minors[tuple(range(n))]
+        return _poly(self.nvars, minors[tuple(range(n))], d ** n)
 
 
 class CompiledPoly:

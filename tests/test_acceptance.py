@@ -51,7 +51,7 @@ def test_criterion_1_exact_factorization(basis_cache, rs_cache):
         assert rep.det_degree == sum(k - 1 for k in basis_cache(name).degrees)
         constants[name] = rep.c
     elapsed = time.monotonic() - t0
-    ok = constants["A3"] == 6.0 and constants["B2"] == 4.0 and elapsed <= 60
+    ok = constants["A3"] == 6.0 and constants["B2"] == 4.0 and elapsed <= 10
     conclude(1, "exact factorization det J = c * prod(wall forms)", ok,
              f"c(S3)={constants['A3']} c(B2)={constants['B2']} all exact, {elapsed:.1f}s")
 

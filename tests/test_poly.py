@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevalley.errors import UsageError
 from chevalley.field import ONE, PHI, Scalar
 from chevalley.poly import (
+    MAX_DEGREE,
     CompiledPoly,
     PolyMatrix,
     SparsePoly,
@@ -266,3 +269,110 @@ def test_compiled_table_of_several_polynomials(rng):
         table(np.zeros((2, 4)))
     with pytest.raises(UsageError):
         CompiledPoly([])
+
+
+# -- the integer kernel against per-term Scalar arithmetic ------------------------
+
+def ref_sum(p, q, sign=1):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, Scalar(0)) + c * sign
+    return SparsePoly(p.nvars, out)
+
+
+def ref_pow(p, k):
+    out = SparsePoly.const(p.nvars, 1)
+    for _ in range(k):
+        out = brute_force_mul(out, p)
+    return out
+
+
+def ref_substitute(p, m):
+    n = p.nvars
+    rows = [SparsePoly(n, {tuple(int(k == j) for k in range(n)): c for j, c in enumerate(r)})
+            for r in m]
+    out = SparsePoly.zero(n)
+    for e, c in p.terms.items():
+        term = SparsePoly.const(n, c)
+        for i, k in enumerate(e):
+            term = brute_force_mul(term, ref_pow(rows[i], k))
+        out = ref_sum(out, term)
+    return out
+
+
+def ref_det(m):
+    """Leibniz expansion along the first row."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    out = SparsePoly.zero(m[0][0].nvars)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        out = ref_sum(out, brute_force_mul(m[0][j], ref_det(minor)), -1 if j % 2 else 1)
+    return out
+
+
+# a + b*sqrt5 with negative and fractional parts, b != 0 included
+scalars = st.builds(
+    lambda a, da, b, db: Scalar(Fraction(a, da), Fraction(b, db)),
+    st.integers(-12, 12), st.integers(1, 6), st.integers(-4, 4), st.integers(1, 4),
+)
+
+
+def polys(nvars, max_terms=5):
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), scalars,
+                           max_size=max_terms).map(lambda t: SparsePoly(nvars, t))
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polys in 1-4 variables; q sometimes carries -p's terms so that
+    sums cancel, partly or to zero."""
+    n = draw(st.integers(1, 4))
+    p, q = draw(polys(n)), draw(polys(n))
+    if draw(st.booleans()):
+        q = SparsePoly(n, {**q.terms, **{e: -c for e, c in p.terms.items()}})
+    if draw(st.booleans()):
+        q = SparsePoly(n, {e: -c for e, c in p.terms.items()})
+    return p, q
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(poly_pairs(), scalars, st.integers(0, 4))
+def test_kernel_arithmetic_matches_scalar_reference(pq, c, k):
+    p, q = pq
+    assert p + q == ref_sum(p, q)
+    assert p - q == ref_sum(p, q, -1)
+    assert (p - p).is_zero() and (p + p.scale(-1)).is_zero()
+    assert p * q == brute_force_mul(p, q)
+    assert p.scale(c) == SparsePoly(p.nvars, {e: c * v for e, v in p.terms.items()})
+    assert p.scale(0).is_zero() and p.scale(Scalar(0)).is_zero()
+    assert p ** k == ref_pow(p, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_kernel_substitution_and_det_match_scalar_reference(data):
+    n = data.draw(st.integers(1, 4))
+    p = data.draw(polys(n))
+    m = data.draw(st.lists(st.lists(scalars | st.just(Scalar(0)), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assert p.substitute_linear(m) == ref_substitute(p, m)
+    size = data.draw(st.sampled_from([2, 3]))
+    entries = [[data.draw(polys(n, 3)) for _ in range(size)] for _ in range(size)]
+    assert PolyMatrix(entries).det() == ref_det(entries)
+
+
+def test_kernel_exponent_overflow_is_usage_error():
+    x, y = X(2, 0), X(2, 1)
+    assert (x ** 40000 * x ** (MAX_DEGREE - 40000)).terms == {(MAX_DEGREE, 0): ONE}
+    with pytest.raises(UsageError):
+        x ** 40000 * x ** 40000
+    with pytest.raises(UsageError):
+        x ** MAX_DEGREE * y
+    with pytest.raises(UsageError):
+        y ** (MAX_DEGREE + 1)
+    with pytest.raises(UsageError):
+        SparsePoly(2, {(MAX_DEGREE + 1, 0): ONE}) + x
+    with pytest.raises(UsageError):
+        PolyMatrix([[x ** 40000, y], [y, x ** 40000]]).det()
