@@ -673,30 +673,32 @@ def sample_stratum(
 
     All isotropy forms vanish to float precision (points are built inside the
     span) and every non-isotropy wall form stays above `margin` per unit
-    norm.  Deterministic in (seed, index).
+    norm.  Deterministic in (seed, index).  The order of the Philox draws is
+    part of the output: every report digest built on these points depends on
+    it, so a change to the draws or the rejection test moves them.
     """
     if s.dim == 0:
         return np.zeros((1, rs.n))
     if radius <= 0 or count <= 0:
         raise UsageError("radius and count must be positive")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    normal, uniform = rng.normal, rng.uniform
     others = [i for i in range(len(rs.simple_f)) if i not in s.walls]
-    a_others = rs.simple_unit_f[others] if others else np.zeros((0, rs.n))
+    a_others = rs.simple_unit_f[others]
+    anchor, basis, dim, inv_dim = s.anchor, s.basis, s.dim, 1.0 / s.dim
     out = np.empty((count, rs.n))
     for idx in range(count):
         jitter = 0.45
         for _attempt in range(60):
-            g = rng.normal(size=s.dim)
-            x = s.anchor + jitter * (s.basis @ g)
-            nx = np.linalg.norm(x)
+            x = anchor + jitter * (basis @ normal(size=dim))
+            nx = math.sqrt(x.dot(x))  # what np.linalg.norm computes for 1-D x
             if nx < 1e-12:
                 continue
             x = x / nx
-            if others and np.min(a_others @ x) < margin:
+            if others and (a_others @ x).min() < margin:
                 jitter *= 0.7
                 continue
-            r = radius * float(rng.uniform(0.15, 1.0) ** (1.0 / s.dim))
-            out[idx] = x * r
+            out[idx] = x * (radius * float(uniform(0.15, 1.0) ** inv_dim))
             break
         else:
             raise CapabilityError(

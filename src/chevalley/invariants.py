@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
@@ -82,7 +83,7 @@ class CompiledBasis:
     Each of the three is one `CompiledPoly` table: the invariants, the
     gradients flattened by (i, j), and the Hessians' upper triangles
     flattened by (i, j, l >= j), so the first k invariants use a prefix.
-    The Hessian table is built on first use."""
+    The Hessian table and the gradient scales are built on first use."""
 
     def __init__(self, basis: InvariantBasis):
         self.basis = basis
@@ -105,6 +106,17 @@ class CompiledBasis:
         k = self.k if k is None else k
         X = np.asarray(X, dtype=float)
         return self._g(X, k * self.n).reshape(X.shape[:-1] + (k, self.n))
+
+    @cached_property
+    def gradient_scales(self) -> np.ndarray:
+        """Per-invariant gradient magnitude on the unit sphere (fixed seeded
+        sample); used to normalize minors into scale-free quantities."""
+        rng = np.random.default_rng(97531)
+        pts = rng.normal(size=(64, self.n))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        scales = np.max(np.linalg.norm(self.J(pts), axis=2), axis=0)
+        scales.flags.writeable = False
+        return scales
 
     def hessians(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Hessians of the first k invariants; (..., n) -> (..., k, n, n)."""

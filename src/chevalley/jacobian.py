@@ -27,7 +27,7 @@ from .coxeter import RootSystem, Stratum, sample_stratum
 from .errors import CapabilityError, CheckFailure, UsageError
 from .field import Scalar
 from .invariants import EXACT_COXETER_LIMIT, InvariantBasis, numeric_rank
-from .poly import CompiledPoly, PolyMatrix, SparsePoly
+from .poly import CHUNK_VALUES, CompiledPoly, PolyMatrix, SparsePoly, product
 
 
 def jacobian_matrix(basis: InvariantBasis) -> PolyMatrix:
@@ -45,18 +45,14 @@ def wall_form_product(rs: RootSystem) -> SparsePoly:
     """
     if rs.exact:
         n = rs.n
-        out = SparsePoly.const(n, 1)
-        for v in rs.positive:
-            form = SparsePoly(
-                n,
-                {
-                    tuple(1 if j == i else 0 for j in range(n)): c
-                    for i, c in enumerate(v)
-                    if not c.is_zero()
-                },
-            )
-            out = out * form
-        return out
+        return product(n, [
+            SparsePoly(n, {
+                tuple(1 if j == i else 0 for j in range(n)): c
+                for i, c in enumerate(v)
+                if not c.is_zero()
+            })
+            for v in rs.positive
+        ])
     return _dihedral_skew(rs.ctype.p)
 
 
@@ -162,18 +158,26 @@ def _float_product_spread(rs: RootSystem, closed_form: SparsePoly, seed: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _batched_minor_max(J: np.ndarray, rows, size: int) -> np.ndarray:
-    """Max |minor| over all column subsets, per sample.
+def _minor_table(J: np.ndarray, row_sets, size: int) -> np.ndarray:
+    """Max |minor| over all column subsets, per sample and row set.
 
-    J has shape (S, r, n); rows selects which Jacobian rows participate.
+    J has shape (S, r, n); each entry of row_sets lists `size` rows.  Every
+    (row set x column subset) submatrix goes into one stack for a single
+    determinant call, over chunks of samples holding at most CHUNK_VALUES
+    entries; LAPACK factors each matrix on its own, so a minor does not
+    depend on its place in the stack.  Returns shape (S, len(row_sets)).
     """
     S, _, n = J.shape
-    sub = J[:, rows, :]
-    best = np.zeros(S)
-    for cols in combinations(range(n), size):
-        vals = np.abs(np.linalg.det(sub[:, :, cols]))
-        best = np.maximum(best, vals)
-    return best
+    rows = np.array(row_sets, dtype=int).reshape(-1, size)
+    out = np.zeros((S, len(rows)))
+    if not len(rows):
+        return out
+    cols = np.array(list(combinations(range(n), size)))
+    ri, ci = rows[:, None, :, None], cols[None, :, None, :]
+    step = max(1, CHUNK_VALUES // (len(rows) * len(cols) * size * size))
+    for lo in range(0, S, step):
+        out[lo:lo + step] = np.abs(np.linalg.det(J[lo:lo + step, ri, ci])).max(axis=2)
+    return out
 
 
 @dataclass
@@ -205,16 +209,6 @@ class StratumRankReport:
             "pass": self.passed,
             **({"witness": self.witness} if self.witness else {}),
         }
-
-
-def _gradient_scales(basis: InvariantBasis) -> np.ndarray:
-    """Per-invariant gradient magnitude on the unit sphere (fixed seeded
-    sample); used to normalize minors into scale-free quantities."""
-    rng = np.random.default_rng(97531)
-    pts = rng.normal(size=(64, basis.nvars))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    J = basis.compiled.J(pts)
-    return np.max(np.linalg.norm(J, axis=2), axis=0)
 
 
 def _degree_row_options(degs, size: int):
@@ -251,6 +245,10 @@ def verify_stratum_rank(
       (c) the singular-value rank of the full Jacobian is exactly k;
       (d) in fact every (k+1)-row minor, any rows and columns, is below tol.
 
+    The minors come from one batched determinant table per size
+    (`_minor_table`): the k-minors on the live leading row sets, and the
+    (k+1)-minors on every row set, of which (b) reads the admissible columns.
+
     When the first k degrees force a row that vanishes identically on the
     stratum (the D(2m) product invariant on faces where two coordinates are
     pinned to zero), part (a) is vacuous: no generic fiber of the first k
@@ -264,31 +262,28 @@ def verify_stratum_rank(
     X = sample_stratum(stratum, samples, 1.0, seed, rs)
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     J = basis.compiled.J(X)  # (S, n_invariants, n)
-    scales = _gradient_scales(basis)
+    scales = basis.compiled.gradient_scales
     degs = list(basis.degrees)
 
     row_norms = np.max(np.linalg.norm(J, axis=2), axis=0)  # max over samples
     dead_rows = [i for i in range(n) if row_norms[i] <= 1e-10 * scales[i]]
 
-    lead = np.zeros(samples)
-    degenerate = True
-    for rows in _degree_row_options(degs, k):
-        if any(r in dead_rows for r in rows):
-            continue
-        degenerate = False
-        vals = _batched_minor_max(J, rows, k) / float(np.prod(scales[rows]))
-        lead = np.maximum(lead, vals)
+    def normalized(row_sets, size):
+        scale = np.array([np.prod(scales[list(rows)]) for rows in row_sets])
+        return _minor_table(J, row_sets, size) / scale
 
-    # one pass over every (k+1)-row minor (none when k = n); the bordering
-    # minors are those on the degree-admissible row sets
+    live = [rows for rows in _degree_row_options(degs, k)
+            if not any(r in dead_rows for r in rows)]
+    degenerate = not live
+    lead = normalized(live, k).max(axis=1, initial=0.0)
+
+    # every (k+1)-row minor (none when k = n); the bordering minors are those
+    # on the degree-admissible row sets
+    all_rows = list(combinations(range(J.shape[1]), k + 1))
     admissible = {tuple(rows) for rows in _degree_row_options(degs, k + 1)}
-    border = np.zeros(samples)
-    any_minor = np.zeros(samples)
-    for rows in combinations(range(J.shape[1]), k + 1):
-        vals = _batched_minor_max(J, list(rows), k + 1) / float(np.prod(scales[list(rows)]))
-        any_minor = np.maximum(any_minor, vals)
-        if rows in admissible:
-            border = np.maximum(border, vals)
+    table = normalized(all_rows, k + 1)
+    any_minor = table.max(axis=1, initial=0.0)
+    border = table[:, [rows in admissible for rows in all_rows]].max(axis=1, initial=0.0)
     ranks = numeric_rank(J)
 
     checks = (border <= tol) & (ranks == k) & (any_minor <= tol)

@@ -318,6 +318,20 @@ def _mul_into(out: dict, f: dict, g: dict, sign: int = 1) -> dict:
     return out
 
 
+def product(nvars: int, polys: Sequence[SparsePoly]) -> SparsePoly:
+    """Exact product of polys (1 for none), converted to forms and back once;
+    zero terms are dropped after every factor so cancellations do not pile up."""
+    for p in polys:
+        if p.nvars != nvars:
+            raise UsageError(f"nvars mismatch: {p.nvars} vs {nvars}")
+    _check_degree(sum(max(p.degree(), 0) for p in polys))
+    d, forms = _forms(*polys)
+    out = _ONE
+    for f in forms:
+        out = {e: v for e, v in _mul_into({}, out, f).items() if v[0] or v[1]}
+    return _poly(nvars, out, d ** len(forms))
+
+
 def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> SparsePoly:
     """Exact expansion of (c_0 x_0 + ... + c_{n-1} x_{n-1})^k.
 

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from .coxeter import RootSystem, Stratum, enumerate_strata, stratum_of_point
 from .errors import ConvergenceError, UsageError
 from .invariants import InvariantBasis
-from .jacobian import _batched_minor_max
+from .jacobian import _minor_table
 
 FIBER_RESIDUAL_TOL = 1e-9     # acceptance residual for stored fiber points
 NEWTON_TOL = 1e-12
@@ -466,7 +466,7 @@ def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
     T = vt[rank:].T  # (n, n-rank)
     eigs = np.linalg.eigvalsh(T.T @ Hl @ T) if T.shape[1] else np.zeros(0)
 
-    border = float(_batched_minor_max(G[None], range(k + 1), k + 1)[0])
+    border = float(_minor_table(G[None], [range(k + 1)], k + 1)[0, 0])
 
     anomaly = False
     reason = ""

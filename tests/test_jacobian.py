@@ -1,15 +1,17 @@
 """Jacobian factorization, minors and rank on strata."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from chevalley.errors import CheckFailure, UsageError
 from chevalley.field import ONE, Scalar
-from chevalley.invariants import InvariantBasis
+from chevalley import jacobian
+from chevalley.invariants import CompiledBasis, InvariantBasis
 from chevalley.jacobian import (
-    _batched_minor_max,
+    _minor_table,
     det_vanishing_calibration,
     jacobian_matrix,
     numeric_rank,
@@ -98,10 +100,101 @@ def test_jacobian_minor_examples(basis_cache):
     # the full minor vanishes on the diagonal wall, exactly and in floats
     assert jm.det().eval_exact([one, one]).is_zero()
     J = b.compiled.J(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    assert _batched_minor_max(J[:1], [0], 1)[0] == 2.0
-    assert _batched_minor_max(J[1:], [0, 1], 2)[0] < 1e-12
+    assert _minor_table(J[:1], [[0]], 1)[0, 0] == 2.0
+    assert _minor_table(J[1:], [[0, 1]], 2)[0, 0] < 1e-12
     # every 1x1 minor of the first row, per sample
-    assert np.array_equal(_batched_minor_max(J, [0], 1), [2.0, 2.0])
+    assert np.array_equal(_minor_table(J, [[0]], 1)[:, 0], [2.0, 2.0])
+
+
+def _minor_loop(J, row_sets, size):
+    """Reference for _minor_table: one determinant call per row set and
+    column subset, a running maximum over the column subsets."""
+    out = np.zeros((J.shape[0], len(row_sets)))
+    for t, rows in enumerate(row_sets):
+        for cols in combinations(range(J.shape[2]), size):
+            vals = np.abs(np.linalg.det(J[:, list(rows)][:, :, list(cols)]))
+            out[:, t] = np.maximum(out[:, t], vals)
+    return out
+
+
+def _all_row_sets(r, size):
+    return [list(rows) for rows in combinations(range(r), size)]
+
+
+def test_minor_table_matches_loop_on_random_stacks(rng):
+    for S, r, n in ((1, 1, 1), (7, 3, 3), (5, 4, 5), (9, 5, 4), (4, 6, 6)):
+        J = rng.normal(size=(S, r, n))
+        # rank-deficient copy: rank 2, so every minor of size >= 3 is noise
+        low = rng.normal(size=(S, r, 2)) @ rng.normal(size=(S, 2, n))
+        for A in (J, low):
+            for size in range(1, min(r, n) + 1):
+                rows = _all_row_sets(r, size)
+                assert np.array_equal(_minor_table(A, rows, size), _minor_loop(A, rows, size))
+
+
+def test_minor_table_matches_loop_on_d6_faces(basis_cache, rs_cache, strata_cache):
+    from chevalley.coxeter import sample_stratum
+
+    b, rs = basis_cache("D6"), rs_cache("D6")
+    for k in range(1, 7):
+        s = next(t for t in strata_cache("D6") if t.dim == k)
+        J = b.compiled.J(sample_stratum(s, 20, 1.0, k, rs))
+        for size in (k, k + 1):
+            rows = _all_row_sets(6, size)
+            assert np.array_equal(_minor_table(J, rows, size), _minor_loop(J, rows, size))
+
+
+def test_minor_table_chunks_over_samples(rng, monkeypatch):
+    J = rng.normal(size=(11, 4, 4))
+    rows = _all_row_sets(4, 2)
+    whole = _minor_table(J, rows, 2)
+    # 6 row sets x 6 column subsets x 4 entries: 2 samples per chunk
+    monkeypatch.setattr(jacobian, "CHUNK_VALUES", 2 * 6 * 6 * 4)
+    assert np.array_equal(_minor_table(J, rows, 2), whole)
+    assert np.array_equal(whole, _minor_loop(J, rows, 2))
+
+
+def test_minor_table_without_row_sets(basis_cache, rs_cache, strata_cache):
+    """k = n: no (k+1)-row set exists, so the table is empty and the
+    bordering and any-row maxima stay 0."""
+    J = np.ones((3, 2, 2))
+    assert _minor_table(J, _all_row_sets(2, 3), 3).shape == (3, 0)
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    s = next(t for t in strata_cache("B3") if t.dim == 3)
+    rep = verify_stratum_rank(b, rs, s, samples=10)
+    assert rep.passed and rep.max_bordering_minor == 0.0 and rep.max_any_minor == 0.0
+
+
+def test_gradient_scales_cached_once_per_basis(basis_cache, rs_cache, strata_cache, monkeypatch):
+    b0, rs = basis_cache("B3"), rs_cache("B3")
+    b = InvariantBasis(b0.ctype, b0.polys, "test")
+    calls = []
+    J = CompiledBasis.J
+
+    def counting(self, X, k=None):
+        calls.append(len(X))
+        return J(self, X, k)
+
+    monkeypatch.setattr(CompiledBasis, "J", counting)
+    faces = [s for s in strata_cache("B3") if s.dim >= 1]
+    for s in faces:
+        verify_stratum_rank(b, rs, s, samples=10)
+    # one 64-point scale evaluation, then one per face for its samples
+    assert calls == [10, 64] + [10] * (len(faces) - 1)
+    pts = np.random.default_rng(97531).normal(size=(64, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    fresh = np.max(np.linalg.norm(J(b.compiled, pts), axis=2), axis=0)
+    assert np.array_equal(b.compiled.gradient_scales, fresh)
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "D6", "F4", "H3"])
+def test_wall_form_product_matches_chained_product(name, rs_cache):
+    rs = rs_cache(name)
+    chained = SparsePoly.const(rs.n, 1)
+    for v in rs.positive:
+        chained = chained * SparsePoly(rs.n, {
+            tuple(int(j == i) for j in range(rs.n)): c for i, c in enumerate(v)})
+    assert wall_form_product(rs) == chained
 
 
 def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strata_cache):
@@ -111,7 +204,7 @@ def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strat
     jm = jacobian_matrix(b)
     s = next(t for t in strata_cache("B3") if t.dim == 1)
     x = sample_stratum(s, 1, 1.0, 5, rs)[0]
-    assert _batched_minor_max(b.compiled.J(x[None, :]), [0, 1], 2)[0] <= 1e-10
+    assert _minor_table(b.compiled.J(x[None, :]), [[0, 1]], 2)[0, 0] <= 1e-10
     # B3 faces are spanned by 0/1 vectors: the rounded direction lies on the
     # face exactly, and there every 2x2 minor of rows 0, 1 is exactly zero
     xq = [Scalar(int(round(v))) for v in x / np.max(np.abs(x))]

@@ -16,6 +16,7 @@ from chevalley.poly import (
     PolyMatrix,
     SparsePoly,
     expand_linear_power,
+    product,
 )
 
 X = SparsePoly.variable
@@ -83,6 +84,8 @@ def test_mismatched_nvars_is_usage_error():
         X(2, 0) + X(3, 0)
     with pytest.raises(UsageError):
         X(2, 0) * X(3, 0)
+    with pytest.raises(UsageError):
+        product(2, [X(2, 0), X(3, 0)])
 
 
 def test_diff_simple_cases():
@@ -345,6 +348,8 @@ def test_kernel_arithmetic_matches_scalar_reference(pq, c, k):
     assert p - q == ref_sum(p, q, -1)
     assert (p - p).is_zero() and (p + p.scale(-1)).is_zero()
     assert p * q == brute_force_mul(p, q)
+    assert product(p.nvars, [p, q, p]) == brute_force_mul(brute_force_mul(p, q), p)
+    assert product(p.nvars, []) == SparsePoly.const(p.nvars, 1)
     assert p.scale(c) == SparsePoly(p.nvars, {e: c * v for e, v in p.terms.items()})
     assert p.scale(0).is_zero() and p.scale(Scalar(0)).is_zero()
     assert p ** k == ref_pow(p, k)
@@ -372,6 +377,8 @@ def test_kernel_exponent_overflow_is_usage_error():
         x ** MAX_DEGREE * y
     with pytest.raises(UsageError):
         y ** (MAX_DEGREE + 1)
+    with pytest.raises(UsageError):
+        product(2, [x ** 40000, x ** 40000])
     with pytest.raises(UsageError):
         SparsePoly(2, {(MAX_DEGREE + 1, 0): ONE}) + x
     with pytest.raises(UsageError):
