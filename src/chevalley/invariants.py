@@ -32,7 +32,7 @@ import numpy as np
 from .coxeter import CoxeterType, RootSystem, build_root_system, coxeter_type
 from .errors import CapabilityError, CheckFailure, IntegrityError, UsageError
 from .field import ONE, Scalar, vec_dot
-from .poly import CompiledPoly, PolyMatrix, SparsePoly, expand_linear_power
+from .poly import CompiledPoly, PolyMatrix, SparsePoly, expand_linear_power, power_table
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
@@ -83,7 +83,8 @@ class CompiledBasis:
     Each of the three is one `CompiledPoly` table: the invariants, the
     gradients flattened by (i, j), and the Hessians' upper triangles
     flattened by (i, j, l >= j), so the first k invariants use a prefix.
-    The Hessian table and the gradient scales are built on first use."""
+    The Hessian table and the gradient scales are built on first use.
+    `evaluate` feeds all of them from one power table of the batch."""
 
     def __init__(self, basis: InvariantBasis):
         self.basis = basis
@@ -94,7 +95,6 @@ class CompiledBasis:
             [p.diff(j) for j in range(self.n)] for p in basis.polys
         ]
         self._g = CompiledPoly([q for row in self._grad_polys for q in row])
-        self._h: CompiledPoly | None = None
 
     def P(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Invariant values; X of shape (..., n) -> (..., k)."""
@@ -118,23 +118,69 @@ class CompiledBasis:
         scales.flags.writeable = False
         return scales
 
-    def hessians(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Hessians of the first k invariants; (..., n) -> (..., k, n, n)."""
-        k = self.k if k is None else k
+    @cached_property
+    def _hess(self) -> CompiledPoly:
+        return CompiledPoly([
+            q.diff(l) for row in self._grad_polys
+            for j, q in enumerate(row) for l in range(j, self.n)
+        ])
+
+    def _symmetric(self, upper: np.ndarray, k: int) -> np.ndarray:
+        # (..., k * n(n+1)/2) upper triangles -> (..., k, n, n)
         n = self.n
-        if self._h is None:
-            self._h = CompiledPoly([
-                q.diff(l) for row in self._grad_polys
-                for j, q in enumerate(row) for l in range(j, n)
-            ])
-        X = np.asarray(X, dtype=float)
-        upper = self._h(X, k * (n * (n + 1) // 2))
-        upper = upper.reshape(X.shape[:-1] + (k, n * (n + 1) // 2))
+        upper = upper.reshape(upper.shape[:-1] + (k, n * (n + 1) // 2))
         j, l = np.triu_indices(n)
-        out = np.empty(X.shape[:-1] + (k, n, n))
+        out = np.empty(upper.shape[:-1] + (n, n))
         out[..., j, l] = upper
         out[..., l, j] = upper
         return out
+
+    def hessians(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Hessians of the first k invariants; (..., n) -> (..., k, n, n)."""
+        k = self.k if k is None else k
+        return self._symmetric(self._hess(X, k * (self.n * (self.n + 1) // 2)), k)
+
+    def evaluate(self, X: np.ndarray, k: int | None = None, hess: bool = False):
+        """(P, J) or (P, J, H) of the first k invariants at a batch X of shape
+        (B, n), from one power table.  Each equals its own `P` / `J` /
+        `hessians` call on the same batch bit for bit."""
+        k = self.k if k is None else k
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise UsageError("evaluate needs a batch of shape (B, n)")
+        if not 1 <= k <= self.k:
+            raise UsageError(f"k must be in 1..{self.k}")
+        # the invariants have the top exponent; their derivatives lower ones
+        table = power_table(X, self._p.degrees[k - 1])
+        P = self._p.from_powers(table, k)
+        J = self._g.from_powers(table, k * self.n).reshape(len(X), k, self.n)
+        if not hess:
+            return P, J
+        H = self._hess.from_powers(table, k * (self.n * (self.n + 1) // 2))
+        return P, J, self._symmetric(H, k)
+
+    def restrict(self, B: np.ndarray) -> "RestrictedBasis":
+        """The invariants on the span of B's columns, in its coordinates."""
+        return RestrictedBasis(self, B)
+
+
+class RestrictedBasis:
+    """P and J of a compiled basis pulled back along y -> B y, where B is
+    (n, d): P(Y) = P(Y B^T) and J(Y) = J(Y B^T) B for Y of shape (S, d)."""
+
+    def __init__(self, base: CompiledBasis, B: np.ndarray):
+        self.base = base
+        self.B = np.asarray(B, dtype=float)
+
+    def P(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
+        return self.base.P(Y @ self.B.T, k)
+
+    def J(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
+        return np.einsum("bkn,nj->bkj", self.base.J(Y @ self.B.T, k), self.B)
+
+    def evaluate(self, Y: np.ndarray, k: int | None = None):
+        P, J = self.base.evaluate(Y @ self.B.T, k)
+        return P, np.einsum("bkn,nj->bkj", J, self.B)
 
 
 def chevalley_eval(basis: InvariantBasis, x, k: int | None = None) -> np.ndarray:

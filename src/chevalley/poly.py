@@ -427,6 +427,14 @@ class PolyMatrix:
         return _poly(self.nvars, minors[tuple(range(n))], d ** n)
 
 
+def power_table(x: np.ndarray, degree: int) -> np.ndarray:
+    """x_i^0..x_i^degree for the rows of x (B, n): shape (B, n, degree + 1).
+
+    An entry x_i^p does not depend on `degree`, so one table of the largest
+    degree serves every polynomial table of a batch."""
+    return x[:, :, None] ** np.arange(degree + 1)
+
+
 class CompiledPoly:
     """A list of polynomials frozen into one monomial table for batched float
     evaluation.
@@ -479,20 +487,31 @@ class CompiledPoly:
         if not 0 <= count <= len(self.terms):
             raise UsageError(f"count must be in 0..{len(self.terms)}")
         flat = x.reshape(-1, self.nvars)
-        out = np.zeros((len(flat), count))
+        degree = self.degrees[count - 1] if count else 0
+        out = self._values(len(flat), count, lambda a, b: power_table(flat[a:b], degree))
+        out = out.reshape(x.shape[:-1] + (count,))
+        return out[..., 0] if self.single else out
+
+    def from_powers(self, table: np.ndarray, count: int) -> np.ndarray:
+        """Values of the first `count` polynomials from a power table of the
+        whole batch, (B, nvars, >= degree + 1) as `power_table` builds it:
+        shape (B, count), equal bit for bit to `self(x, count)`."""
+        return self._values(len(table), count, lambda a, b: table[a:b])
+
+    def _values(self, size: int, count: int, powers) -> np.ndarray:
+        # powers(a, b) is the power table of rows a..b-1
+        out = np.zeros((size, count))
         if count:
             expo = self.expo[:self.ends[count - 1]]
-            powers = np.arange(self.degrees[count - 1] + 1)
             rows = self.chunk_rows(count)
-            for start in range(0, len(flat), rows):
-                table = flat[start:start + rows, :, None] ** powers
+            for start in range(0, size, rows):
+                table = powers(start, start + rows)
                 mono = table[:, 0, expo[:, 0]]
                 for v in range(1, self.nvars):
                     mono *= table[:, v, expo[:, v]]
                 for q, (cols, coef) in enumerate(self.terms[:count]):
                     out[start:start + rows, q] = np.ascontiguousarray(mono[:, cols]) @ coef
-        out = out.reshape(x.shape[:-1] + (count,))
-        return out[..., 0] if self.single else out
+        return out
 
     def chunk_rows(self, count: int) -> int:
         """Rows per chunk when evaluating the first `count` polynomials: a

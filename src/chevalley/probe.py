@@ -53,8 +53,12 @@ def _solve(A, b):
 
 
 def _gram_solve(J, rhs):
-    """(J J^T + 1e-300 I)^-1 rhs per sample, as a (B, k, 1) array."""
-    return _solve(J @ np.swapaxes(J, 1, 2) + 1e-300 * np.eye(J.shape[1]), rhs[..., None])
+    """(J J^T + 1e-300 I)^-1 rhs per sample, as a (B, k, 1) array.  For
+    k = 1 it is one division, which is what LAPACK's 1x1 solve computes."""
+    A = J @ np.swapaxes(J, 1, 2) + 1e-300 * np.eye(J.shape[1])
+    if J.shape[1] == 1:
+        return rhs[..., None] / A
+    return _solve(A, rhs[..., None])
 
 
 def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
@@ -62,19 +66,25 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
 
     Returns (X, ok): updated points and a convergence mask.  Non-finite or
     runaway rows are marked failed and left untouched.
+
+    A row that converged in the loop is not moved again and passed a test
+    ten times tighter than the closing one, so when every row converged
+    the closing evaluation is skipped.  Otherwise it runs on the whole
+    batch, because a row's rounding depends on its place in the batch.
     """
     m = np.asarray(m, dtype=float)
     X = np.array(X, dtype=float)
     scale = 1.0 + float(np.max(np.abs(m)))
     active = np.ones(len(X), dtype=bool)
+    converged = np.zeros(len(X), dtype=bool)
     for _ in range(max_iter):
         if not np.any(active):
             break
         Xa = X[active]
-        R = cb.P(Xa, k) - m
+        P, J = cb.evaluate(Xa, k)
+        R = P - m
         bad = ~np.all(np.isfinite(R), axis=1) | (np.max(np.abs(Xa), axis=1) > 1e8)
         done = np.max(np.abs(R), axis=1) <= tol * scale
-        J = cb.J(Xa, k)
         step = np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve(J, R), axis=-1)
         # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
         norms = np.linalg.norm(step, axis=1, keepdims=True)
@@ -85,6 +95,9 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
         X[active] = Xa
         idx = np.flatnonzero(active)
         active[idx[done | bad]] = False
+        converged[idx[done & ~bad]] = True
+    if np.all(converged):
+        return X, converged
     R = cb.P(X, k) - m
     ok = np.all(np.isfinite(R), axis=1) & (
         np.max(np.abs(R), axis=1) <= 10 * tol * scale
@@ -92,9 +105,9 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
     return X, ok
 
 
-def _tangent_directions(cb, k, X, G):
-    """Project the random directions G onto the tangent space of the fiber."""
-    J = cb.J(X, k)
+def _tangent_directions(J, G):
+    """Project the directions G onto the tangent space of the fiber, the
+    kernel of the Jacobian rows J (B, k, n)."""
     alpha = _gram_solve(J, np.einsum("bkn,bn->bk", J, G))
     T = G - np.squeeze(np.swapaxes(J, 1, 2) @ alpha, axis=-1)
     norms = np.linalg.norm(T, axis=1, keepdims=True)
@@ -192,7 +205,7 @@ def sample_fiber(
     steps = max(int(np.ceil(1.3 * n_points / walkers)), 4)
     step_len = 0.15 * s
     for _ in range(steps):
-        T = _tangent_directions(cb, k, X, rng.normal(size=(walkers, n)))
+        T = _tangent_directions(cb.J(X, k), rng.normal(size=(walkers, n)))
         X = X + step_len * T
         X, ok = _project_batch(cb, k, m, X, max_iter=25)
         runaway = np.linalg.norm(X, axis=1) > cap
@@ -235,19 +248,21 @@ def _extend_extremes(cb, rs, k, m, pts, s, cap):
         return np.zeros((0, pts.shape[1]))
     vals = cb.P(pts, k + 1)[:, k]
     chosen = pts[[int(np.argmin(vals)), int(np.argmax(vals))]].copy()
+    # P and J of `chosen`: a moved row takes the values its candidate had at
+    # the same place of the same two-row batch
+    P, J = cb.evaluate(chosen, k + 1)
     signs = np.array([-1.0, 1.0])
     out = [chosen.copy()]
     step = 0.2 * s
     for _ in range(40):
-        G = cb.J(chosen, k + 1)[:, k, :]
-        T = _tangent_directions(cb, k, chosen, G * signs[:, None])
+        T = _tangent_directions(np.ascontiguousarray(J[:, :k]), J[:, k, :] * signs[:, None])
         cand = chosen + step * T
         cand, ok = _project_batch(cb, k, m, cand, max_iter=25)
-        v_old = cb.P(chosen, k + 1)[:, k]
-        v_new = cb.P(cand, k + 1)[:, k]
-        better = ok & (signs * (v_new - v_old) > 0)
+        P_new, J_new = cb.evaluate(cand, k + 1)
+        better = ok & (signs * (P_new[:, k] - P[:, k]) > 0)
         better &= np.linalg.norm(cand, axis=1) <= cap
         chosen[better] = cand[better]
+        P[better], J[better] = P_new[better], J_new[better]
         if not np.any(better):
             step *= 0.5
             if step < 1e-9 * s:
@@ -257,7 +272,13 @@ def _extend_extremes(cb, rs, k, m, pts, s, cap):
 
 
 def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
-    """Connected components of the r-neighborhood graph on the sample."""
+    """Connected components of the r-neighborhood graph on the sample.
+
+    The default radius is three times the largest nearest-neighbour
+    distance d.  The graph within d is a subgraph of that one in which
+    every point has an edge, so when it is connected, so is the r-graph;
+    the much denser r-graph is built only when it is not.
+    """
     pts = fs.points
     if len(pts) == 0:
         raise UsageError("connectivity of an empty sample is undefined")
@@ -266,18 +287,26 @@ def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
     tree = cKDTree(pts)
     if radius is None:
         nn, _ = tree.query(pts, k=2)
-        radius = 3.0 * float(np.max(nn[:, 1]))
+        inner = float(np.max(nn[:, 1]))
+        if _components(tree, inner) == 1:
+            return 1
+        radius = 3.0 * inner
+    return _components(tree, radius)
+
+
+def _components(tree: cKDTree, radius: float) -> int:
+    """Connected components of the graph joining points within `radius`."""
+    size = tree.n
     pairs = tree.query_pairs(radius, output_type="ndarray")
     # int32 CSR built by hand: dense fibers give ~10^6 pairs, and a COO
     # round trip would hold several int64 copies of them at once
     rows, cols = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32)
     del pairs
     indices = cols[np.argsort(rows)]
-    indptr = np.zeros(len(pts) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=len(pts)), out=indptr[1:])
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
     del rows, cols
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr),
-                       shape=(len(pts), len(pts)))
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
     return int(connected_components(graph, directed=False)[0])
 
 
@@ -396,11 +425,10 @@ def critical_points(
     scale = 1.0 + float(np.max(np.abs(m)))
     for _ in range(80):
         X, mu = Z[:, :n], Z[:, n:]
-        G = cb.J(X, k + 1)
+        P, G, H = cb.evaluate(X, k + 1, hess=True)
         Jk, gk1 = G[:, :k, :], G[:, k, :]
-        H = cb.hessians(X, k + 1)
         Hl = H[:, k] - np.einsum("bj,bjpq->bpq", mu, H[:, :k])
-        R1 = cb.P(X, k) - m
+        R1 = P[:, :k] - m
         R2 = gk1 - np.einsum("bj,bjn->bn", mu, Jk)
         R = np.concatenate([R1, R2], axis=1)
         if float(np.max(np.abs(R), initial=0.0)) <= NEWTON_TOL * scale:
@@ -421,10 +449,11 @@ def critical_points(
         Z = Z[finite]
         if len(Z) == 0:
             return []
-
-    X, mu = Z[:, :n], Z[:, n:]
-    G = cb.J(X, k + 1)
-    R1 = cb.P(X, k) - m
+    else:
+        X, mu = Z[:, :n], Z[:, n:]
+        P, G = cb.evaluate(X, k + 1)
+    # after a break, P and G are those of the converged batch itself
+    R1 = P[:, :k] - m
     R2 = G[:, k, :] - np.einsum("bj,bjn->bn", mu, G[:, :k, :])
     resid = np.maximum(np.max(np.abs(R1), axis=1), np.max(np.abs(R2), axis=1))
     good = resid <= CRITICAL_RESIDUAL_TOL * scale
@@ -446,20 +475,18 @@ def critical_points(
 
 
 def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
-    cb = basis.compiled
-    G = cb.J(x[None, :], k + 1)[0]
+    P, G, H = (a[0] for a in basis.compiled.evaluate(x[None, :], k + 1, hess=True))
     Jk, gk1 = G[:k], G[k]
     resid = max(
-        float(np.max(np.abs(cb.P(x[None, :], k)[0] - m))),
+        float(np.max(np.abs(P[:k] - m))),
         float(np.max(np.abs(gk1 - mu @ Jk))),
     )
-    value = float(cb.P(x[None, :], k + 1)[0, k])
+    value = float(P[k])
 
     st = stratum_of_point(rs, strata, x)
     sdim = st.dim if st is not None else -1
 
     # tangent space of the fiber and projected Hessian of the Lagrange function
-    H = cb.hessians(x[None, :], k + 1)[0]
     Hl = H[k] - np.einsum("j,jpq->pq", mu, H[:k])
     _, sv, vt = np.linalg.svd(Jk)
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1e-300)))

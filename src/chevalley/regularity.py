@@ -529,19 +529,10 @@ def envelope_at(
         if s.dim != k:
             continue
         B = s.basis
-
-        class _Restricted:
-            def P(self, Y, kk):
-                return cb.P(Y @ B.T, kk)
-
-            def J(self, Y, kk):
-                return np.einsum("bkn,nj->bkj", cb.J(Y @ B.T, kk), B)
-
-        values = []
         anchor_y = B.T @ s.anchor
         scale = float(np.sqrt(abs(m[0]))) if basis.degrees[0] == 2 and m[0] > 0 else 1.0
         Y0 = anchor_y[None, :] * scale + 0.3 * scale * rng.normal(size=(16, k))
-        Y, ok = _project_batch(_Restricted(), k, m, Y0, max_iter=80)
+        Y, ok = _project_batch(cb.restrict(B), k, m, Y0, max_iter=80)
         X = Y[ok] @ B.T
         if len(X):
             inside = rs.chamber_contains(X, tol=1e-9 * max(scale, 1.0))

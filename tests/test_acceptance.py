@@ -176,7 +176,7 @@ def test_criterion_5_fiber_connectivity(basis_cache, rs_cache):
     worst_gap = max(gaps)
     med_n = float(np.median([g for g, _ in gap_pairs]))
     med_2n = float(np.median([g2 for _, g2 in gap_pairs]))
-    ok = frac >= 0.95 and worst_gap <= 0.05 and med_2n < med_n
+    ok = frac >= 0.95 and worst_gap <= 0.05 and med_2n < med_n and elapsed <= 120
     conclude(5, "fiber connectivity and interval refinement", ok,
              f"connected {total['connected']}/{total['nonempty']} "
              f"max_gap={worst_gap:.4f} median gap {med_n:.4f}->{med_2n:.4f} "

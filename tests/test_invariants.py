@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chevalley import poly
 from chevalley.coxeter import build_root_system, coxeter_type, generate_group
 from chevalley.errors import CapabilityError, IntegrityError, UsageError
 from chevalley.field import ONE, Scalar
@@ -276,6 +277,10 @@ def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng)
                 ref_h = _per_polynomial_reference(hess[i][j], X)
                 assert np.array_equal(H[:, i, j, j:], ref_h[:, j:])
                 assert np.array_equal(H[:, i, j:, j], ref_h[:, j:])
+        P, J, H1 = cb.evaluate(X, hess=True)
+        assert np.array_equal(P, ref_p)
+        assert np.array_equal(J, ref_j)
+        assert np.array_equal(H1, H)
 
 
 @pytest.mark.parametrize("name", ["H4", "D6", "A4"])
@@ -289,3 +294,55 @@ def test_compiled_basis_prefixes_and_symmetry(name, basis_cache, rng):
         assert np.array_equal(cb.P(X, k), P[:, :k])
         assert np.array_equal(cb.J(X, k), J[:, :k])
         assert np.array_equal(cb.hessians(X, k), H[:, :k])
+
+
+EVERY_TYPE = ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4",
+              "D2", "D3", "D4", "D5", "D6", "I2:3", "I2:5", "I2:7", "I2:12",
+              "G2", "H3", "F4", "H4"]
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
+    """One power table per batch reproduces P, J and the Hessians bit for
+    bit, with each table cut into chunks at its own row boundaries."""
+    b = basis_cache(name)
+    cb = b.compiled
+    X = rng.normal(size=(200, b.nvars))
+    # default chunks; 64-row chunks for every table; 128-row chunks for P
+    for chunk_values in (poly.CHUNK_VALUES, 1, 128 * cb._p.ends[-1]):
+        monkeypatch.setattr(poly, "CHUNK_VALUES", chunk_values)
+        for size in (0, 1, 2, 65, 200):
+            Xs = X[:size]
+            for k in range(1, cb.k + 1):
+                P, J, H = cb.evaluate(Xs, k, hess=True)
+                assert P.shape == (size, k) and J.shape == (size, k, b.nvars)
+                assert np.array_equal(P, cb.P(Xs, k))
+                assert np.array_equal(J, cb.J(Xs, k))
+                assert np.array_equal(H, cb.hessians(Xs, k))
+                P2, J2 = cb.evaluate(Xs, k)
+                assert np.array_equal(P2, P) and np.array_equal(J2, J)
+
+
+def test_evaluate_rejects_bad_shapes(basis_cache):
+    cb = basis_cache("B3").compiled
+    with pytest.raises(UsageError):
+        cb.evaluate(np.zeros(3))
+    with pytest.raises(UsageError):
+        cb.evaluate(np.zeros((2, 4)))
+    with pytest.raises(UsageError):
+        cb.evaluate(np.zeros((2, 3)), 4)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A4"])
+def test_restricted_basis_pulls_back(name, basis_cache, strata_cache, rng):
+    cb = basis_cache(name).compiled
+    for s in strata_cache(name):
+        B = s.basis
+        Y = rng.normal(size=(33, B.shape[1]))
+        rb = cb.restrict(B)
+        for k in range(1, cb.k + 1):
+            P, J = rb.evaluate(Y, k)
+            assert np.array_equal(P, cb.P(Y @ B.T, k))
+            assert np.array_equal(P, rb.P(Y, k))
+            assert np.array_equal(J, np.einsum("bkn,nj->bkj", cb.J(Y @ B.T, k), B))
+            assert np.array_equal(J, rb.J(Y, k))

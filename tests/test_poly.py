@@ -16,6 +16,7 @@ from chevalley.poly import (
     PolyMatrix,
     SparsePoly,
     expand_linear_power,
+    power_table,
     product,
 )
 
@@ -383,3 +384,23 @@ def test_kernel_exponent_overflow_is_usage_error():
         SparsePoly(2, {(MAX_DEGREE + 1, 0): ONE}) + x
     with pytest.raises(UsageError):
         PolyMatrix([[x ** 40000, y], [y, x ** 40000]]).det()
+
+
+def test_power_table_entries_do_not_depend_on_its_length(rng):
+    """x^p is the same float whatever the table's top degree: this is what
+    lets one table of a batch feed the P, J and Hessian tables."""
+    x = rng.normal(size=(4096, 6)) * np.exp(rng.uniform(-20, 20, size=(4096, 6)))
+    x[:8] = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0]
+    full = power_table(x, 30)
+    assert full.shape == (4096, 6, 31)
+    for d in range(31):
+        assert np.array_equal(power_table(x, d), full[..., :d + 1])
+
+
+def test_compiled_from_powers_matches_call(rng):
+    polys = [_random_poly(rng, 3), _random_poly(rng, 3), SparsePoly.zero(3)]
+    table = CompiledPoly(polys)
+    pts = rng.uniform(-2, 2, size=(130, 3))
+    powers = power_table(pts, max(table.degrees) + 4)
+    for count in range(4):
+        assert np.array_equal(table.from_powers(powers, count), table(pts, count))

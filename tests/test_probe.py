@@ -283,29 +283,285 @@ def test_regular_target_is_first_passing_draw(basis_cache, rs_cache):
 
 def test_critical_points_survive_singular_multiplier_solve(
         basis_cache, rs_cache, strata_cache, monkeypatch):
-    """The initial multiplier solve falls back to pinv like the Newton steps."""
+    """The first solve after projection falls back to pinv: for k >= 2 the
+    initial multiplier solve, for k = 1 (a division there) a Newton step."""
     import chevalley.probe as probe
 
-    b, rs = basis_cache("B2"), rs_cache("B2")
-    want = critical_points(b, rs, 1, [1.0], seed=3, strata=strata_cache("B2"))
-    state = {"projected": False, "raised": False}
     project, solve = probe._project_batch, np.linalg.solve
+    for name, k, m in [("B2", 1, [1.0]), ("B3", 2, [1.0, 0.3])]:
+        b, rs = basis_cache(name), rs_cache(name)
+        want = critical_points(b, rs, k, m, seed=3, strata=strata_cache(name))
+        state = {"projected": False, "raised": False}
 
-    def projected(*args, **kwargs):
-        out = project(*args, **kwargs)
-        state["projected"] = True
-        return out
+        def projected(*args, **kwargs):
+            out = project(*args, **kwargs)
+            state["projected"] = True
+            return out
 
-    def singular_once(a, b_):
-        if state["projected"] and not state["raised"]:
-            state["raised"] = True
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b_)
+        def singular_once(a, b_):
+            if state["projected"] and not state["raised"]:
+                state["raised"] = True
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b_)
 
-    monkeypatch.setattr(probe, "_project_batch", projected)
-    monkeypatch.setattr(np.linalg, "solve", singular_once)
-    got = critical_points(b, rs, 1, [1.0], seed=3, strata=strata_cache("B2"))
-    assert state["raised"]
-    assert len(got) == len(want) == 2
-    for g, w in zip(got, want):
-        assert np.allclose(g.x, w.x, atol=1e-9) and abs(g.value - w.value) < 1e-9
+        with monkeypatch.context() as mp:
+            mp.setattr(probe, "_project_batch", projected)
+            mp.setattr(np.linalg, "solve", singular_once)
+            got = critical_points(b, rs, k, m, seed=3, strata=strata_cache(name))
+        assert state["raised"]
+        assert len(got) == len(want) >= 2
+        for g, w in zip(got, want):
+            assert np.allclose(g.x, w.x, atol=1e-9) and abs(g.value - w.value) < 1e-9
+
+
+# -- the solver loops against the per-call loops they replaced ----------------
+# Reference copies of the Newton projection, the tangent projection and the
+# extreme-point polish as they were when each of P, J and the Hessians was its
+# own evaluator call.  The fused loops must give the same floats.
+
+
+def _solve_reference(A, b):
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(A) @ b
+
+
+def _gram_solve_reference(J, rhs):
+    return _solve_reference(J @ np.swapaxes(J, 1, 2) + 1e-300 * np.eye(J.shape[1]),
+                            rhs[..., None])
+
+
+def _project_batch_reference(cb, k, m, X, tol=1e-12, max_iter=60):
+    m = np.asarray(m, dtype=float)
+    X = np.array(X, dtype=float)
+    scale = 1.0 + float(np.max(np.abs(m)))
+    active = np.ones(len(X), dtype=bool)
+    for _ in range(max_iter):
+        if not np.any(active):
+            break
+        Xa = X[active]
+        R = cb.P(Xa, k) - m
+        bad = ~np.all(np.isfinite(R), axis=1) | (np.max(np.abs(Xa), axis=1) > 1e8)
+        done = np.max(np.abs(R), axis=1) <= tol * scale
+        J = cb.J(Xa, k)
+        step = np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve_reference(J, R), axis=-1)
+        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        cap = 0.5 * (1.0 + np.linalg.norm(Xa, axis=1, keepdims=True))
+        step = np.where(norms > cap, step * cap / np.maximum(norms, 1e-300), step)
+        move = ~(done | bad)
+        Xa[move] -= step[move]
+        X[active] = Xa
+        idx = np.flatnonzero(active)
+        active[idx[done | bad]] = False
+    R = cb.P(X, k) - m
+    ok = np.all(np.isfinite(R), axis=1) & (np.max(np.abs(R), axis=1) <= 10 * tol * scale)
+    return X, ok
+
+
+def _tangent_directions_reference(cb, k, X, G):
+    J = cb.J(X, k)
+    alpha = _gram_solve_reference(J, np.einsum("bkn,bn->bk", J, G))
+    T = G - np.squeeze(np.swapaxes(J, 1, 2) @ alpha, axis=-1)
+    norms = np.linalg.norm(T, axis=1, keepdims=True)
+    return T / np.maximum(norms, 1e-300)
+
+
+def _extend_extremes_reference(cb, k, m, pts, s, cap):
+    vals = cb.P(pts, k + 1)[:, k]
+    chosen = pts[[int(np.argmin(vals)), int(np.argmax(vals))]].copy()
+    signs = np.array([-1.0, 1.0])
+    out = [chosen.copy()]
+    step = 0.2 * s
+    for _ in range(40):
+        G = cb.J(chosen, k + 1)[:, k, :]
+        T = _tangent_directions_reference(cb, k, chosen, G * signs[:, None])
+        cand = chosen + step * T
+        cand, ok = _project_batch_reference(cb, k, m, cand, max_iter=25)
+        v_old = cb.P(chosen, k + 1)[:, k]
+        v_new = cb.P(cand, k + 1)[:, k]
+        better = ok & (signs * (v_new - v_old) > 0)
+        better &= np.linalg.norm(cand, axis=1) <= cap
+        chosen[better] = cand[better]
+        if not np.any(better):
+            step *= 0.5
+            if step < 1e-9 * s:
+                break
+        out.append(chosen.copy())
+    return np.concatenate(out, axis=0)
+
+
+REFERENCE_TYPES = ["B2", "B3", "A4", "H3"]
+
+
+def _starts(b, m, size, rng):
+    s = float(np.sqrt(m[0])) if b.degrees[0] == 2 else 1.0
+    return rng.normal(size=(size, b.nvars)) * s
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e-300, 1e300])
+def test_gram_solve_matches_reference(scale):
+    from chevalley.probe import _gram_solve
+
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3):
+        J = rng.normal(size=(300, k, 4)) * scale
+        J[:5] = 0.0
+        rhs = rng.normal(size=(300, k)) * scale
+        assert np.array_equal(_gram_solve(J, rhs), _gram_solve_reference(J, rhs),
+                              equal_nan=True)
+
+
+@pytest.mark.parametrize("name", REFERENCE_TYPES)
+def test_project_batch_matches_reference_loop(name, basis_cache, rs_cache):
+    b, rs = basis_cache(name), rs_cache(name)
+    cb = b.compiled
+    paths = set()
+    for k in range(1, b.nvars + 1):
+        for seed in (1, 2, 3):
+            m, _ = random_regular_target(b, rs, k, 40 + 7 * seed + k)
+            rng = np.random.default_rng(seed)
+            X0 = _starts(b, m, 48, rng)
+            # 3 iterations leave rows active; 60 converge almost all of them
+            for max_iter in (3, 25, 60):
+                got = _project_batch(cb, k, m, X0, max_iter=max_iter)
+                want = _project_batch_reference(cb, k, m, X0, max_iter=max_iter)
+                assert np.array_equal(got[0], want[0], equal_nan=True)
+                assert np.array_equal(got[1], want[1])
+                paths.add((max_iter, bool(np.all(got[1]))))
+            # a batch that converges on every row skips the closing check
+            X1, ok = _project_batch(cb, k, m, X0)
+            X1 = X1[ok] + 1e-3 * rng.normal(size=X1[ok].shape)
+            got = _project_batch(cb, k, m, X1)
+            want = _project_batch_reference(cb, k, m, X1)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            paths.add(("converged", bool(np.all(got[1]))))
+    # rows left active after 3 iterations, and batches that all converge
+    assert (3, False) in paths and ("converged", True) in paths
+
+
+def test_project_batch_far_starts_match_reference(basis_cache, rs_cache):
+    """A4 k=1: the first invariant is linear, so a start beyond |x| > 1e8 can
+    already solve P_1 = m exactly.  Such a row is `bad` and `done` at once,
+    and its verdict must still come from the closing check."""
+    b, rs = basis_cache("A4"), rs_cache("A4")
+    cb = b.compiled
+    rng = np.random.default_rng(9)
+    # dyadic entries: the sums below are exact, so the residual is 0
+    x0 = np.round(rng.normal(size=4) * 2**20) / 2**20
+    m = cb.P(x0[None, :], 1)[0]
+    far = x0 + 2.0**30 * np.array([1.0, -1.0, 0.0, 0.0])
+    assert cb.P(far[None, :], 1)[0, 0] == m[0]
+    batches = [
+        np.stack([far, far[::-1]]),                                    # only far rows
+        np.concatenate([[far], _starts(b, [1.0], 20, rng)]),           # mixed
+        np.concatenate([_starts(b, [1.0], 20, rng) * 1e9, [far]]),     # far, unsolved
+        np.concatenate([[far], _starts(b, [1.0], 20, rng), [x0]]),
+    ]
+    for X0 in batches:
+        for max_iter in (1, 60):
+            got = _project_batch(cb, 1, m, X0, max_iter=max_iter)
+            want = _project_batch_reference(cb, 1, m, X0, max_iter=max_iter)
+            assert np.array_equal(got[0], want[0], equal_nan=True)
+            assert np.array_equal(got[1], want[1])
+    X, ok = _project_batch(cb, 1, m, np.stack([far, x0]))
+    assert ok.tolist() == [True, True] and np.array_equal(X[0], far)
+
+
+@pytest.mark.parametrize("name", REFERENCE_TYPES)
+def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache):
+    from chevalley.probe import _extend_extremes, _fiber_scale
+
+    b, rs = basis_cache(name), rs_cache(name)
+    cb = b.compiled
+    for k in range(1, b.nvars):
+        for seed in (4, 5):
+            m, hint = random_regular_target(b, rs, k, 60 + 11 * seed + k)
+            s = _fiber_scale(b, m, hint)
+            cap = 2.5 * float(np.linalg.norm(hint))
+            rng = np.random.default_rng(seed)
+            pts, ok = _project_batch(cb, k, m, hint + 0.1 * s * rng.normal(size=(40, b.nvars)))
+            pts = pts[ok]
+            got = _extend_extremes(cb, rs, k, m, pts, s, cap)
+            want = _extend_extremes_reference(cb, k, m, pts, s, cap)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,k", [("B3", 1), ("B3", 2), ("H3", 1), ("H3", 2)])
+def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache,
+                                            strata_cache, monkeypatch):
+    """`envelope_at` on restricted bases gives the floats of the per-call
+    projection on the face coordinates."""
+    import chevalley.regularity as regularity
+
+    b, rs = basis_cache(name), rs_cache(name)
+    m = random_regular_target(b, rs, k, 17)[0]
+    got = regularity.envelope_at(b, rs, k, m, strata=strata_cache(name))
+    monkeypatch.setattr(regularity, "_project_batch", _project_batch_reference)
+    want = regularity.envelope_at(b, rs, k, m, strata=strata_cache(name))
+    assert got == want
+
+
+# -- connectivity against the full r-graph --------------------------------------
+
+
+def _components_reference(pts, radius=None):
+    """Components of the r-graph, r = 3 * largest nearest-neighbour distance."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(pts)
+    if radius is None:
+        radius = 3.0 * float(np.max(tree.query(pts, k=2)[0][:, 1]))
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(len(pts), len(pts)))
+    return int(connected_components(graph, directed=False)[0])
+
+
+def _two_grids(gap, h=0.125, size=6, rng=None):
+    """Two size x size grids of pitch h whose nearest points are `gap` apart."""
+    g = np.stack(np.meshgrid(np.arange(size), np.arange(size)), -1).reshape(-1, 2) * h
+    other = g + np.array([(size - 1) * h + gap, 0.0])
+    pts = np.concatenate([g, other])
+    if rng is not None:
+        pts = pts[rng.permutation(len(pts))]
+    return FiberSample("B2", 1, np.array([1.0]), pts, 0, 0.0)
+
+
+# pitch 0.125 and dyadic gaps: every distance is exact
+@pytest.mark.parametrize("gap,radius,want,graphs", [
+    (0.0625, None, 1, 1),   # gap < max-NN: the max-NN graph decides
+    (0.25, None, 1, 2),     # max-NN < gap <= 3 max-NN: split there, joined at 3x
+    (0.375, None, 1, 2),
+    (0.5, None, 2, 2),      # gap > 3 max-NN
+    (0.0625, 0.05, 72, 1),  # an explicit radius below max-NN isolates every point
+])
+def test_connectivity_matches_full_graph(gap, radius, want, graphs, monkeypatch):
+    import chevalley.probe as probe
+
+    radii = []
+    components = probe._components
+
+    def counted(tree, r):
+        radii.append(r)
+        return components(tree, r)
+
+    monkeypatch.setattr(probe, "_components", counted)
+    fs = _two_grids(gap, rng=np.random.default_rng(2))
+    assert fiber_connectivity(fs, radius) == want
+    assert _components_reference(fs.points, radius) == want
+    assert len(radii) == graphs
+
+
+def test_connectivity_matches_full_graph_on_random_clouds():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(2, 200))
+        pts = rng.normal(size=(n, 3)) * rng.uniform(0.1, 2.0, size=3)
+        pts[: n // 3] += rng.uniform(0, 8)
+        fs = FiberSample("B3", 1, np.array([1.0]), pts, 0, 0.0)
+        assert fiber_connectivity(fs) == _components_reference(pts)
+        r = float(rng.uniform(0.05, 1.0))
+        assert fiber_connectivity(fs, r) == _components_reference(pts, r)
