@@ -331,7 +331,7 @@ def image_pair_ratio(g: ImageGraph, x_from, x_to) -> float:
     points, snapped to their nearest mesh vertices."""
     _, i = g.tree.query(np.asarray(x_from, dtype=float))
     _, j = g.tree.query(np.asarray(x_to, dtype=float))
-    dist = dijkstra(g.graph, directed=False, indices=[i])[0, j]
+    dist = dijkstra(g.graph, directed=True, indices=[i])[0, j]  # symmetric CSR
     eu = float(np.linalg.norm(g.image[i] - g.image[j]))
     if eu == 0:
         raise UsageError("image points coincide")

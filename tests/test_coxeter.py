@@ -8,6 +8,9 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from chevalley.coxeter import (
     RootSystem,
@@ -411,7 +414,7 @@ def test_sample_stratum_margins_and_vanishing(rs_cache, strata_cache):
     for s in strata_cache("H3"):
         if s.dim == 0:
             pts = sample_stratum(s, 5, 1.0, 1, rs)
-            assert np.allclose(pts, 0)
+            assert pts.shape == (5, rs.n) and np.all(pts == 0)
             continue
         pts = sample_stratum(s, 30, 2.0, 11, rs)
         assert np.all(np.linalg.norm(pts, axis=1) <= 2.0 + 1e-12)
@@ -424,6 +427,15 @@ def test_sample_stratum_margins_and_vanishing(rs_cache, strata_cache):
                 assert np.min(rs.simple_unit_f[others] @ x) > 0
 
 
+def test_sample_stratum_dim0_face_validates_and_gives_count_rows(rs_cache, strata_cache):
+    rs = rs_cache("B3")
+    origin = next(s for s in strata_cache("B3") if s.dim == 0)
+    assert sample_stratum(origin, 7, 1.0, 3, rs).shape == (7, 3)
+    for count, radius in ((0, 1.0), (3, 0.0), (3, -1.0)):
+        with pytest.raises(UsageError):
+            sample_stratum(origin, count, radius, 3, rs)
+
+
 def test_sample_stratum_deterministic(rs_cache, strata_cache):
     rs = rs_cache("B3")
     s = next(t for t in strata_cache("B3") if t.dim == 2)
@@ -432,9 +444,44 @@ def test_sample_stratum_deterministic(rs_cache, strata_cache):
     assert a.tobytes() == b.tobytes()
 
 
+def test_sample_stratum_gives_up_naming_the_face(rs_cache, strata_cache):
+    """Unit wall forms are at most 1, so a margin of 2 admits no direction."""
+    rs = rs_cache("B3")
+    s = next(t for t in strata_cache("B3") if t.dim == 2)
+    with pytest.raises(CapabilityError, match=s.stratum_id):
+        sample_stratum(s, 4, 1.0, 3, rs, margin=2.0)
+
+
+_PROPERTY_TYPES = ["A3", "B2", "B3", "D4", "D6", "G2", "I2:5", "H3", "F4", "H4"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(_PROPERTY_TYPES),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(1, 60),
+       radius=st.floats(1e-3, 1e3), margin=st.sampled_from([0.0, 0.01, 0.02]))
+def test_sample_stratum_properties(data, name, seed, count, radius, margin,
+                                   rs_cache, strata_cache):
+    rs = rs_cache(name)
+    s = data.draw(st.sampled_from([t for t in strata_cache(name) if t.dim > 0]))
+    X = sample_stratum(s, count, radius, seed, rs, margin)
+    assert X.shape == (count, rs.n)
+    assert X.tobytes() == sample_stratum(s, count, radius, seed, rs, margin).tobytes()
+    nx = np.linalg.norm(X, axis=1)
+    # rounding slack of a few ulps on the norm and on each form
+    assert np.all(nx >= radius * 0.15 ** (1.0 / s.dim) * (1 - 1e-12))
+    assert np.all(nx <= radius * (1 + 1e-12))
+    if s.isotropy:
+        iso = np.abs(X @ rs.positive_f[list(s.isotropy)].T).max(axis=1)
+        assert np.all(iso <= 1e-12 * nx)
+    others = [i for i in range(len(rs.simple_f)) if i not in s.walls]
+    if others:
+        forms = (X @ rs.simple_unit_f[others].T).min(axis=1)
+        assert np.all(forms >= margin * nx - 1e-12 * nx)
+
+
 def _sample_stratum_reference(s, count, radius, seed, rs, margin=0.02):
-    """The sampler's loop as written before its per-attempt work was trimmed;
-    it fixes the Philox draw order that every report digest depends on."""
+    """The sampler as a per-point loop, one sample after another: the law
+    (attempts, jitter schedule, margin test, radius) the batched rounds keep."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     others = [i for i in range(len(rs.simple_f)) if i not in s.walls]
     a_others = rs.simple_unit_f[others] if others else np.zeros((0, rs.n))
@@ -459,20 +506,82 @@ def _sample_stratum_reference(s, count, radius, seed, rs, margin=0.02):
     return out
 
 
+def _replay_rounds(s, count, radius, seed, rs, margin=0.02):
+    """The batched rounds rebuilt from one pre-drawn normal stream, with the
+    bookkeeping done sample by sample: round r takes the next len(pending)
+    draws in sample order, and the radii are the uniforms that follow the
+    last draw taken.  Returns (points, rounds)."""
+    stream = np.random.Generator(np.random.Philox(key=seed)).normal(
+        size=(60 * count, s.dim))
+    others = [i for i in range(len(rs.simple_f)) if i not in s.walls]
+    a_others = rs.simple_unit_f[others]
+    jitter = [0.45] * count
+    unit = np.empty((count, rs.n))
+    pending, used, rounds = list(range(count)), 0, 0
+    while pending:
+        rounds += 1
+        assert rounds <= 60, "replay gave up"
+        Z = stream[used:used + len(pending)]
+        used += len(pending)
+        # the candidates' arithmetic is the sampler's own, on the same block
+        X = s.anchor + (np.array([jitter[i] for i in pending])[:, None] * Z) @ s.basis.T
+        nx = np.sqrt(np.einsum("ij,ij->i", X, X))
+        X /= np.where(nx >= 1e-12, nx, 1.0)[:, None]
+        low = (X @ a_others.T).min(axis=1, initial=np.inf) < margin
+        still = []
+        for row, i in enumerate(pending):
+            if nx[row] < 1e-12:
+                still.append(i)
+            elif low[row]:
+                jitter[i] *= 0.7
+                still.append(i)
+            else:
+                unit[i] = X[row]
+        pending = still
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng.normal(size=(used, s.dim))
+    r = radius * rng.uniform(0.15, 1.0, size=count) ** (1.0 / s.dim)
+    return unit * r[:, None], rounds
+
+
 @pytest.mark.parametrize("name", ["B2", "D6", "F4", "H4"])
-def test_sample_stratum_matches_reference_loop(name, rs_cache, strata_cache):
+def test_sample_stratum_replays_batched_rounds(name, rs_cache, strata_cache):
     """Bit for bit on every face, the rejection path included (D6 and H4
     faces reject about two attempts in three)."""
     rs = rs_cache(name)
+    most_rounds = 0
     for s in strata_cache(name):
         if s.dim == 0:
             continue
         for seed in (3, 29):
             for count in (1, 5, 100):
-                assert np.array_equal(
-                    sample_stratum(s, count, 1.7, seed, rs),
-                    _sample_stratum_reference(s, count, 1.7, seed, rs),
-                ), (s.stratum_id, seed, count)
+                want, rounds = _replay_rounds(s, count, 1.7, seed, rs)
+                most_rounds = max(most_rounds, rounds)
+                assert np.array_equal(sample_stratum(s, count, 1.7, seed, rs), want), (
+                    s.stratum_id, seed, count)
+    assert most_rounds > 1
+
+
+@pytest.mark.parametrize("name", ["B2", "D6", "F4", "H4"])
+def test_sample_stratum_law_matches_reference_loop(name, rs_cache, strata_cache):
+    """Same law as the per-point loop: two-sample KS tests of |x| and of the
+    smallest unit wall form over |x|, on every face, at fixed seeds."""
+    rs = rs_cache(name)
+    pvalues = []
+    for s in strata_cache(name):
+        if s.dim == 0:
+            continue
+        a_others = rs.simple_unit_f[[i for i in range(len(rs.simple_f)) if i not in s.walls]]
+
+        def stats(X):
+            nx = np.linalg.norm(X, axis=1)
+            return nx, (X @ a_others.T).min(axis=1) / nx
+
+        ref = stats(_sample_stratum_reference(s, 2000, 1.0, 101, rs))
+        new = stats(sample_stratum(s, 2000, 1.0, 202, rs))
+        for a, b in zip(ref, new):
+            pvalues.append((ks_2samp(a, b, method="asymp").pvalue, s.stratum_id))
+    assert min(pvalues)[0] > 1e-4, min(pvalues)
 
 
 def test_stratum_of_point(rs_cache, strata_cache):

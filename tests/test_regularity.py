@@ -82,6 +82,19 @@ def test_b2_boundary_pair_arc_length(basis_cache, rs_cache):
     assert abs(ratio - expected) <= 0.01
 
 
+@pytest.mark.parametrize("name,a,h", [("B2", 1.5, 0.02), ("B3", 1.0, 0.08), ("H3", 1.0, 0.08)])
+def test_image_pair_ratio_matches_undirected_search(name, a, h, basis_cache, rs_cache):
+    """The directed search on the symmetric CSR gives the undirected distance."""
+    b, rs = basis_cache(name), rs_cache(name)
+    g = build_image_graph(b, rs, build_chamber_mesh(rs, a, h))
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        i, j = rng.choice(g.size, size=2, replace=False)
+        geo = dijkstra(g.graph, directed=False, indices=[i])[0, j]
+        want = float(geo) / float(np.linalg.norm(g.image[i] - g.image[j]))
+        assert image_pair_ratio(g, g.mesh.vertices[i], g.mesh.vertices[j]) == want
+
+
 def test_ratios_at_least_one(basis_cache, rs_cache):
     """Graph paths cannot beat the straight image segment."""
     for name in ("B2", "G2"):
