@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -158,25 +159,72 @@ def _float_product_spread(rs: RootSystem, closed_form: SparsePoly, seed: int) ->
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _laplace_plan(r: int, n: int, rows: tuple[tuple[int, ...], ...]):
+    """Gather plan of `_minor_table` for r x n matrices and the row sets `rows`.
+
+    Level m lists the m-minors on every distinct m-row prefix of the row
+    sets over every m-column subset, flattened as prefix * C(n, m) + subset.
+    Term t of a level-m minor is the entry (last row, c_t) times the level
+    m-1 minor of the parent prefix without column c_t; the level holds both
+    as flat indices of shape (m, minors).  Entries index the r * n values of
+    a sample followed by their negatives, so each term carries its sign
+    (-1)^(m-1+t).  Also returns the final prefix of each row set.
+    """
+    plan, prefixes = [], {(): 0}
+    for m in range(1, len(rows[0]) + 1):
+        level: dict[tuple, int] = {}
+        for row in rows:
+            level.setdefault(row[:m], len(level))
+        cols = list(combinations(range(n), m))
+        index = {c: i for i, c in enumerate(combinations(range(n), m - 1))}
+        sub = np.array([[index[c[:t] + c[t + 1:]] for t in range(m)] for c in cols])
+        parent = np.array([prefixes[p[:-1]] for p in level])[:, None, None]
+        last = np.array([p[-1] for p in level])[:, None, None]
+        entry = (last * n + np.array(cols)[None]).reshape(-1, m).T
+        entry[(m - 1 + np.arange(m)) % 2 == 1] += r * n
+        minor = (parent * len(index) + sub[None]).reshape(-1, m).T
+        plan.append((entry, minor))
+        prefixes = level
+    return plan, [prefixes[row] for row in rows]
+
+
 def _minor_table(J: np.ndarray, row_sets, size: int) -> np.ndarray:
     """Max |minor| over all column subsets, per sample and row set.
 
-    J has shape (S, r, n); each entry of row_sets lists `size` rows.  Every
-    (row set x column subset) submatrix goes into one stack for a single
-    determinant call, over chunks of samples holding at most CHUNK_VALUES
-    entries; LAPACK factors each matrix on its own, so a minor does not
-    depend on its place in the stack.  Returns shape (S, len(row_sets)).
+    J has shape (S, r, n); each entry of row_sets lists `size` rows.  The
+    minors come from a memoized Laplace expansion along the last row of each
+    row set (`_laplace_plan`), built level by level from 1 x 1 up to `size`;
+    each minor is a signed sum of m products added elementwise in a fixed
+    order.  So the table is exact on small-integer entries, and a minor
+    depends only on its own sample, not on the batch or on the chunks of
+    samples.  A row set with a non-finite entry gets NaN.  Returns shape
+    (S, len(row_sets)).
     """
-    S, _, n = J.shape
+    S, r, n = J.shape
     rows = np.array(row_sets, dtype=int).reshape(-1, size)
     out = np.zeros((S, len(rows)))
     if not len(rows):
         return out
-    cols = np.array(list(combinations(range(n), size)))
-    ri, ci = rows[:, None, :, None], cols[None, :, None, :]
-    step = max(1, CHUNK_VALUES // (len(rows) * len(cols) * size * size))
+    plan, final = _laplace_plan(r, n, tuple(map(tuple, rows.tolist())))
+    # a level's gathered entries and minors and the previous level, at most
+    # CHUNK_VALUES values together
+    step = max(1, CHUNK_VALUES // (3 * max(entry.size for entry, _ in plan)))
     for lo in range(0, S, step):
-        out[lo:lo + step] = np.abs(np.linalg.det(J[lo:lo + step, ri, ci])).max(axis=2)
+        Jc = J[lo:lo + step].reshape(-1, r * n)
+        signed = np.concatenate([Jc, -Jc], axis=1)
+        minors = np.ones((len(Jc), 1))
+        with np.errstate(invalid="ignore"):  # non-finite rows are set to NaN below
+            for entry, minor in plan:
+                terms = np.take(signed, entry, axis=1)
+                terms *= np.take(minors, minor, axis=1)
+                minors = terms[:, 0].copy()
+                for t in range(1, len(entry)):
+                    minors += terms[:, t]
+        table = np.abs(minors.reshape(len(Jc), -1, math.comb(n, size)))
+        out[lo:lo + step] = table.max(axis=2)[:, final]
+    finite = np.isfinite(J).all(axis=2)
+    out[~finite[:, rows].all(axis=2)] = np.nan
     return out
 
 
@@ -245,7 +293,7 @@ def verify_stratum_rank(
       (c) the singular-value rank of the full Jacobian is exactly k;
       (d) in fact every (k+1)-row minor, any rows and columns, is below tol.
 
-    The minors come from one batched determinant table per size
+    The minors come from one Laplace-expansion table per size
     (`_minor_table`): the k-minors on the live leading row sets, and the
     (k+1)-minors on every row set, of which (b) reads the admissible columns.
 

@@ -102,7 +102,7 @@ def test_criterion_3_stratum_rank(basis_cache, rs_cache, strata_cache):
     # identically and no generic fiber of the first four invariants arrives
     ok = (not violations and degenerate.get("H3") is None
           and degenerate.get("F4") is None
-          and degenerate.get("D6") == ["d4:w4,5"] and elapsed <= 10)
+          and degenerate.get("D6") == ["d4:w4,5"] and elapsed <= 5)
     conclude(3, "rank-k minors on every stratum of H3, D6, F4", ok,
              f"violations={len(violations)} degenerate={degenerate} {elapsed:.0f}s")
 

@@ -423,6 +423,29 @@ def test_type_exit_codes_property(spec):
         assert len(err.getvalue().strip().splitlines()) == 1
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["verify-statement", "verify-jacobian"]),
+    spec=st.sampled_from(["A2", "B2", "G2", "I2:7", "A3", "B3", "H3"]),
+    samples=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_verify_commands_report_property(command, spec, samples, seed):
+    """verify-statement and verify-jacobian on small types, any sample count
+    and seed: the exit code is in 0-4, stdout is a JSON report of this run,
+    and every status is pass, fail, anomaly or unsupported, in line with the
+    exit code."""
+    argv = [command, "--type", spec, "--samples", str(samples), "--seed", str(seed)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert isinstance(code, int) and 0 <= code <= 4
+    doc = json.loads(out.getvalue())
+    assert doc["provenance"]["type"] == spec and doc["provenance"]["seed"] == seed
+    statuses = {c["status"] for c in doc["checks"]}
+    assert doc["checks"] and statuses <= {"pass", "fail", "anomaly", "unsupported"}
+    assert (code == 0) == (statuses == {"pass"}) == doc["all_passed"]
+
+
 def test_whitney_pairs_out_csv(tmp_path, capsys):
     pairs = tmp_path / "pairs.csv"
     code = main(["whitney", "--type", "B2", "--a", "1", "--h", "0.05",

@@ -19,7 +19,7 @@ from chevalley.jacobian import (
     verify_stratum_rank,
     wall_form_product,
 )
-from chevalley.poly import SparsePoly
+from chevalley.poly import PolyMatrix, SparsePoly
 
 
 def test_b2_jacobian_closed_form(basis_cache):
@@ -121,37 +121,120 @@ def _all_row_sets(r, size):
     return [list(rows) for rows in combinations(range(r), size)]
 
 
-def test_minor_table_matches_loop_on_random_stacks(rng):
-    for S, r, n in ((1, 1, 1), (7, 3, 3), (5, 4, 5), (9, 5, 4), (4, 6, 6)):
-        J = rng.normal(size=(S, r, n))
-        # rank-deficient copy: rank 2, so every minor of size >= 3 is noise
-        low = rng.normal(size=(S, r, 2)) @ rng.normal(size=(S, 2, n))
-        for A in (J, low):
-            for size in range(1, min(r, n) + 1):
-                rows = _all_row_sets(r, size)
-                assert np.array_equal(_minor_table(A, rows, size), _minor_loop(A, rows, size))
+def _exact_minor_table(J, row_sets, size):
+    """Max |minor| per sample and row set from exact determinants of
+    integer-valued entries (PolyMatrix constants)."""
+    out = np.zeros((J.shape[0], len(row_sets)))
+    for s in range(J.shape[0]):
+        for t, rows in enumerate(row_sets):
+            for cols in combinations(range(J.shape[2]), size):
+                M = PolyMatrix([[SparsePoly.const(1, int(J[s, i, j])) for j in cols]
+                                for i in rows])
+                out[s, t] = max(out[s, t], abs(float(M.det().eval_exact([ONE]))))
+    return out
 
 
-def test_minor_table_matches_loop_on_d6_faces(basis_cache, rs_cache, strata_cache):
+def _forward_error_bound(J, row_sets, size):
+    """4 m eps prod_i |row_i|_1 over the rows of each set: a bound on the
+    rounding of any m x m minor on those rows, by LU or by Laplace."""
+    norms = np.abs(J).sum(axis=2)
+    return 4 * size * np.finfo(float).eps * np.stack(
+        [np.prod(norms[:, list(rows)], axis=1) for rows in row_sets], axis=1)
+
+
+def test_minor_table_exact_on_small_integers(rng):
+    for S, r, n in ((3, 1, 1), (4, 3, 3), (3, 4, 5), (3, 5, 4), (2, 6, 6)):
+        J = rng.integers(-3, 4, size=(S, r, n)).astype(float)
+        J[0, -1] = J[0, 0]  # a repeated row: every minor through both is 0
+        for size in range(1, min(r, n) + 1):
+            rows = _all_row_sets(r, size)
+            assert np.array_equal(_minor_table(J, rows, size), _exact_minor_table(J, rows, size))
+
+
+def test_minor_table_within_forward_error_of_loop(rng, basis_cache, rs_cache, strata_cache):
     from chevalley.coxeter import sample_stratum
 
+    stacks = []
+    for S, r, n in ((1, 1, 1), (7, 3, 3), (5, 4, 5), (9, 5, 4), (4, 6, 6)):
+        stacks.append(rng.normal(size=(S, r, n)))
+        # rank-deficient copy: rank 2, so every minor of size >= 3 is noise
+        stacks.append(rng.normal(size=(S, r, 2)) @ rng.normal(size=(S, 2, n)))
     b, rs = basis_cache("D6"), rs_cache("D6")
     for k in range(1, 7):
         s = next(t for t in strata_cache("D6") if t.dim == k)
-        J = b.compiled.J(sample_stratum(s, 20, 1.0, k, rs))
-        for size in (k, k + 1):
-            rows = _all_row_sets(6, size)
-            assert np.array_equal(_minor_table(J, rows, size), _minor_loop(J, rows, size))
+        stacks.append(b.compiled.J(sample_stratum(s, 20, 1.0, k, rs)))
+    for A in stacks:
+        r, n = A.shape[1:]
+        for size in range(1, min(r, n) + 1):
+            rows = _all_row_sets(r, size)
+            err = np.abs(_minor_table(A, rows, size) - _minor_loop(A, rows, size))
+            assert np.all(err <= _forward_error_bound(A, rows, size))
 
 
-def test_minor_table_chunks_over_samples(rng, monkeypatch):
+def test_minor_table_depends_only_on_its_sample(rng, monkeypatch):
     J = rng.normal(size=(11, 4, 4))
-    rows = _all_row_sets(4, 2)
-    whole = _minor_table(J, rows, 2)
-    # 6 row sets x 6 column subsets x 4 entries: 2 samples per chunk
-    monkeypatch.setattr(jacobian, "CHUNK_VALUES", 2 * 6 * 6 * 4)
-    assert np.array_equal(_minor_table(J, rows, 2), whole)
-    assert np.array_equal(whole, _minor_loop(J, rows, 2))
+    J[3] *= 1e-5  # a sample far from its neighbours' scale
+    for size in (2, 3, 4):
+        rows = _all_row_sets(4, size)
+        whole = _minor_table(J, rows, size)
+        alone = np.concatenate([_minor_table(J[i:i + 1], rows, size) for i in range(11)])
+        order = rng.permutation(11)
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(_minor_table(J[order], rows, size), whole[order])
+        with monkeypatch.context() as mp:
+            # from one sample per chunk up to 2, 3 and 13 for sizes 2, 3, 4
+            for chunk in (1, 100, 500):
+                mp.setattr(jacobian, "CHUNK_VALUES", chunk)
+                assert np.array_equal(_minor_table(J, rows, size), whole)
+
+
+def test_minor_table_nan_for_non_finite_entries(basis_cache, rs_cache, strata_cache, monkeypatch):
+    J = np.tile(np.eye(3), (4, 1, 1))
+    J[1, 2, 0], J[2, 0, 1], J[3, 1, 1] = np.inf, np.nan, -np.inf
+    rows = _all_row_sets(3, 2)  # (0, 1), (0, 2), (1, 2)
+    table = _minor_table(J, rows, 2)
+    assert np.array_equal(np.isnan(table), [[0, 0, 0], [0, 1, 1], [1, 1, 0], [1, 0, 1]])
+    assert np.all(table[~np.isnan(table)] == 1.0)
+    # a face whose Jacobian overflows at one sample fails there
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    s = next(t for t in strata_cache("B3") if t.dim == 2)
+    J_of = type(b.compiled).J
+
+    def overflowing(self, X, k=None):
+        out = J_of(self, X, k)
+        if len(X) == 10:
+            out[4, 0, 0] = np.inf
+        return out
+
+    from chevalley.coxeter import sample_stratum
+
+    X = sample_stratum(s, 10, 1.0, 7, rs)
+    monkeypatch.setattr(type(b.compiled), "J", overflowing)
+    rep = verify_stratum_rank(b, rs, s, samples=10, seed=7)
+    assert not rep.passed and rep.witness == (X[4] / np.linalg.norm(X[4])).tolist()
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A4", "D4", "F4", "H4", "D6"])
+def test_stratum_rank_verdicts_match_loop_kernel(name, basis_cache, rs_cache,
+                                                  strata_cache, monkeypatch):
+    """Every face verdict, row list, rank count and witness is the same with
+    the reference loop in place of the Laplace table; the minima and maxima
+    agree to rounding.  Both kernels round to about eps in normalized units,
+    so a leading minimum far below 1 (D6 faces: 1e-7 to 1e-5) is held to
+    1e-15 absolute rather than 1e-12 relative."""
+    b, rs = basis_cache(name), rs_cache(name)
+    faces = [s for s in strata_cache(name) if s.dim >= 1]
+    for seed in (7, 1234):
+        new = [verify_stratum_rank(b, rs, s, seed=seed) for s in faces]
+        with monkeypatch.context() as mp:
+            mp.setattr(jacobian, "_minor_table", _minor_loop)
+            ref = [verify_stratum_rank(b, rs, s, seed=seed) for s in faces]
+        for x, y in zip(new, ref):
+            for f in ("passed", "leading_degenerate", "degenerate_rows", "ranks", "witness"):
+                assert getattr(x, f) == getattr(y, f), (x.stratum_id, f)
+            assert x.min_leading_minor == pytest.approx(y.min_leading_minor, rel=1e-12, abs=1e-15)
+            assert abs(x.max_bordering_minor - y.max_bordering_minor) <= 1e-14
+            assert abs(x.max_any_minor - y.max_any_minor) <= 1e-14
 
 
 def test_minor_table_without_row_sets(basis_cache, rs_cache, strata_cache):
