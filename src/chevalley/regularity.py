@@ -7,7 +7,9 @@ and edge weights are Euclidean distances between image points.  Graph path
 length over straight-line image distance then estimates the geodesic ratio;
 the supremum of that ratio over pairs is the quantity whose finiteness is
 being certified.  Pair sampling is biased toward the image boundary, where
-the cusps live.
+the cusps live.  Large Dijkstra sweeps run on forked workers with identical
+distances (`_pair_geodesics`): their memory is not in the parent's ru_maxrss,
+and a trace of `dijkstra` here sees only the parent's share.
 
 The module also computes the lift derivatives d p_{k+1} / d p_j on strata
 (bounded, with continuous extension toward the origin) and the min/max
@@ -17,6 +19,8 @@ and as solver-exact values at matched targets.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -241,6 +245,64 @@ def _draw_pairs(g: ImageGraph, pairs: int, seed: int):
     return src_pos, tgt_pos, _admit_pairs(g, *_snap_indices(g, src_pos, tgt_pos))
 
 
+# sweeps of at least this many (distinct sources x stored edges) are split:
+# they take 0.2 s or more, a fork of a ~120 MB process 10-30 ms
+FORK_MIN_WORK = 10_000_000
+
+
+def _pair_geodesics(graph: csr_matrix, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Graph distance s[i] -> t[i] for every pair: one directed search per
+    distinct source (the CSR is symmetric), 128 sources per scipy call.
+    scipy searches from each source on its own, so a large sweep is split
+    into one share of sources per usable CPU with bit-identical results:
+    forked children inherit the graph, run no BLAS and pipe back distances.
+    """
+    sources, which = np.unique(s, return_inverse=True)
+    # os.sched_getaffinity is Linux-only; elsewhere every sweep stays in-process
+    big = len(sources) * graph.nnz >= FORK_MIN_WORK and hasattr(os, "sched_getaffinity")
+    workers = len(os.sched_getaffinity(0)) if big else 1
+    cuts = [len(sources) * k // workers for k in range(workers + 1)]
+    pairs = [np.flatnonzero((which >= lo) & (which < hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+    def sweep(k):
+        src, out = which[pairs[k]], np.empty(len(pairs[k]))
+        for lo in range(cuts[k], cuts[k + 1], 128):
+            hi = min(lo + 128, cuts[k + 1])
+            dist = dijkstra(graph, directed=True, indices=sources[lo:hi])
+            sel = (src >= lo) & (src < hi)
+            out[sel] = dist[src[sel] - lo, t[pairs[k][sel]]]
+        return out
+
+    geo = np.empty(len(s))
+    children = []   # (pid, read end of its pipe, share)
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            reader = open(r, "rb")
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:   # the child leaves by os._exit alone
+                    try:
+                        out.write(sweep(k).tobytes())
+                        out.flush()
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+            children.append((pid, reader, k))
+        geo[pairs[0]] = sweep(0)
+        for pid, reader, k in children:
+            data = reader.read()   # EOF once the child has exited
+            if len(data) != geo.itemsize * len(pairs[k]):
+                raise RuntimeError(f"Dijkstra worker {pid} failed")
+            geo[pairs[k]] = np.frombuffer(data)
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)   # stops a child still sweeping on failure
+            os.waitpid(pid, 0)
+    return geo
+
+
 def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
                            table: list | None = None) -> RatioReport:
     """Graph/Euclidean ratios for an explicit, pre-admitted pair set.
@@ -253,14 +315,7 @@ def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
     if len(rows) == 0:
         raise UsageError("no pair exceeded the graph's image resolution")
     s, t = src_idx[rows], tgt_idx[rows, cols]
-    # one search per distinct source; the CSR is symmetric, so a directed
-    # search gives the undirected distances while scanning each edge once
-    sources, which = np.unique(s, return_inverse=True)
-    geo = np.empty(len(s))
-    for lo in range(0, len(sources), 128):
-        dist = dijkstra(g.graph, directed=True, indices=sources[lo:lo + 128])
-        sel = (which >= lo) & (which < lo + 128)
-        geo[sel] = dist[which[sel] - lo, t[sel]]
+    geo = _pair_geodesics(g.graph, s, t)
     eu = np.linalg.norm(g.image[t] - g.image[s], axis=1)
     r = geo / eu
     if table is not None:

@@ -215,8 +215,8 @@ def test_criterion_6_whitney(basis_cache, rs_cache):
     detail = (f"A1={rep1.max_ratio:.5f} B2pair={got:.4f}~{expected:.4f} "
               + " ".join(f"{k}:max={v[0]:.3f},d={v[1]:.3f}" for k, v in stats.items())
               + f" ({elapsed:.0f}s)")
-    conclude(6, "Whitney geodesic/Euclidean ratios", ok_a1 and ok_pair and ok_types,
-             detail)
+    conclude(6, "Whitney geodesic/Euclidean ratios",
+             ok_a1 and ok_pair and ok_types and elapsed <= 10, detail)
 
 
 # -- 7: lift derivatives ----------------------------------------------------------

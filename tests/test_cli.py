@@ -6,14 +6,18 @@ import dataclasses
 import io
 import json
 import math
+import os
+import re
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chevalley import regularity
 from chevalley.cli import (
     EXPLAIN,
     RunConfig,
@@ -440,6 +444,55 @@ def test_verify_commands_report_property(command, spec, samples, seed):
         code = main(argv)
     assert isinstance(code, int) and 0 <= code <= 4
     doc = json.loads(out.getvalue())
+    assert doc["provenance"]["type"] == spec and doc["provenance"]["seed"] == seed
+    statuses = {c["status"] for c in doc["checks"]}
+    assert doc["checks"] and statuses <= {"pass", "fail", "anomaly", "unsupported"}
+    assert (code == 0) == (statuses == {"pass"}) == doc["all_passed"]
+
+
+def _run_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _without_runtime(run):
+    code, out, err = run
+    return code, re.sub(r'"runtime_s": [^,}\n]*', "", out), err
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(["A2", "B2", "G2", "I2:5", "I2:7", "A3", "B3", "H3"]),
+    a=st.floats(0.25, 2.0),
+    # a / h: coarse pitches, the first above a/4
+    cells=st.sampled_from([3.5, 4, 8, 10]),
+    pairs=st.integers(1, 3000),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_whitney_report_property(spec, a, cells, pairs, seed):
+    """whitney on small types, any radius, coarse pitch, pair count and seed:
+    the exit code is in 0-4; a pitch above a/4 is a one-line usage error;
+    otherwise stdout is a JSON report whose exit code is 0 exactly when every
+    check passes.  Splitting every Dijkstra sweep over forked workers leaves
+    the report byte-identical apart from runtime_s, and no child behind."""
+    argv = ["whitney", "--type", spec, "--a", repr(a), "--h", repr(a / cells),
+            "--pairs", str(pairs), "--seed", str(seed)]
+    code, out, err = _run_main(argv)
+    with mock.patch.object(regularity, "FORK_MIN_WORK", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+        split = _run_main(argv)
+    assert _without_runtime(split) == _without_runtime((code, out, err))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert isinstance(code, int) and 0 <= code <= 4
+    if cells < 4:
+        assert code == 2 and "h <= a/4" in err
+    if code == 2:
+        assert not out and len(err.strip().splitlines()) == 1
+        return
+    doc = json.loads(out)
     assert doc["provenance"]["type"] == spec and doc["provenance"]["seed"] == seed
     statuses = {c["status"] for c in doc["checks"]}
     assert doc["checks"] and statuses <= {"pass", "fail", "anomaly", "unsupported"}

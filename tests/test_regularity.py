@@ -1,6 +1,7 @@
 """Chamber meshes, image graphs, Whitney ratios, lifts, envelopes."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from chevalley import regularity
 from chevalley.errors import UsageError
 from chevalley.probe import fiber_value_interval, sample_fiber
 from chevalley.regularity import (
@@ -299,7 +301,18 @@ def test_admit_pairs_matches_rowwise(pair_case):
     assert not np.all(mask.any(axis=1))       # rows without an admitted target
 
 
-def test_ratio_stats_match_rowwise(pair_case):
+def _split_sweeps(monkeypatch, cpus):
+    """Split every Dijkstra sweep, however small, over `cpus` usable CPUs."""
+    monkeypatch.setattr(regularity, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _check_ratio_stats_match_rowwise(pair_case):
     g, src, tgt, si, ti = pair_case
     mask = _admit_pairs(g, si, ti)
     table = []
@@ -308,3 +321,42 @@ def test_ratio_stats_match_rowwise(pair_case):
     assert (rep.n_pairs, rep.max_ratio, rep.p99_ratio, rep.min_ratio) == stats
     assert table == ref_table
     assert [type(v) for v in table[0]] == [int, int, float, float, float]
+
+
+def test_ratio_stats_match_rowwise(pair_case, monkeypatch):
+    """The in-process sweep: with one usable CPU nothing is forked, even
+    above the split threshold."""
+    _split_sweeps(monkeypatch, 1)
+
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _check_ratio_stats_match_rowwise(pair_case)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_ratio_stats_match_rowwise_split(pair_case, monkeypatch, cpus):
+    """Split over forked workers, the distances are bit-identical."""
+    _split_sweeps(monkeypatch, cpus)
+    _check_ratio_stats_match_rowwise(pair_case)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", ["children", "parent"])
+def test_failed_sweep_raises_and_reaps_every_child(pair_case, monkeypatch, failing):
+    """A worker's failure raises in the parent; a failure in the parent's own
+    share stops the workers still sweeping.  No child outlives the call."""
+    g, src, tgt, si, ti = pair_case
+    parent, search = os.getpid(), regularity.dijkstra
+
+    def dijkstra(*args, **kwargs):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise MemoryError("injected")
+        return search(*args, **kwargs)
+
+    _split_sweeps(monkeypatch, 3)
+    monkeypatch.setattr(regularity, "dijkstra", dijkstra)
+    with pytest.raises(RuntimeError if failing == "children" else MemoryError):
+        _ratio_stats_for_pairs(g, src, tgt, _admit_pairs(g, si, ti))
+    _assert_no_child_left()
