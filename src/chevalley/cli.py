@@ -132,12 +132,7 @@ class SuiteReport:
 
     @property
     def exit_code(self) -> int:
-        """0 all passed; 1 a check failed or found an anomaly; 2 every check
-        that did not pass is unsupported."""
-        statuses = {c["status"] for c in self.checks} - {"pass"}
-        if not statuses:
-            return 0
-        return 2 if statuses == {"unsupported"} else 1
+        return _exit_code(self.checks)
 
     def add(self, name: str, status: str, **metrics):
         self.checks.append({"name": name, "status": status, "metrics": metrics})
@@ -158,8 +153,18 @@ class SuiteReport:
         }
 
 
-def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
-    doc = report.to_dict()
+def _exit_code(checks: list[dict]) -> int:
+    """0 all passed; 1 a check failed or found an anomaly; 2 every check
+    that did not pass is unsupported."""
+    statuses = {c["status"] for c in checks} - {"pass"}
+    if not statuses:
+        return 0
+    return 2 if statuses == {"unsupported"} else 1
+
+
+def emit_report(report: SuiteReport | dict, fmt: str = "json") -> bytes:
+    """A report, or a stored report document exactly as it was read."""
+    doc = report if isinstance(report, dict) else report.to_dict()
     if fmt == "json":
         return (json.dumps(doc, indent=1, default=_json_default) + "\n").encode()
     if fmt == "csv":
@@ -178,7 +183,7 @@ def emit_report(report: SuiteReport, fmt: str = "json") -> bytes:
         for c in doc["checks"]:
             lines.append(f"[{c['status'].upper():7s}] {c['name']}")
         verdict = {0: "ALL PASSED", 1: "FAILURES PRESENT", 2: "UNSUPPORTED CHECKS PRESENT"}
-        lines.append(verdict[report.exit_code])
+        lines.append(verdict[_exit_code(doc["checks"])])
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown report format {fmt!r}")
 
@@ -472,18 +477,19 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{**base, **given}).validate()
 
 
-def _read_report(path: str) -> SuiteReport:
+def _read_report(path: str) -> dict:
+    """A stored report document as stored, once it holds what every format
+    reads: the provenance's type, command and seed, and a list of checks."""
     try:
         doc = json.loads(Path(path).read_text())
-        prov = doc["provenance"]
-        cfg = RunConfig(type_spec=prov["type"], command=prov["command"],
-                        seed=prov["seed"])
-        checks = doc["checks"]
-        if not all(isinstance(c, dict) and isinstance(c.get("status"), str)
-                   and {"name", "metrics"} <= c.keys() for c in checks):
-            raise ValueError("every check needs a name, a status and metrics")
-        return SuiteReport(cfg, checks=checks,
-                           runtime_s=float(doc.get("runtime_s", 0.0)))
+        prov, checks = doc["provenance"], doc["checks"]
+        if not (isinstance(prov, dict) and {"type", "command", "seed"} <= prov.keys()):
+            raise ValueError("provenance needs a type, a command and a seed")
+        if not isinstance(checks, list) or not all(
+                isinstance(c, dict) and isinstance(c.get("status"), str)
+                and {"name", "metrics"} <= c.keys() for c in checks):
+            raise ValueError("checks must be a list, each with a name, a status and metrics")
+        return doc
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise UsageError(
             f"cannot read suite report {path}: {type(exc).__name__}: {exc}"

@@ -77,11 +77,6 @@ class CoxeterType:
         return sum(d - 1 for d in self.degrees)
 
     @property
-    def reducible(self) -> bool:
-        # the Newton realization of A(n) fixes the diagonal line
-        return self.family == "A"
-
-    @property
     def canonical_key(self) -> str:
         if self.family == "I2":
             return f"I2_{self.p}"

@@ -190,18 +190,6 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> tuple[Scalar,
     return tuple(vec_dot(row, v) for row in m)
 
 
-def mat_mul(x, y) -> tuple[tuple[Scalar, ...], ...]:
-    n, k, m = len(x), len(y), len(y[0])
-    if len(x[0]) != k:
-        raise UsageError("matrix dimension mismatch")
-    yt = list(zip(*y))
-    return tuple(tuple(vec_dot(x[i], yt[j]) for j in range(m)) for i in range(n))
-
-
-def identity_matrix(n: int) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def solve_linear(a, b) -> list[list[Scalar]] | None:
     """Solve the square exact system a X = b for every column of b at once.
 

@@ -10,12 +10,10 @@ Closed forms are used wherever they exist:
   I2(p)  x^2 + y^2 and Re((x+iy)^p), exact over Q for every p
 
 H3, F4 and H4 have no closed form here.  Their invariants are group
-averages of power monomials, realized as power sums over a root orbit (the
-average of x_1^k over the group equals, up to a positive factor,
-sum_{v in orbit(e_1)} <v,x>^k, and e_1 lies in a root orbit for these
-realizations), built by the offline job in tools/ and shipped as JSON
-files with a content hash.  None of the three is built at runtime: a
-missing file is a CapabilityError.
+averages, built once by the offline job tools/build_h4_invariants.py and
+shipped as JSON data files with a content hash.  This module only loads,
+hashes and writes those files; none of the three is built at runtime, and
+a missing file is a CapabilityError.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coxeter import CoxeterType, RootSystem, build_root_system, coxeter_type
+from .coxeter import CoxeterType, coxeter_type
 from .errors import CapabilityError, CheckFailure, IntegrityError, UsageError
-from .field import ONE, Scalar, vec_dot
-from .poly import CompiledPoly, PolyMatrix, SparsePoly, expand_linear_power, power_table
+from .field import ONE, Scalar
+from .poly import CompiledPoly, SparsePoly, power_table
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
@@ -165,8 +163,9 @@ class CompiledBasis:
 
 
 class RestrictedBasis:
-    """P and J of a compiled basis pulled back along y -> B y, where B is
-    (n, d): P(Y) = P(Y B^T) and J(Y) = J(Y B^T) B for Y of shape (S, d)."""
+    """A compiled basis pulled back along y -> B y, where B is (n, d):
+    P(Y) = P(Y B^T) for Y of shape (S, d), and `evaluate` gives it with
+    J(Y) = J(Y B^T) B from one power table."""
 
     def __init__(self, base: CompiledBasis, B: np.ndarray):
         self.base = base
@@ -174,9 +173,6 @@ class RestrictedBasis:
 
     def P(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
         return self.base.P(Y @ self.B.T, k)
-
-    def J(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
-        return np.einsum("bkn,nj->bkj", self.base.J(Y @ self.B.T, k), self.B)
 
     def evaluate(self, Y: np.ndarray, k: int | None = None):
         P, J = self.base.evaluate(Y @ self.B.T, k)
@@ -244,153 +240,6 @@ def _dihedral_polys(p: int) -> list[SparsePoly]:
         c = Scalar(comb(p, j) * (-1) ** (j // 2))
         terms[(p - j, j)] = c
     return [p1, SparsePoly(n, terms)]
-
-
-def sum_of_squares(n: int) -> SparsePoly:
-    return SparsePoly(n, {tuple(2 if j == i else 0 for j in range(n)): ONE for i in range(n)})
-
-
-# ---------------------------------------------------------------------------
-# averaged constructions (H3, F4, H4; offline only)
-# ---------------------------------------------------------------------------
-
-
-def orbit_power_sum(positive_roots, k: int) -> SparsePoly:
-    """sum over the full (+/-) root class of <v, x>^k, for even k.
-
-    Equals 2 * sum over the positive representatives.  This is the Reynolds
-    average of x_1^k up to a positive rational factor whenever e_1 belongs
-    to the class orbit.
-    """
-    if k % 2:
-        raise UsageError("orbit power sums are used with even degrees only")
-    n = len(positive_roots[0])
-    acc = SparsePoly.zero(n)
-    for v in positive_roots:
-        acc = acc + expand_linear_power(v, k)
-    return acc.scale(Scalar(2))
-
-
-def _root_classes(rs: RootSystem) -> list[list[tuple[Scalar, ...]]]:
-    """Positive roots grouped by exact squared length (one class per orbit
-    for the types built here), shortest class first."""
-    by_norm: dict = {}
-    for v in rs.positive:
-        by_norm.setdefault(vec_dot(v, v), []).append(v)
-    return [by_norm[key] for key in sorted(by_norm, key=float)]
-
-
-def _gradient_rows(polys: list[SparsePoly]) -> list[list[SparsePoly]]:
-    n = polys[0].nvars
-    return [[p.diff(j) for j in range(n)] for p in polys]
-
-
-def _exact_rank_advances(polys: list[SparsePoly], candidate: SparsePoly) -> bool:
-    """True iff the Jacobian of polys + [candidate] has full row rank as a
-    polynomial matrix (checked by finding one nonvanishing minor)."""
-    rows = _gradient_rows(polys + [candidate])
-    j = len(rows)
-    n = candidate.nvars
-    for cols in combinations(range(n), j):
-        sub = PolyMatrix([[rows[r][c] for c in cols] for r in range(j)])
-        if not sub.det().is_zero():
-            return True
-    return False
-
-
-def _normalize_leading(p: SparsePoly) -> SparsePoly:
-    """Positive leading sign, then an exact power-of-two rescale that puts
-    the gradient of the polynomial at unit scale on the unit sphere.
-
-    The reduced orbit sums of the larger groups are numerically tiny on the
-    sphere (their monomial coefficients cancel); without this rescale the
-    float Jacobian of H4 looks rank-deficient even though the exact one is
-    not.  The scale is measured on a fixed set of seeded unit points, so the
-    construction stays deterministic, and the factor is an exact power of
-    two, so nothing is lost.
-    """
-    from fractions import Fraction
-    import math
-
-    _, lead = p.leading()
-    q = p if lead.sign() > 0 else -p
-    n = q.nvars
-    rng = np.random.default_rng(424242)
-    pts = rng.normal(size=(64, n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    grads = CompiledPoly([q.diff(j) for j in range(n)])(pts)
-    scale = float(np.max(np.linalg.norm(grads, axis=1)))
-    if scale <= 0 or not np.isfinite(scale):
-        return q
-    s = math.floor(math.log2(scale))
-    if s > 0:
-        q = q.scale(Scalar(Fraction(1, 2 ** s)))
-    elif s < 0:
-        q = q.scale(Scalar(2 ** (-s)))
-    return q
-
-
-def _degree_products(polys: list[SparsePoly], degs: list[int], target: int):
-    """All products of the given invariants with total degree == target."""
-    out = []
-
-    def rec(i, remaining, acc):
-        if remaining == 0:
-            out.append(acc)
-            return
-        if i == len(polys):
-            return
-        rec(i + 1, remaining, acc)
-        if degs[i] <= remaining:
-            rec(i, remaining - degs[i], acc * polys[i])
-
-    rec(0, target, SparsePoly.const(polys[0].nvars, 1))
-    return [p for p in out if p.degree() == target]
-
-
-def _reduce_mod_products(q: SparsePoly, products: list[SparsePoly]) -> SparsePoly:
-    """Exact reduction of q modulo the linear span of the given polynomials.
-
-    The products are triangularized by graded-lex leading monomial and q is
-    reduced against each pivot.  The orbit power sums of highly symmetric
-    root sets are numerically dominated by products of lower invariants
-    (the 600-cell case most of all); stripping that span leaves the part
-    that actually advances the basis, at O(1) relative magnitude.
-    """
-    pivots: list[tuple[tuple, SparsePoly]] = []
-    for p in products:
-        r = p
-        for mono, piv in pivots:
-            c = r.terms.get(mono)
-            if c is not None:
-                r = r - piv.scale(c / piv.terms[mono])
-        if not r.is_zero():
-            pivots.append((r.leading()[0], r))
-    for mono, piv in pivots:
-        c = q.terms.get(mono)
-        if c is not None:
-            q = q - piv.scale(c / piv.terms[mono])
-    return q
-
-
-def _build_averaged_basis(ctype: CoxeterType) -> InvariantBasis:
-    """H3 / F4 / H4 construction: first invariant is sum x_i^2 exactly;
-    each higher degree takes the first root-class power sum that, exactly
-    reduced modulo products of the accepted invariants, raises the rank of
-    the Jacobian.  Runs offline only (tools/build_h4_invariants.py); the
-    runtime loads its shipped output."""
-    polys = [sum_of_squares(ctype.dim)]
-    classes = _root_classes(build_root_system(ctype))
-    for k in ctype.degrees[1:]:
-        products = _degree_products(polys, [p.degree() for p in polys], k)
-        for cls in classes:
-            q = _reduce_mod_products(orbit_power_sum(cls, k), products)
-            if not q.is_zero() and _exact_rank_advances(polys, q):
-                polys.append(_normalize_leading(q))
-                break
-        else:
-            raise CheckFailure(f"{ctype.name}: no independent invariant of degree {k}")
-    return InvariantBasis(ctype, polys, "orbit-sums")
 
 
 # ---------------------------------------------------------------------------

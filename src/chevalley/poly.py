@@ -332,49 +332,6 @@ def product(nvars: int, polys: Sequence[SparsePoly]) -> SparsePoly:
     return _poly(nvars, out, d ** len(forms))
 
 
-def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> SparsePoly:
-    """Exact expansion of (c_0 x_0 + ... + c_{n-1} x_{n-1})^k.
-
-    Goes through the multinomial theorem with cached coefficient powers, which
-    is much faster than repeated polynomial multiplication for the degree-30
-    orbit sums.
-    """
-    n = len(coeffs)
-    coeffs = [_as_scalar(c) for c in coeffs]
-    live = [i for i, c in enumerate(coeffs) if not c.is_zero()]
-    if not live:
-        return SparsePoly.zero(n) if k > 0 else SparsePoly.const(n, 1)
-    pows = {i: [ONE] for i in live}
-    for i in live:
-        for _ in range(k):
-            pows[i].append(pows[i][-1] * coeffs[i])
-    fact = [math.factorial(j) for j in range(k + 1)]
-    out: dict[Exponent, Scalar] = {}
-
-    def rec(pos: int, remaining: int, exp: list[int], coeff_mult: int, prod: Scalar):
-        if pos == len(live) - 1:
-            i = live[pos]
-            e = exp.copy()
-            e[i] = remaining
-            c = prod * pows[i][remaining] * Scalar(coeff_mult // fact[remaining])
-            key = tuple(e)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-            return
-        i = live[pos]
-        for take in range(remaining + 1):
-            exp[i] = take
-            rec(pos + 1, remaining - take, exp, coeff_mult // fact[take], prod * pows[i][take])
-        exp[i] = 0
-
-    rec(0, k, [0] * n, fact[k], ONE)
-    return _raw(n, out)
-
-
 class PolyMatrix:
     """Rectangular matrix of SparsePoly entries sharing one variable count."""
 

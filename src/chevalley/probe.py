@@ -515,25 +515,3 @@ def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
         anomaly=anomaly,
         anomaly_reason=reason,
     )
-
-
-def isotropy_components(rs: RootSystem, stratum: Stratum) -> list[np.ndarray]:
-    """Orthonormal bases of the irreducible blocks of the isotropy group.
-
-    Isotropy roots are grouped by the transitive closure of non-orthogonality;
-    each group spans one invariant subspace of the isotropy action on the
-    normal space of the stratum.
-    """
-    roots = rs.positive_f[list(stratum.isotropy)]
-    if len(roots) == 0:
-        return []
-    # components are labelled in order of their smallest member
-    n_comp, labels = connected_components(np.abs(roots @ roots.T) > 1e-10,
-                                          directed=False)
-    out = []
-    for c in range(n_comp):
-        sub = roots[labels == c]
-        u, sv, _ = np.linalg.svd(sub.T, full_matrices=False)
-        r = int(np.sum(sv > 1e-10 * sv[0]))
-        out.append(u[:, :r])
-    return out

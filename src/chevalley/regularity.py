@@ -313,7 +313,8 @@ def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
     src_idx, tgt_idx = _snap_indices(g, src_pos, tgt_pos)
     rows, cols = np.nonzero(mask)   # row-major: grouped by source row
     if len(rows) == 0:
-        raise UsageError("no pair exceeded the graph's image resolution")
+        raise CapabilityError("no pair exceeded the graph's image resolution; "
+                              "use a finer pitch (--h) or more pairs (--pairs)")
     s, t = src_idx[rows], tgt_idx[rows, cols]
     geo = _pair_geodesics(g.graph, s, t)
     eu = np.linalg.norm(g.image[t] - g.image[s], axis=1)

@@ -124,12 +124,15 @@ def test_cli_all_b2_exit_zero(tmp_path, capsys):
 def test_cli_writes_report_and_converts(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main([
-        "verify-jacobian", "--type", "B2", "--seed", "2", "--out", str(out),
+        "verify-jacobian", "--type", "B2", "--seed", "2", "--tol", "1e-8", "--out", str(out),
     ])
     assert code == 0 and out.exists()
     code = main(["report", "--in", str(out), "--format", "text"])
     assert code == 0
     assert "det-factorization" in capsys.readouterr().out
+    # re-emitted as stored: the provenance (config_hash, version) is kept
+    assert main(["report", "--in", str(out), "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_cli_fiber_and_morse_commands(capsys):
@@ -513,3 +516,100 @@ def test_whitney_pairs_out_csv(tmp_path, capsys):
     for _, _, euclid, geodesic, ratio in rows[1:]:
         assert float(ratio) == float(geodesic) / float(euclid)
         assert float(ratio) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("spec, pitch", [("G2", "0.125"), ("H3", "0.25")])
+def test_all_records_whitney_without_admitted_pairs_as_unsupported(spec, pitch):
+    """A pitch too coarse for any pair to exceed the graph's image resolution
+    is a capability gap: `whitney` alone exits 2 with a one-line hint at the
+    flags, and `all` records it as `unsupported` and reports every other
+    suite."""
+    argv = ["--type", spec, "--a", "1", "--h", pitch, "--pairs", "3000"]
+    code, out, err = _run_main(["whitney", *argv])
+    assert code == 2 and not out
+    assert "--h" in err and "--pairs" in err and len(err.strip().splitlines()) == 1
+    code, out, err = _run_main(["all", *argv])
+    checks = json.loads(out)["checks"]
+    assert code == 2 and not err
+    unsupported = [c for c in checks if c["status"] == "unsupported"]
+    assert [c["name"] for c in unsupported] == ["whitney"]
+    assert "image resolution" in unsupported[0]["metrics"]["message"]
+    names = {c["name"] for c in checks}
+    assert {"degree-table", "det-factorization", "stratum-rank-summary",
+            "morse:k=1", "fiber:k=1"} <= names
+    assert all(c["status"] == "pass" for c in checks if c not in unsupported)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids,
+                                                             max_size=3),
+    max_leaves=6,
+)
+_REPORTS = st.fixed_dictionaries({
+    "schema_version": st.just(1),
+    "provenance": st.fixed_dictionaries({
+        "type": st.sampled_from(_SUPPORTED_TYPES),
+        "command": st.sampled_from(sorted(EXPLAIN)),
+        "seed": st.integers(0, 2 ** 64 - 1),
+        "version": st.just("0.1.0"),
+        "config_hash": st.text("0123456789abcdef", min_size=16, max_size=16),
+    }),
+    "checks": st.lists(st.fixed_dictionaries({
+        "name": st.text(max_size=12),
+        "status": st.sampled_from(["pass", "fail", "anomaly", "unsupported"]),
+        "metrics": st.dictionaries(st.text(max_size=6), _JSON, max_size=3),
+    }), max_size=4),
+    "all_passed": st.booleans(),
+    "runtime_s": st.floats(0, 1e3),
+})
+
+
+def _stored(doc) -> bytes:
+    return (json.dumps(doc, indent=1) + "\n").encode()
+
+
+@st.composite
+def _malformed_reports(draw) -> bytes:
+    """Bytes that open an object and mostly are no JSON, JSON that is no
+    object, or a report with one required key deleted or given a value of
+    the wrong type."""
+    kind = draw(st.sampled_from(["no-json", "no-object", "missing", "wrong-type"]))
+    if kind == "no-json":
+        return b"{" + draw(st.binary(max_size=12))
+    if kind == "no-object":
+        return _stored(draw(_JSON.filter(lambda v: not isinstance(v, dict))))
+    doc = draw(_REPORTS)
+    if kind == "missing":
+        owners = ([(doc, "provenance"), (doc, "checks")]
+                  + [(doc["provenance"], key) for key in ("type", "command", "seed")]
+                  + [(c, key) for c in doc["checks"] for key in ("name", "status", "metrics")])
+        owner, key = draw(st.sampled_from(owners))
+        del owner[key]
+        return _stored(doc)
+    # the types every format relies on
+    slots = ([(doc, "provenance", dict), (doc, "checks", list)]
+             + [(doc["checks"], i, dict) for i in range(len(doc["checks"]))]
+             + [(c, "status", str) for c in doc["checks"]])
+    owner, key, required = draw(st.sampled_from(slots))
+    owner[key] = draw(_JSON.filter(lambda v: not isinstance(v, required)))
+    return _stored(doc)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(doc=_REPORTS, bad=_malformed_reports())
+def test_report_in_property(tmp_path_factory, doc, bad):
+    """A stored report re-emits byte for byte as JSON and converts to csv
+    and text with exit 0; a malformed file exits 2 with one `error:` line
+    and no traceback."""
+    path = tmp_path_factory.mktemp("report") / "r.json"
+    path.write_bytes(_stored(doc))
+    assert _run_main(["report", "--in", str(path), "--format", "json"]) == (
+        0, _stored(doc).decode(), "")
+    for fmt in ("csv", "text"):
+        assert _run_main(["report", "--in", str(path), "--format", fmt])[0] == 0
+    path.write_bytes(bad)
+    for fmt in ("json", "csv", "text"):
+        code, out, err = _run_main(["report", "--in", str(path), "--format", fmt])
+        assert code == 2 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1

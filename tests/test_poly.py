@@ -15,7 +15,6 @@ from chevalley.poly import (
     CompiledPoly,
     PolyMatrix,
     SparsePoly,
-    expand_linear_power,
     power_table,
     product,
 )
@@ -224,18 +223,6 @@ def test_serialization_round_trip(rng):
     es = [tuple(t["e"]) for t in p.to_json_dict()["terms"]]
     assert es == [(2, 0), (0, 2), (1, 0)]
     assert json.dumps(p.to_json_dict()) == json.dumps(round_trip(p).to_json_dict())
-
-
-def test_expand_linear_power_matches_repeated_multiplication(rng):
-    for _ in range(10):
-        coeffs = [Scalar(int(rng.integers(-3, 4)), int(rng.integers(-1, 2)))
-                  for _ in range(3)]
-        form = SparsePoly(3, {
-            tuple(1 if j == i else 0 for j in range(3)): c
-            for i, c in enumerate(coeffs) if not c.is_zero()
-        })
-        k = int(rng.integers(0, 7))
-        assert expand_linear_power(coeffs, k) == form ** k
 
 
 def test_eval_product_homomorphism_random_points(rng):

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from chevalley.errors import UsageError
+from chevalley.invariants import RestrictedBasis
 from chevalley.probe import (
     FiberSample,
     _project_batch,
     critical_points,
     fiber_connectivity,
     fiber_value_interval,
-    isotropy_components,
     random_regular_target,
     sample_fiber,
 )
@@ -196,6 +197,28 @@ def test_critical_point_bordering_minors_vanish(basis_cache, rs_cache, strata_ca
         for cp in cps:
             assert cp.bordering_minor_max <= 1e-8
             assert not cp.anomaly, cp.anomaly_reason
+
+
+def isotropy_components(rs, stratum):
+    """Orthonormal bases of the irreducible blocks of the isotropy group.
+
+    Isotropy roots are grouped by the transitive closure of non-orthogonality;
+    each group spans one invariant subspace of the isotropy action on the
+    normal space of the stratum.
+    """
+    roots = rs.positive_f[list(stratum.isotropy)]
+    if len(roots) == 0:
+        return []
+    # components are labelled in order of their smallest member
+    n_comp, labels = connected_components(np.abs(roots @ roots.T) > 1e-10,
+                                          directed=False)
+    out = []
+    for c in range(n_comp):
+        sub = roots[labels == c]
+        u, sv, _ = np.linalg.svd(sub.T, full_matrices=False)
+        r = int(np.sum(sv > 1e-10 * sv[0]))
+        out.append(u[:, :r])
+    return out
 
 
 def test_hessian_block_structure(basis_cache, rs_cache, strata_cache):
@@ -498,6 +521,9 @@ def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache,
     m = random_regular_target(b, rs, k, 17)[0]
     got = regularity.envelope_at(b, rs, k, m, strata=strata_cache(name))
     monkeypatch.setattr(regularity, "_project_batch", _project_batch_reference)
+    # the per-call reference takes J on the face coordinates, J(Y B^T) B
+    monkeypatch.setattr(RestrictedBasis, "J", lambda rb, Y, k=None: np.einsum(
+        "bkn,nj->bkj", rb.base.J(Y @ rb.B.T, k), rb.B), raising=False)
     want = regularity.envelope_at(b, rs, k, m, strata=strata_cache(name))
     assert got == want
 
