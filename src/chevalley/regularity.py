@@ -6,10 +6,11 @@ fundamental domain) is meshed, the mesh is pushed through the invariant map,
 and edge weights are Euclidean distances between image points.  Graph path
 length over straight-line image distance then estimates the geodesic ratio;
 the supremum of that ratio over pairs is the quantity whose finiteness is
-being certified.  Pair sampling is biased toward the image boundary, where
-the cusps live.  Large Dijkstra sweeps run on forked workers with identical
-distances (`_pair_geodesics`): their memory is not in the parent's ru_maxrss,
-and a trace of `dijkstra` here sees only the parent's share.
+being certified.  Pairs are vertex indices, drawn with a bias toward the
+image boundary, where the cusps live.  Large Dijkstra sweeps run on forked
+workers with identical distances (`_pair_geodesics`): their memory is not in
+the parent's ru_maxrss, and a trace of `dijkstra` here sees only the
+parent's share.
 
 The module also computes the lift derivatives d p_{k+1} / d p_j on strata
 (bounded, with continuous extension toward the origin) and the min/max
@@ -32,7 +33,7 @@ from scipy.spatial import cKDTree
 from .coxeter import RootSystem, Stratum, enumerate_strata, sample_stratum
 from .errors import CapabilityError, ConvergenceError, UsageError
 from .invariants import InvariantBasis
-from .probe import _project_batch, _rng
+from .probe import _fiber_scale, _project_batch, _rng
 
 MESH_POINT_BUDGET = 8_000_000
 
@@ -196,38 +197,6 @@ NEAR_BOUNDARY_FRAC = 0.5        # share of pair sources within 2h of a chamber w
 TARGETS_PER_SOURCE = 20
 
 
-def _sample_pair_positions(
-    g: ImageGraph, pairs: int, seed: int, targets_per_source: int = TARGETS_PER_SOURCE,
-):
-    """Pair endpoints as chamber positions (reusable across pitches)."""
-    rng = _rng(seed)
-    V = g.size
-    near_idx = np.flatnonzero(g.near_boundary)
-    if len(near_idx) == 0:
-        near_idx = np.arange(V)
-    n_sources = max(1, pairs // targets_per_source)
-    n_near = int(round(n_sources * NEAR_BOUNDARY_FRAC))
-    src = []
-    tgt = []
-    for s_i in range(n_sources):
-        pool = near_idx if s_i < n_near else np.arange(V)
-        s = pool[rng.integers(0, len(pool))]
-        t = pool[rng.integers(0, len(pool), size=targets_per_source)]
-        src.append(s)
-        tgt.append(t)
-    src = np.array(src)
-    tgt = np.array(tgt)
-    return g.mesh.vertices[src], g.mesh.vertices[tgt.reshape(-1)].reshape(
-        tgt.shape + (g.mesh.vertices.shape[1],)
-    )
-
-
-def _snap_indices(g: ImageGraph, src_pos, tgt_pos):
-    _, src_idx = g.tree.query(src_pos)
-    _, tgt_idx = g.tree.query(tgt_pos)
-    return src_idx, tgt_idx
-
-
 def _admit_pairs(g: ImageGraph, src_idx, tgt_idx) -> np.ndarray:
     """Mask of pairs the graph can resolve: image separation above
     RESOLUTION_FLOOR_FACTOR local image edge lengths.  Pairs below that
@@ -239,10 +208,22 @@ def _admit_pairs(g: ImageGraph, src_idx, tgt_idx) -> np.ndarray:
 
 
 def _draw_pairs(g: ImageGraph, pairs: int, seed: int):
-    """(src_pos, tgt_pos, mask): drawn pair positions, snapped to g and
-    admitted there."""
-    src_pos, tgt_pos = _sample_pair_positions(g, pairs, seed)
-    return src_pos, tgt_pos, _admit_pairs(g, *_snap_indices(g, src_pos, tgt_pos))
+    """(s, t): the admitted vertex pairs of g, grouped by source row in draw
+    order.  A row (a source, then TARGETS_PER_SOURCE targets) is drawn from
+    the near-wall vertices for the first NEAR_BOUNDARY_FRAC of rows, else all."""
+    rng = _rng(seed)
+    near = np.flatnonzero(g.near_boundary)
+    if len(near) == 0:
+        near = np.arange(g.size)
+    n_sources = max(1, pairs // TARGETS_PER_SOURCE)
+    n_near = int(round(n_sources * NEAR_BOUNDARY_FRAC))
+    drawn = np.concatenate([
+        pool[rng.integers(0, len(pool), size=(rows, 1 + TARGETS_PER_SOURCE))]
+        for pool, rows in ((near, n_near), (np.arange(g.size), n_sources - n_near))
+    ])
+    src, tgt = drawn[:, 0], drawn[:, 1:]
+    rows, cols = np.nonzero(_admit_pairs(g, src, tgt))   # row-major
+    return src[rows], tgt[rows, cols]
 
 
 # sweeps of at least this many (distinct sources x stored edges) are split:
@@ -303,19 +284,16 @@ def _pair_geodesics(graph: csr_matrix, s: np.ndarray, t: np.ndarray) -> np.ndarr
     return geo
 
 
-def _ratio_stats_for_pairs(g: ImageGraph, src_pos, tgt_pos, mask,
-                           table: list | None = None) -> RatioReport:
-    """Graph/Euclidean ratios for an explicit, pre-admitted pair set.
+def _ratio_stats(g: ImageGraph, s: np.ndarray, t: np.ndarray,
+                 table: list | None = None) -> RatioReport:
+    """Graph/Euclidean ratios over the vertex pairs (s[i], t[i]) of g.
 
     When `table` is given, one (source, target, euclid, geodesic, ratio)
     row per pair is appended to it for CSV export.
     """
-    src_idx, tgt_idx = _snap_indices(g, src_pos, tgt_pos)
-    rows, cols = np.nonzero(mask)   # row-major: grouped by source row
-    if len(rows) == 0:
+    if len(s) == 0:
         raise CapabilityError("no pair exceeded the graph's image resolution; "
                               "use a finer pitch (--h) or more pairs (--pairs)")
-    s, t = src_idx[rows], tgt_idx[rows, cols]
     geo = _pair_geodesics(g.graph, s, t)
     eu = np.linalg.norm(g.image[t] - g.image[s], axis=1)
     r = geo / eu
@@ -341,7 +319,7 @@ def whitney_ratio(g: ImageGraph, pairs: int = 5000, seed: int = 0) -> RatioRepor
     Dijkstra sweep serves many targets; pairs below the graph's image
     resolution are excluded (see _admit_pairs).
     """
-    return _ratio_stats_for_pairs(g, *_draw_pairs(g, pairs, seed))
+    return _ratio_stats(g, *_draw_pairs(g, pairs, seed))
 
 
 def whitney_study(
@@ -356,19 +334,20 @@ def whitney_study(
     """Ratio statistics at pitch h and h/2 on one fixed pair set.
 
     The coarse stage is `whitney_ratio` on the pitch-h image graph.  Its
-    pairs are drawn and admitted once (grid points of the coarse lattice are
-    grid points of the fine one) and the same set is re-evaluated after
-    refinement, so the stability delta compares like with like rather than
-    chasing newly resolvable pairs.  When `pair_table` is given, the coarse
-    stage appends one (source, target, euclid, geodesic, ratio) row per pair
-    to it.
+    vertex pairs are drawn and admitted once; the refinement stage snaps
+    their endpoints to the nearest vertices of the pitch-h/2 graph (grid
+    points of the coarse lattice are grid points of the fine one), so the
+    stability delta compares like with like rather than chasing newly
+    resolvable pairs.  When `pair_table` is given, the coarse stage appends
+    one (source, target, euclid, geodesic, ratio) row per pair to it.
     """
     # the fine mesh first: it is the one that can exceed the point budget
     g2 = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h / 2))
     g = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h))
-    src_pos, tgt_pos, mask = _draw_pairs(g, pairs, seed)
-    reports = [_ratio_stats_for_pairs(g, src_pos, tgt_pos, mask, table=pair_table),
-               _ratio_stats_for_pairs(g2, src_pos, tgt_pos, mask)]
+    s, t = _draw_pairs(g, pairs, seed)
+    reports = [_ratio_stats(g, s, t, table=pair_table),
+               _ratio_stats(g2, g2.tree.query(g.mesh.vertices[s])[1],
+                            g2.tree.query(g.mesh.vertices[t])[1])]
     out = reports[0]
     out.refinement = [
         {"pitch": r.pitch, "max_ratio": r.max_ratio, "p99_ratio": r.p99_ratio,
@@ -385,13 +364,11 @@ def whitney_study(
 def image_pair_ratio(g: ImageGraph, x_from, x_to) -> float:
     """Geodesic/Euclidean ratio between the image points of two chamber
     points, snapped to their nearest mesh vertices."""
-    _, i = g.tree.query(np.asarray(x_from, dtype=float))
-    _, j = g.tree.query(np.asarray(x_to, dtype=float))
-    dist = dijkstra(g.graph, directed=True, indices=[i])[0, j]  # symmetric CSR
+    _, (i, j) = g.tree.query(np.array([x_from, x_to], dtype=float))
     eu = float(np.linalg.norm(g.image[i] - g.image[j]))
     if eu == 0:
         raise UsageError("image points coincide")
-    return float(dist) / eu
+    return float(_pair_geodesics(g.graph, np.array([i]), np.array([j]))[0]) / eu
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +557,13 @@ def envelope_at(
     m = np.asarray(m, dtype=float)
     cb = basis.compiled
     rng = _rng(seed)
+    scale = _fiber_scale(basis, m, None)
     per = {}
     for s in strata:
         if s.dim != k:
             continue
         B = s.basis
         anchor_y = B.T @ s.anchor
-        scale = float(np.sqrt(abs(m[0]))) if basis.degrees[0] == 2 and m[0] > 0 else 1.0
         Y0 = anchor_y[None, :] * scale + 0.3 * scale * rng.normal(size=(16, k))
         Y, ok = _project_batch(cb.restrict(B), k, m, Y0, max_iter=80)
         X = Y[ok] @ B.T

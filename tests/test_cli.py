@@ -560,9 +560,8 @@ _REPORTS = st.fixed_dictionaries({
         "status": st.sampled_from(["pass", "fail", "anomaly", "unsupported"]),
         "metrics": st.dictionaries(st.text(max_size=6), _JSON, max_size=3),
     }), max_size=4),
-    "all_passed": st.booleans(),
     "runtime_s": st.floats(0, 1e3),
-})
+}).map(lambda doc: {**doc, "all_passed": all(c["status"] == "pass" for c in doc["checks"])})
 
 
 def _stored(doc) -> bytes:
@@ -573,13 +572,18 @@ def _stored(doc) -> bytes:
 def _malformed_reports(draw) -> bytes:
     """Bytes that open an object and mostly are no JSON, JSON that is no
     object, or a report with one required key deleted or given a value of
-    the wrong type."""
-    kind = draw(st.sampled_from(["no-json", "no-object", "missing", "wrong-type"]))
+    the wrong type, or with an `all_passed` other than its checks' verdict."""
+    kind = draw(st.sampled_from(["no-json", "no-object", "missing", "wrong-type",
+                                 "mismatched"]))
     if kind == "no-json":
         return b"{" + draw(st.binary(max_size=12))
     if kind == "no-object":
         return _stored(draw(_JSON.filter(lambda v: not isinstance(v, dict))))
     doc = draw(_REPORTS)
+    if kind == "mismatched":
+        verdict = doc["all_passed"]
+        doc["all_passed"] = draw(st.just(not verdict) | _JSON.filter(lambda v: v is not verdict))
+        return _stored(doc)
     if kind == "missing":
         owners = ([(doc, "provenance"), (doc, "checks")]
                   + [(doc["provenance"], key) for key in ("type", "command", "seed")]

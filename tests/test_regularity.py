@@ -8,18 +8,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from chevalley import regularity
 from chevalley.errors import UsageError
-from chevalley.probe import fiber_value_interval, sample_fiber
+from chevalley.probe import _rng, fiber_value_interval, sample_fiber
 from chevalley.regularity import (
+    NEAR_BOUNDARY_FRAC,
     RESOLUTION_FLOOR_FACTOR,
+    TARGETS_PER_SOURCE,
     ImageGraph,
     _admit_pairs,
     _draw_pairs,
-    _ratio_stats_for_pairs,
-    _sample_pair_positions,
-    _snap_indices,
+    _ratio_stats,
     build_chamber_mesh,
     build_image_graph,
     envelope_at,
@@ -122,16 +123,15 @@ def test_rescaled_radius_consistency(basis_cache, rs_cache):
     b, rs = basis_cache("B2"), rs_cache("B2")
     mesh1 = build_chamber_mesh(rs, 1.0, 0.04)
     g1 = build_image_graph(b, rs, mesh1)
-    src, tgt, mask = _draw_pairs(g1, 800, 3)
+    s, t = _draw_pairs(g1, 800, 3)
+    src, tgt = mesh1.vertices[s], mesh1.vertices[t]
     # keep endpoints clear of the outer sphere: its snapped vertices exist
     # only in the radius-1 mesh
-    inner = np.linalg.norm(src, axis=1) <= 1.0 - 2 * 0.04
-    mask &= inner[:, None]
-    mask &= np.linalg.norm(tgt, axis=-1) <= 1.0 - 2 * 0.04
-    rep1 = _ratio_stats_for_pairs(g1, src, tgt, mask)
+    inner = np.linalg.norm(np.stack([src, tgt]), axis=-1).max(axis=0) <= 1.0 - 2 * 0.04
+    rep1 = _ratio_stats(g1, s[inner], t[inner])
     mesh2 = build_chamber_mesh(rs, 2.0, 0.04)
     g2 = build_image_graph(b, rs, mesh2)
-    rep2 = _ratio_stats_for_pairs(g2, src, tgt, mask)
+    rep2 = _ratio_stats(g2, g2.tree.query(src[inner])[1], g2.tree.query(tgt[inner])[1])
     assert abs(rep2.max_ratio - rep1.max_ratio) / rep1.max_ratio <= 0.01
 
 
@@ -223,6 +223,28 @@ def test_envelope_prism_containment(basis_cache, rs_cache):
 # Reference copies of the per-row pair path the whole-array one replaced;
 # the new path must reproduce them bit for bit.
 
+def _loop_draw(g, pairs, seed, targets_per_source=TARGETS_PER_SOURCE):
+    """(src, tgt) vertex indices: per row, one draw for the source, then
+    one for its targets."""
+    rng = _rng(seed)
+    near_idx = np.flatnonzero(g.near_boundary)
+    if len(near_idx) == 0:
+        near_idx = np.arange(g.size)
+    n_sources = max(1, pairs // targets_per_source)
+    n_near = int(round(n_sources * NEAR_BOUNDARY_FRAC))
+    src, tgt = [], []
+    for s_i in range(n_sources):
+        pool = near_idx if s_i < n_near else np.arange(g.size)
+        src.append(pool[rng.integers(0, len(pool))])
+        tgt.append(pool[rng.integers(0, len(pool), size=targets_per_source)])
+    return np.array(src), np.array(tgt)
+
+
+def _admitted(g, si, ti):
+    rows, cols = np.nonzero(_admit_pairs(g, si, ti))
+    return si[rows], ti[rows, cols]
+
+
 def _rowwise_resolution(g, idx):
     res = np.zeros(len(idx))
     for pos, v in enumerate(idx):
@@ -268,19 +290,19 @@ def _rowwise_ratios(g, src_idx, tgt_idx, mask):
 @pytest.fixture(scope="module", params=[("B2", 0.05), ("G2", 0.05), ("B3", 0.08)],
                 ids=lambda p: p[0])
 def pair_case(request, basis_cache, rs_cache):
-    """An image graph and a pair set with duplicate sources, source rows
-    without an admitted target, and more than 128 distinct admitted sources
-    on B2 and B3 (so the Dijkstra chunks split)."""
+    """The type name, an image graph and vertex-index pair rows of five
+    targets each, with duplicate sources, source rows without an admitted
+    target, and more than 128 distinct admitted sources on B2 and B3 (so the
+    Dijkstra chunks split)."""
     name, h = request.param
     rs = rs_cache(name)
     g = build_image_graph(basis_cache(name), rs, build_chamber_mesh(rs, 1.0, h))
-    src, tgt = _sample_pair_positions(g, 3000, 0, targets_per_source=5)
-    si, ti = _snap_indices(g, src, tgt)
-    return g, src, tgt, si, ti
+    si, ti = _loop_draw(g, 3000, 0, targets_per_source=5)
+    return name, g, si, ti
 
 
 def test_resolution_matches_rowwise_median(pair_case):
-    g = pair_case[0]
+    g = pair_case[1]
     assert np.array_equal(g.resolution, _rowwise_resolution(g, np.arange(g.size)))
 
 
@@ -294,11 +316,12 @@ def test_resolution_of_odd_even_and_empty_rows():
 
 
 def test_admit_pairs_matches_rowwise(pair_case):
-    g, _, _, si, ti = pair_case
+    name, g, si, ti = pair_case
     mask = _admit_pairs(g, si, ti)
     assert np.array_equal(mask, _rowwise_admit(g, si, ti, RESOLUTION_FLOOR_FACTOR))
     assert len(np.unique(si)) < len(si)       # duplicate sources
     assert not np.all(mask.any(axis=1))       # rows without an admitted target
+    assert name == "G2" or len(np.unique(si[mask.any(axis=1)])) > 128
 
 
 def _split_sweeps(monkeypatch, cpus):
@@ -313,10 +336,10 @@ def _assert_no_child_left():
 
 
 def _check_ratio_stats_match_rowwise(pair_case):
-    g, src, tgt, si, ti = pair_case
+    _, g, si, ti = pair_case
     mask = _admit_pairs(g, si, ti)
     table = []
-    rep = _ratio_stats_for_pairs(g, src, tgt, mask, table=table)
+    rep = _ratio_stats(g, *_admitted(g, si, ti), table=table)
     stats, ref_table = _rowwise_ratios(g, si, ti, mask)
     assert (rep.n_pairs, rep.max_ratio, rep.p99_ratio, rep.min_ratio) == stats
     assert table == ref_table
@@ -347,7 +370,7 @@ def test_ratio_stats_match_rowwise_split(pair_case, monkeypatch, cpus):
 def test_failed_sweep_raises_and_reaps_every_child(pair_case, monkeypatch, failing):
     """A worker's failure raises in the parent; a failure in the parent's own
     share stops the workers still sweeping.  No child outlives the call."""
-    g, src, tgt, si, ti = pair_case
+    _, g, si, ti = pair_case
     parent, search = os.getpid(), regularity.dijkstra
 
     def dijkstra(*args, **kwargs):
@@ -358,5 +381,65 @@ def test_failed_sweep_raises_and_reaps_every_child(pair_case, monkeypatch, faili
     _split_sweeps(monkeypatch, 3)
     monkeypatch.setattr(regularity, "dijkstra", dijkstra)
     with pytest.raises(RuntimeError if failing == "children" else MemoryError):
-        _ratio_stats_for_pairs(g, src, tgt, _admit_pairs(g, si, ti))
+        _ratio_stats(g, *_admitted(g, si, ti))
     _assert_no_child_left()
+
+
+@pytest.fixture(scope="module")
+def graph_cache(basis_cache, rs_cache):
+    cache = {}
+
+    def get(name, h):
+        if (name, h) not in cache:
+            rs = rs_cache(name)
+            cache[name, h] = build_image_graph(basis_cache(name), rs,
+                                               build_chamber_mesh(rs, 1.0, h))
+        return cache[name, h]
+
+    return get
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("name,h,pairs", [
+    ("A1", 0.02, 2000), ("B2", 0.05, 2000), ("G2", 0.05, 2000), ("I2:7", 0.05, 2000),
+    ("B3", 0.1, 2000), ("H3", 0.1, 2000), ("B2", 0.05, 30), ("B2", 0.05, 3),
+])
+def test_draw_pairs_matches_loop(graph_cache, name, h, pairs, seed):
+    """One integers block per pool gives the per-source loop's pairs bit for
+    bit, in its order; pairs 30 and 3 draw one source, from all vertices."""
+    g = graph_cache(name, h)
+    s, t = _draw_pairs(g, pairs, seed)
+    want_s, want_t = _admitted(g, *_loop_draw(g, pairs, seed))
+    assert np.array_equal(s, want_s) and np.array_equal(t, want_t)
+    assert s.dtype == t.dtype == np.int64
+    assert pairs < 2000 or len(s) > 0
+
+
+@pytest.mark.parametrize("name,h", [("B2", 0.05), ("G2", 0.05), ("B3", 0.1)])
+def test_whitney_study_matches_loop_reference(name, h, basis_cache, rs_cache):
+    """The study's report and pair table equal a reference rebuilt from the
+    per-source loop, the per-row admission and sweeps, and an explicit
+    nearest-vertex snap of every drawn endpoint onto the pitch-h/2 graph."""
+    b, rs = basis_cache(name), rs_cache(name)
+    table = []
+    st = whitney_study(b, rs, 1.0, h, pairs=1500, seed=4, pair_table=table)
+    g = build_image_graph(b, rs, build_chamber_mesh(rs, 1.0, h))
+    g2 = build_image_graph(b, rs, build_chamber_mesh(rs, 1.0, h / 2))
+    # a vertex snaps to itself, so coarse pairs need no snap
+    assert np.array_equal(cKDTree(g.mesh.vertices).query(g.mesh.vertices)[1],
+                          np.arange(g.size))
+    si, ti = _loop_draw(g, 1500, 4)
+    mask = _rowwise_admit(g, si, ti, RESOLUTION_FLOOR_FACTOR)
+    coarse, ref_table = _rowwise_ratios(g, si, ti, mask)
+    tree = cKDTree(g2.mesh.vertices)
+    fine, _ = _rowwise_ratios(g2, tree.query(g.mesh.vertices[si])[1],
+                              tree.query(g.mesh.vertices[ti])[1], mask)
+    assert table == ref_table
+    assert (st.n_pairs, st.max_ratio, st.p99_ratio, st.min_ratio) == coarse
+    assert st.refinement == [
+        {"pitch": g.mesh.pitch, "max_ratio": coarse[1], "p99_ratio": coarse[2],
+         "n_pairs": coarse[0]},
+        {"pitch": g2.mesh.pitch, "max_ratio": fine[1], "p99_ratio": fine[2],
+         "n_pairs": fine[0]},
+        {"max_ratio_rel_change": abs(fine[1] - coarse[1]) / coarse[1]},
+    ]
