@@ -1,9 +1,10 @@
 """Command-line orchestration of the verification suites.
 
 Every subcommand runs one family of checks against one group type and emits
-a SuiteReport (JSON, CSV or text).  All randomness flows from the single
-config seed through counter-based generators, so a fixed config reproduces
-its report byte for byte (the wall-clock runtime field aside).
+a SuiteReport (JSON, CSV or text).  Every random generator is seeded from
+the config seed or from a fixed constant (Philox streams in the samplers,
+PCG64 in a few numeric checks), so a fixed config reproduces its report
+byte for byte (the wall-clock runtime field aside).
 
 Exit codes: 0 all checks passed; 1 a check failed or an anomaly was found;
 2 usage or capability error; 3 cache integrity error; 4 convergence error.

@@ -76,10 +76,6 @@ class SparsePoly:
         e[i] = 1
         return SparsePoly(nvars, {tuple(e): ONE})
 
-    @staticmethod
-    def monomial(nvars: int, e: Sequence[int], c=1) -> "SparsePoly":
-        return SparsePoly(nvars, {tuple(e): c if isinstance(c, Scalar) else Scalar(c)})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:

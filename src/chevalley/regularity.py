@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +44,7 @@ class ChamberMesh:
     edges: np.ndarray           # (E, 2) int
     pitch: float
     radius: float
+    tree: cKDTree               # over `vertices`: the one nearest-vertex index
 
     @property
     def size(self) -> int:
@@ -53,26 +54,12 @@ class ChamberMesh:
 def build_chamber_mesh(rs: RootSystem, a: float, h: float) -> ChamberMesh:
     """Grid points of pitch h inside (chamber) & (ball of radius a), with
     wall, wall-pair and sphere projections snapped on; edges join vertices
-    within sqrt(n) * h.
-
-    A disconnected mesh triggers one retry at half pitch.
+    within sqrt(n) * h.  The KD-tree that finds the edges is kept on the
+    mesh for snapping chamber points to vertices.  Connectivity is checked
+    once, by `build_image_graph`.
     """
     if h > a / 4 + 1e-12:
         raise UsageError("mesh pitch must satisfy h <= a/4")
-    for attempt in range(2):
-        mesh = _build_mesh_once(rs, a, h)
-        adj = csr_matrix(
-            (np.ones(len(mesh.edges)), (mesh.edges[:, 0], mesh.edges[:, 1])),
-            shape=(mesh.size, mesh.size),
-        )
-        ncomp, _ = connected_components(adj, directed=False)
-        if ncomp == 1:
-            return mesh
-        h *= 0.5
-    raise ConvergenceError("chamber mesh is disconnected even after refinement")
-
-
-def _build_mesh_once(rs: RootSystem, a: float, h: float) -> ChamberMesh:
     n = rs.n
     idx = np.arange(-int(np.floor(a / h + 1e-9)), int(np.floor(a / h + 1e-9)) + 1)
     if (len(idx)) ** n > MESH_POINT_BUDGET:
@@ -122,11 +109,13 @@ def _build_mesh_once(rs: RootSystem, a: float, h: float) -> ChamberMesh:
 
     tree = cKDTree(verts)
     edges = tree.query_pairs(np.sqrt(n) * h * (1 + 1e-9), output_type="ndarray")
-    return ChamberMesh(verts, edges, h, a)
+    return ChamberMesh(verts, edges, h, a, tree)
 
 
 @dataclass
 class ImageGraph:
+    """A connected chamber mesh pushed through P; `mesh.tree` snaps chamber
+    points to its vertices."""
     mesh: ChamberMesh
     image: np.ndarray           # (V, n) full invariant map of every vertex
     graph: csr_matrix           # symmetric weighted adjacency
@@ -135,11 +124,6 @@ class ImageGraph:
     @property
     def size(self) -> int:
         return len(self.image)
-
-    @cached_property
-    def tree(self) -> cKDTree:
-        """Nearest-vertex index over the mesh, for snapping chamber points."""
-        return cKDTree(self.mesh.vertices)
 
     @cached_property
     def resolution(self) -> np.ndarray:
@@ -182,14 +166,7 @@ class RatioReport:
     refinement: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "pitch": self.pitch,
-            "n_pairs": self.n_pairs,
-            "max_ratio": self.max_ratio,
-            "p99_ratio": self.p99_ratio,
-            "min_ratio": self.min_ratio,
-            "refinement": self.refinement,
-        }
+        return asdict(self)
 
 
 RESOLUTION_FLOOR_FACTOR = 6.0   # admitted pairs: image separation in local edge lengths
@@ -346,8 +323,8 @@ def whitney_study(
     g = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h))
     s, t = _draw_pairs(g, pairs, seed)
     reports = [_ratio_stats(g, s, t, table=pair_table),
-               _ratio_stats(g2, g2.tree.query(g.mesh.vertices[s])[1],
-                            g2.tree.query(g.mesh.vertices[t])[1])]
+               _ratio_stats(g2, g2.mesh.tree.query(g.mesh.vertices[s])[1],
+                            g2.mesh.tree.query(g.mesh.vertices[t])[1])]
     out = reports[0]
     out.refinement = [
         {"pitch": r.pitch, "max_ratio": r.max_ratio, "p99_ratio": r.p99_ratio,
@@ -364,7 +341,7 @@ def whitney_study(
 def image_pair_ratio(g: ImageGraph, x_from, x_to) -> float:
     """Geodesic/Euclidean ratio between the image points of two chamber
     points, snapped to their nearest mesh vertices."""
-    _, (i, j) = g.tree.query(np.array([x_from, x_to], dtype=float))
+    _, (i, j) = g.mesh.tree.query(np.array([x_from, x_to], dtype=float))
     eu = float(np.linalg.norm(g.image[i] - g.image[j]))
     if eu == 0:
         raise UsageError("image points coincide")
@@ -483,11 +460,10 @@ def envelope_functions(
         lo, hi = float(np.min(base[:, j])), float(np.max(base[:, j]))
         pad = 1e-9 * max(1.0, abs(hi - lo))
         edges.append(np.linspace(lo - pad, hi + pad, cells + 1))
-    idx = np.zeros(len(X), dtype=np.int64)
-    for j in range(k):
-        bj = np.clip(np.digitize(base[:, j], edges[j]) - 1, 0, cells - 1)
-        idx = idx * cells + bj
     shape = (cells,) * k
+    idx = np.ravel_multi_index(
+        [np.clip(np.digitize(base[:, j], edges[j]) - 1, 0, cells - 1) for j in range(k)],
+        shape)
     env_min = np.full(cells ** k, np.inf)
     env_max = np.full(cells ** k, -np.inf)
     counts = np.zeros(cells ** k, dtype=np.int64)
@@ -526,15 +502,10 @@ def _envelope_lipschitz(env: np.ndarray, counts: np.ndarray, edges) -> float:
 def _empty_interior_cells(counts: np.ndarray) -> int:
     """Empty cells with populated cells on both sides along the first axis
     (a cheap interior-resolution warning count)."""
-    c = counts.reshape(counts.shape[0], -1)
-    total = 0
-    for col in range(c.shape[1]):
-        col_counts = c[:, col]
-        pop = np.flatnonzero(col_counts > 0)
-        if len(pop) >= 2:
-            inside = col_counts[pop[0]:pop[-1] + 1]
-            total += int(np.sum(inside == 0))
-    return total
+    pop = counts > 0
+    below = np.cumsum(pop, axis=0) > 0            # a populated cell at or before
+    above = np.cumsum(pop[::-1], axis=0)[::-1] > 0   # ... and one at or after
+    return int(np.sum(~pop & below & above))
 
 
 def envelope_at(

@@ -11,15 +11,19 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from chevalley import regularity
-from chevalley.errors import UsageError
+from chevalley.errors import ConvergenceError, UsageError
 from chevalley.probe import _rng, fiber_value_interval, sample_fiber
+from chevalley.coxeter import enumerate_strata, sample_stratum
 from chevalley.regularity import (
+    ENVELOPE_STRATUM_SAMPLES,
     NEAR_BOUNDARY_FRAC,
     RESOLUTION_FLOOR_FACTOR,
     TARGETS_PER_SOURCE,
+    ChamberMesh,
     ImageGraph,
     _admit_pairs,
     _draw_pairs,
+    _empty_interior_cells,
     _ratio_stats,
     build_chamber_mesh,
     build_image_graph,
@@ -60,6 +64,37 @@ def test_mesh_rank_one_interval(rs_cache):
     mesh = build_chamber_mesh(rs, 1.0, 0.05)
     assert np.all(mesh.vertices >= -1e-12) and np.all(mesh.vertices <= 1 + 1e-12)
     assert mesh.size == 21
+
+
+LOW_RANK_TYPES = ["A1", "A2", "B2", "G2", "I2:3", "I2:5", "I2:7", "I2:12",
+                  "A3", "B3", "D3", "H3"]
+
+
+@pytest.mark.parametrize("name,h", [
+    *[(name, h) for name in LOW_RANK_TYPES for h in (0.25, 0.1)],
+    # the whitney benchmark's coarse and fine pitches
+    ("B2", 0.04), ("B2", 0.02), ("B3", 0.05), ("B3", 0.025), ("H3", 0.05), ("H3", 0.025),
+    ("G2", 0.04), ("G2", 0.02), ("I2:7", 0.04), ("I2:7", 0.02),
+    *[(name, 0.25) for name in ("A4", "B4", "D4", "F4", "H4")],
+])
+def test_chamber_mesh_image_graph_is_connected(name, h, basis_cache, rs_cache):
+    """The one connectivity check passes on every rank <= 3 type at
+    h = a/4 and a/10, at the benchmark's pitches and on rank 4 at a/4."""
+    rs = rs_cache(name)
+    mesh = build_chamber_mesh(rs, 1.0, h)
+    g = build_image_graph(basis_cache(name), rs, mesh)
+    assert g.mesh is mesh and mesh.pitch == h
+    assert np.array_equal(mesh.tree.data, mesh.vertices)
+
+
+def test_disconnected_mesh_raises(basis_cache, rs_cache):
+    """Two far-apart clusters of a hand-built mesh make the image graph
+    disconnected, and building it raises."""
+    rs = rs_cache("B2")
+    verts = np.array([[0.1, 0.0], [0.15, 0.05], [0.9, 0.1], [0.95, 0.15]])
+    mesh = ChamberMesh(verts, np.array([[0, 1], [2, 3]]), 0.05, 1.0, cKDTree(verts))
+    with pytest.raises(ConvergenceError, match="image graph is disconnected"):
+        build_image_graph(basis_cache("B2"), rs, mesh)
 
 
 def test_a1_ratio_is_one(basis_cache, rs_cache):
@@ -131,7 +166,7 @@ def test_rescaled_radius_consistency(basis_cache, rs_cache):
     rep1 = _ratio_stats(g1, s[inner], t[inner])
     mesh2 = build_chamber_mesh(rs, 2.0, 0.04)
     g2 = build_image_graph(b, rs, mesh2)
-    rep2 = _ratio_stats(g2, g2.tree.query(src[inner])[1], g2.tree.query(tgt[inner])[1])
+    rep2 = _ratio_stats(g2, g2.mesh.tree.query(src[inner])[1], g2.mesh.tree.query(tgt[inner])[1])
     assert abs(rep2.max_ratio - rep1.max_ratio) / rep1.max_ratio <= 0.01
 
 
@@ -218,6 +253,61 @@ def test_envelope_prism_containment(basis_cache, rs_cache):
         env = envelope_functions(b, rs, 1, a=1.0, h=0.06, cells=30)
         assert env.containment_violations == 0
         assert env.empty_interior_cells == 0
+
+
+def _loop_empty_interior_cells(counts):
+    """Reference: per column along the first axis, the empty cells between
+    its first and last populated cell."""
+    c = counts.reshape(counts.shape[0], -1)
+    total = 0
+    for col in range(c.shape[1]):
+        col_counts = c[:, col]
+        pop = np.flatnonzero(col_counts > 0)
+        if len(pop) >= 2:
+            inside = col_counts[pop[0]:pop[-1] + 1]
+            total += int(np.sum(inside == 0))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_empty_interior_cells_matches_loop(k, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 7, size=k))
+        counts = rng.integers(0, 3, size=shape) * (rng.random(shape) < rng.random())
+        if k > 1:   # an empty column and a column with one populated cell
+            counts.reshape(shape[0], -1)[:, 0] = 0
+            counts.reshape(shape[0], -1)[:, -1] = 0
+            counts.reshape(shape[0], -1)[rng.integers(shape[0]), -1] = 2
+        assert _empty_interior_cells(counts) == _loop_empty_interior_cells(counts)
+    assert _empty_interior_cells(np.array([0, 1, 0, 0, 3, 0])) == 2
+    assert _empty_interior_cells(np.array([[1, 0], [0, 0], [1, 1]])) == 1
+
+
+@pytest.mark.parametrize("name,k", [("B2", 1), ("B3", 1), ("B3", 2), ("H3", 2)])
+def test_envelope_cell_index_matches_loop(name, k, basis_cache, rs_cache):
+    """The table equals one rebuilt from the same points with the cell
+    index of the per-axis loop idx = idx * cells + bj."""
+    b, rs = basis_cache(name), rs_cache(name)
+    a, h, cells, seed = 1.0, 0.08, 12, 31
+    env = envelope_functions(b, rs, k, a, h=h, cells=cells, seed=seed)
+    X = np.concatenate([build_chamber_mesh(rs, a, h).vertices] + [
+        sample_stratum(s, ENVELOPE_STRATUM_SAMPLES, a, seed, rs)
+        for s in enumerate_strata(rs) if s.dim == k])
+    vals = b.compiled.P(X[np.linalg.norm(X, axis=1) <= a + 1e-12], k + 1)
+    idx = np.zeros(len(vals), dtype=np.int64)
+    for j in range(k):
+        bj = np.clip(np.digitize(vals[:, j], env.cell_edges[j]) - 1, 0, cells - 1)
+        idx = idx * cells + bj
+    env_min = np.full(cells ** k, np.inf)
+    env_max = np.full(cells ** k, -np.inf)
+    np.minimum.at(env_min, idx, vals[:, k])
+    np.maximum.at(env_max, idx, vals[:, k])
+    assert np.array_equal(env.counts.ravel(), np.bincount(idx, minlength=cells ** k))
+    assert np.array_equal(env.env_min.ravel(), env_min)
+    assert np.array_equal(env.env_max.ravel(), env_max)
+    assert k == 1 or len(np.unique(idx)) > cells   # both axes vary
 
 
 # Reference copies of the per-row pair path the whole-array one replaced;
