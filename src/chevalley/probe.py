@@ -32,6 +32,7 @@ HESSIAN_EIG_FLOOR = 1e-6
 FIBER_MULTISTARTS = 128      # Newton starts seeding each fiber sample
 TARGET_CANDIDATES = 500      # draws before random_regular_target gives up
 TARGET_BLOCK = 16            # candidates drawn and reduced per to_chamber call
+_NEAREST = 8                 # neighbours per point in the connectivity subgraph
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -275,9 +276,12 @@ def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
     """Connected components of the r-neighborhood graph on the sample.
 
     The default radius is three times the largest nearest-neighbour
-    distance d.  The graph within d is a subgraph of that one in which
-    every point has an edge, so when it is connected, so is the r-graph;
-    the much denser r-graph is built only when it is not.
+    distance.  The r-graph is never built: one K-nearest query gives that
+    distance and a subgraph of the r-graph, the edges to the K nearest that
+    are strictly shorter than r (so they pass the KD-tree's own <= r test
+    on squared distances).  An r-edge joining two of its components has an
+    end outside the largest one, so the r-edges at those points, found in
+    one query, join exactly the components the r-graph joins.
     """
     pts = fs.points
     if len(pts) == 0:
@@ -285,29 +289,19 @@ def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
     if len(pts) == 1:
         return 1
     tree = cKDTree(pts)
+    dist, nbr = tree.query(pts, k=min(_NEAREST, len(pts) - 1) + 1)
     if radius is None:
-        nn, _ = tree.query(pts, k=2)
-        inner = float(np.max(nn[:, 1]))
-        if _components(tree, inner) == 1:
-            return 1
-        radius = 3.0 * inner
-    return _components(tree, radius)
-
-
-def _components(tree: cKDTree, radius: float) -> int:
-    """Connected components of the graph joining points within `radius`."""
-    size = tree.n
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    # int32 CSR built by hand: dense fibers give ~10^6 pairs, and a COO
-    # round trip would hold several int64 copies of them at once
-    rows, cols = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32)
-    del pairs
-    indices = cols[np.argsort(rows)]
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    del rows, cols
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
-    return int(connected_components(graph, directed=False)[0])
+        radius = 3.0 * float(np.max(dist[:, 1]))
+    rows, cols = np.nonzero(dist < radius)
+    graph = csr_matrix((np.ones(len(rows)), (rows, nbr[rows, cols])), shape=(len(pts),) * 2)
+    count, labels = connected_components(graph, directed=False)
+    if count == 1:
+        return 1
+    outside = np.flatnonzero(labels != np.argmax(np.bincount(labels)))
+    cross = cKDTree(pts[outside]).sparse_distance_matrix(tree, radius, output_type="ndarray")
+    joins = csr_matrix((np.ones(len(cross)), (labels[outside[cross["i"]]], labels[cross["j"]])),
+                       shape=(count, count))
+    return int(connected_components(joins, directed=False)[0])
 
 
 def fiber_value_interval(fs: FiberSample, basis: InvariantBasis, k: int):

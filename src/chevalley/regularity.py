@@ -35,7 +35,8 @@ from .errors import CapabilityError, ConvergenceError, UsageError
 from .invariants import InvariantBasis
 from .probe import _fiber_scale, _project_batch, _rng
 
-MESH_POINT_BUDGET = 8_000_000
+MESH_POINT_BUDGET = 8_000_000   # points of the bounding cube
+_MESH_BLOCK = 1 << 16            # cube points enumerated at a time
 
 
 @dataclass
@@ -54,9 +55,10 @@ class ChamberMesh:
 def build_chamber_mesh(rs: RootSystem, a: float, h: float) -> ChamberMesh:
     """Grid points of pitch h inside (chamber) & (ball of radius a), with
     wall, wall-pair and sphere projections snapped on; edges join vertices
-    within sqrt(n) * h.  The KD-tree that finds the edges is kept on the
-    mesh for snapping chamber points to vertices.  Connectivity is checked
-    once, by `build_image_graph`.
+    within sqrt(n) * h.  The grid cube is enumerated in its own order, in
+    blocks of x0-slabs, never whole, though the point budget counts it.  The
+    KD-tree that finds the edges is kept on the mesh for snapping chamber
+    points to vertices.  Connectivity is checked once, by `build_image_graph`.
     """
     if h > a / 4 + 1e-12:
         raise UsageError("mesh pitch must satisfy h <= a/4")
@@ -64,13 +66,16 @@ def build_chamber_mesh(rs: RootSystem, a: float, h: float) -> ChamberMesh:
     idx = np.arange(-int(np.floor(a / h + 1e-9)), int(np.floor(a / h + 1e-9)) + 1)
     if (len(idx)) ** n > MESH_POINT_BUDGET:
         raise CapabilityError("mesh would exceed the desk-scale point budget")
-    axes = [idx * h] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    keep = rs.chamber_contains(grid, tol=1e-12)
-    keep &= np.linalg.norm(grid, axis=1) <= a + 1e-12
-    pts = [grid[keep]]
+    axis, step = idx * h, max(1, _MESH_BLOCK // len(idx) ** (n - 1))
+    blocks = []
+    for lo in range(0, len(idx), step):
+        grid = np.stack(np.meshgrid(axis[lo:lo + step], *[axis] * (n - 1), indexing="ij"),
+                        axis=-1).reshape(-1, n)
+        keep = rs.chamber_contains(grid, tol=1e-12)
+        blocks.append(grid[keep & (np.linalg.norm(grid, axis=1) <= a + 1e-12)])
+    base = np.concatenate(blocks)
+    pts = [base]
 
-    base = pts[0]
     walls = rs.simple_unit_f
     dots = base @ walls.T
     # single-wall projections
@@ -212,13 +217,13 @@ def _pair_geodesics(graph: csr_matrix, s: np.ndarray, t: np.ndarray) -> np.ndarr
     """Graph distance s[i] -> t[i] for every pair: one directed search per
     distinct source (the CSR is symmetric), 128 sources per scipy call.
     scipy searches from each source on its own, so a large sweep is split
-    into one share of sources per usable CPU with bit-identical results:
+    into one share per usable CPU, at most one per source, bit-identical:
     forked children inherit the graph, run no BLAS and pipe back distances.
     """
     sources, which = np.unique(s, return_inverse=True)
     # os.sched_getaffinity is Linux-only; elsewhere every sweep stays in-process
     big = len(sources) * graph.nnz >= FORK_MIN_WORK and hasattr(os, "sched_getaffinity")
-    workers = len(os.sched_getaffinity(0)) if big else 1
+    workers = min(len(os.sched_getaffinity(0)), len(sources)) if big else 1
     cuts = [len(sources) * k // workers for k in range(workers + 1)]
     pairs = [np.flatnonzero((which >= lo) & (which < hi)) for lo, hi in zip(cuts, cuts[1:])]
 

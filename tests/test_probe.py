@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from chevalley.errors import UsageError
 from chevalley.invariants import RestrictedBasis
@@ -534,8 +537,6 @@ def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache,
 def _components_reference(pts, radius=None):
     """Components of the r-graph, r = 3 * largest nearest-neighbour distance."""
     from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
 
     tree = cKDTree(pts)
     if radius is None:
@@ -556,29 +557,33 @@ def _two_grids(gap, h=0.125, size=6, rng=None):
     return FiberSample("B2", 1, np.array([1.0]), pts, 0, 0.0)
 
 
-# pitch 0.125 and dyadic gaps: every distance is exact
-@pytest.mark.parametrize("gap,radius,want,graphs", [
-    (0.0625, None, 1, 1),   # gap < max-NN: the max-NN graph decides
-    (0.25, None, 1, 2),     # max-NN < gap <= 3 max-NN: split there, joined at 3x
-    (0.375, None, 1, 2),
-    (0.5, None, 2, 2),      # gap > 3 max-NN
+class _CountedTree(cKDTree):
+    """A cKDTree that records each query for r-edges across components."""
+    queries = []
+
+    def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
+        self.queries.append(max_distance)
+        return super().sparse_distance_matrix(other, max_distance, *args, **kwargs)
+
+
+# pitch 0.125 and dyadic gaps: every distance is exact.  `queries` counts the
+# queries for r-edges across components: 0 when the K-nearest graph is connected
+@pytest.mark.parametrize("gap,radius,want,queries", [
+    (0.0625, None, 1, 0),   # gap < max-NN: the K-nearest graph decides
+    (0.25, None, 1, 0),     # max-NN < gap: the corners' 8 nearest cross the gap
+    (0.375, None, 1, 1),    # they do not: split there, joined at 3 max-NN
+    (0.5, None, 2, 1),      # gap > 3 max-NN
     (0.0625, 0.05, 72, 1),  # an explicit radius below max-NN isolates every point
 ])
-def test_connectivity_matches_full_graph(gap, radius, want, graphs, monkeypatch):
+def test_connectivity_matches_full_graph(gap, radius, want, queries, monkeypatch):
     import chevalley.probe as probe
 
-    radii = []
-    components = probe._components
-
-    def counted(tree, r):
-        radii.append(r)
-        return components(tree, r)
-
-    monkeypatch.setattr(probe, "_components", counted)
+    monkeypatch.setattr(_CountedTree, "queries", [])
+    monkeypatch.setattr(probe, "cKDTree", _CountedTree)
     fs = _two_grids(gap, rng=np.random.default_rng(2))
     assert fiber_connectivity(fs, radius) == want
     assert _components_reference(fs.points, radius) == want
-    assert len(radii) == graphs
+    assert len(_CountedTree.queries) == queries
 
 
 def test_connectivity_matches_full_graph_on_random_clouds():
@@ -591,3 +596,48 @@ def test_connectivity_matches_full_graph_on_random_clouds():
         assert fiber_connectivity(fs) == _components_reference(pts)
         r = float(rng.uniform(0.05, 1.0))
         assert fiber_connectivity(fs, r) == _components_reference(pts, r)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 5), n=st.integers(2, 300), clusters=st.integers(1, 6),
+       duplicates=st.floats(0.0, 0.5), radius=st.sampled_from(["none", "random", "pair"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_connectivity_matches_full_graph_property(dim, n, clusters, duplicates, radius, seed):
+    """Clustered clouds with repeated points in 2-5 D; the radius is the
+    default, random, or exactly the distance between two points, so edges
+    of length r sit among the K nearest."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-4, 4, size=(clusters, dim))
+    spread = rng.uniform(0.05, 1.0)
+    pts = centres[rng.integers(0, clusters, size=n)] + spread * rng.normal(size=(n, dim))
+    copies = rng.random(n) < duplicates
+    pts[copies] = pts[rng.integers(0, n, size=np.count_nonzero(copies))]
+    r = None
+    if radius == "random":
+        r = float(rng.uniform(0.0, 2.0))
+    elif radius == "pair":
+        dist, _ = cKDTree(pts).query(pts, k=min(9, n))
+        r = float(dist[rng.integers(0, n), rng.integers(1, dist.shape[1])])
+    fs = FiberSample("B3", 1, np.zeros(1), pts, 0, 0.0)
+    assert fiber_connectivity(fs, r) == _components_reference(pts, r)
+
+
+def test_connectivity_memory_on_dense_fiber(basis_cache, rs_cache):
+    """Criterion 5's 4000-point A4 k=1 fiber at its seed 3410: the full
+    r-graph has 2.5 M pairs and took ~58 MiB of traced memory; the
+    K-nearest graph and the cross-component query need a fraction."""
+    import tracemalloc
+
+    b, rs = basis_cache("A4"), rs_cache("A4")
+    seed = 3000 + 131 * 3 + 17
+    m, hint = random_regular_target(b, rs, 1, seed)
+    fs = sample_fiber(b, rs, 1, m, n_points=4000, seed=seed, x_hint=hint,
+                      radius_cap=2.5 * float(np.linalg.norm(hint)))
+    assert len(fs.points) == 4000
+    tracemalloc.start()
+    try:
+        assert fiber_connectivity(fs) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

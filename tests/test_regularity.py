@@ -87,6 +87,82 @@ def test_chamber_mesh_image_graph_is_connected(name, h, basis_cache, rs_cache):
     assert np.array_equal(mesh.tree.data, mesh.vertices)
 
 
+def _mesh_reference(rs, a, h):
+    """(vertices, edges) of the chamber mesh built from the whole
+    (2 floor(a/h) + 1)^n cube at once."""
+    n = rs.n
+    idx = np.arange(-int(np.floor(a / h + 1e-9)), int(np.floor(a / h + 1e-9)) + 1)
+    grid = np.stack(np.meshgrid(*[idx * h] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    keep = rs.chamber_contains(grid, tol=1e-12)
+    keep &= np.linalg.norm(grid, axis=1) <= a + 1e-12
+    base = grid[keep]
+    pts = [base]
+    walls = rs.simple_unit_f
+    dots = base @ walls.T
+    for i in range(len(walls)):
+        near = (dots[:, i] > 0) & (dots[:, i] <= h)
+        if np.any(near):
+            pts.append(base[near] - np.outer(dots[near, i], walls[i]))
+    for i in range(len(walls)):
+        for j in range(i + 1, len(walls)):
+            near = (dots[:, i] <= h) & (dots[:, j] <= h)
+            if np.any(near):
+                A = walls[[i, j]]
+                gram_inv = np.linalg.pinv(A @ A.T)
+                pts.append(base[near] - (A.T @ (gram_inv @ (A @ base[near].T))).T)
+    cand = np.concatenate(pts, axis=0)
+    norms = np.linalg.norm(cand, axis=1)
+    near_sphere = (norms >= a - h) & (norms > 1e-12)
+    if np.any(near_sphere):
+        cand = np.concatenate([cand, cand[near_sphere] * (a / norms[near_sphere])[:, None]])
+    keep = rs.chamber_contains(cand, tol=1e-12)
+    keep &= np.linalg.norm(cand, axis=1) <= a + 1e-12
+    cand = cand[keep]
+    quant = np.round(cand / (1e-9 * max(a, 1.0))).astype(np.int64)
+    _, uniq = np.unique(quant, axis=0, return_index=True)
+    verts = cand[np.sort(uniq)]
+    verts = verts[np.lexsort(verts.T[::-1])]
+    edges = cKDTree(verts).query_pairs(np.sqrt(n) * h * (1 + 1e-9), output_type="ndarray")
+    return verts, edges
+
+
+@pytest.mark.parametrize("name,a,h", [
+    ("A1", 1.0, 0.05),
+    *[(name, 1.0, h) for name in LOW_RANK_TYPES for h in (0.25, 0.1)],
+    # the whitney benchmark's pitches
+    *[(name, 1.0, h) for name in ("B2", "G2", "I2:7") for h in (0.04, 0.02)],
+    *[(name, 1.0, h) for name in ("B3", "H3") for h in (0.05, 0.025)],
+    ("B2", 1.2, 0.06), ("B3", 1.2, 0.06),
+    *[(name, 1.0, 0.25) for name in ("A4", "B4", "D4", "F4", "H4")],
+    # rank 4 in three blocks of seven slabs
+    ("A4", 1.0, 0.1), ("F4", 1.0, 0.1),
+])
+def test_chamber_mesh_matches_full_cube(name, a, h, rs_cache):
+    """Enumerating the cube in blocks of slabs gives the vertices and edges
+    of the whole-cube construction byte for byte."""
+    rs = rs_cache(name)
+    mesh = build_chamber_mesh(rs, a, h)
+    verts, edges = _mesh_reference(rs, a, h)
+    assert mesh.vertices.tobytes() == verts.tobytes() and mesh.vertices.shape == verts.shape
+    assert mesh.edges.tobytes() == edges.tobytes() and mesh.edges.shape == edges.shape
+
+
+def test_chamber_mesh_memory(rs_cache):
+    """B3 at the whitney benchmark's fine pitch: the 81^3 cube alone is
+    12.8 MB as float64, and the whole-cube build traced ~33 MiB."""
+    import tracemalloc
+
+    rs = rs_cache("B3")
+    tracemalloc.start()
+    try:
+        mesh = build_chamber_mesh(rs, 1.0, 0.025)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.size == 7801
+    assert peak < 8 * 2**20
+
+
 def test_disconnected_mesh_raises(basis_cache, rs_cache):
     """Two far-apart clusters of a hand-built mesh make the image graph
     disconnected, and building it raises."""
@@ -453,6 +529,27 @@ def test_ratio_stats_match_rowwise_split(pair_case, monkeypatch, cpus):
     """Split over forked workers, the distances are bit-identical."""
     _split_sweeps(monkeypatch, cpus)
     _check_ratio_stats_match_rowwise(pair_case)
+    _assert_no_child_left()
+
+
+def test_sweep_forks_at_most_one_worker_per_source(pair_case, monkeypatch):
+    """Three sources on eight usable CPUs fork two workers, not seven."""
+    _, g, si, ti = pair_case
+    s, t = _admitted(g, si, ti)
+    pick = np.isin(s, np.unique(s)[:3])
+    s, t = s[pick], t[pick]
+    want = regularity._pair_geodesics(g.graph, s, t)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    _split_sweeps(monkeypatch, 8)
+    monkeypatch.setattr(os, "fork", counted)
+    got = regularity._pair_geodesics(g.graph, s, t)
+    assert len(np.unique(s)) == 3 and 0 < len(forks) <= 2
+    assert got.tobytes() == want.tobytes()
     _assert_no_child_left()
 
 
