@@ -38,6 +38,7 @@ from .invariants import (
     verify_invariance,
 )
 from .jacobian import (
+    calibration_passed,
     det_vanishing_calibration,
     verify_det_factorization,
     verify_stratum_rank,
@@ -231,10 +232,7 @@ def _suite_jacobian(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     fac = verify_det_factorization(basis, rs, seed=cfg.seed)
     rep.add("det-factorization", "pass", **fac.to_dict())
     cal = det_vanishing_calibration(basis, rs, n_points=2000, seed=cfg.seed)
-    ok = (cal["ratio_spread"] <= 1e-8
-          and cal["det_near_wall_max"] <= cal["det_near_wall_bound"]
-          and cal["small_det_form_ok"])
-    rep.add("det-vanishing-locus", "pass" if ok else "fail", **cal)
+    rep.add("det-vanishing-locus", "pass" if calibration_passed(cal) else "fail", **cal)
 
 
 def _suite_statement(cfg: RunConfig, rep: SuiteReport, ctx: dict):
@@ -318,10 +316,7 @@ def _suite_whitney(cfg: RunConfig, rep: SuiteReport, ctx: dict):
             w = csv.writer(fh)
             w.writerow(["source", "target", "euclid", "geodesic", "ratio"])
             w.writerows(table)
-    stable = study.refinement[-1]["max_ratio_rel_change"] <= 0.05
-    lower = study.min_ratio >= 1 - 1e-6
-    ok = stable and lower and np.isfinite(study.max_ratio)
-    rep.add("whitney-ratio", "pass" if ok else "fail", **study.to_dict())
+    rep.add("whitney-ratio", "pass" if study.passed else "fail", **study.to_dict())
     # envelopes and the prism containment over the first projection
     if basis.nvars >= 2:
         env = envelope_functions(basis, rs, 1, cfg.radius, h=cfg.pitch)

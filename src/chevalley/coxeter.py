@@ -15,6 +15,11 @@ Supported families and their realizations:
   H3, H4          icosahedral groups with exact Q(sqrt5) root data.
   F4              the 24-cell symmetry group, rational root data.
 
+Every exact family states its simple roots.  H3 and H4 take as positive the
+roots that are positive where every simple form equals 1; the others list
+theirs.  Each exact system is certified exactly: every positive root is a
+nonnegative combination of the simple roots.
+
 Root data is exact wherever the ambient field allows it.  For I2(p) with
 p != 4 no orthogonal 2x2 realization has all entries in Q(sqrt5) (a rotation
 by pi/3 already needs sqrt3), so those roots and matrices are stored as
@@ -264,25 +269,6 @@ class RootSystem:
         raise ConvergenceError("chamber reduction did not terminate")
 
 
-def _simple_roots_by_extreme_rays(positive_f: np.ndarray) -> list[int]:
-    """Indices of the extreme rays of the cone spanned by the positive roots.
-
-    For a reflection group the positive cone is simplicial and its extreme
-    rays are exactly the simple roots.  Nonnegative least squares decides
-    membership of each root in the cone of the others.
-    """
-    from scipy.optimize import nnls
-
-    d, _ = positive_f.shape
-    out = []
-    for i in range(d):
-        others = np.delete(positive_f, i, axis=0).T
-        _, resid = nnls(others, positive_f[i])
-        if resid > 1e-8:
-            out.append(i)
-    return out
-
-
 def _certify_simple_system(simple, positive) -> np.ndarray:
     """Exact check: every positive root is a nonnegative combination of the
     claimed simple roots.  Raises on failure; returns the (|positive|, k)
@@ -370,7 +356,15 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
             + halves
         )
     elif fam in ("H3", "H4"):
-        positive, simple = _positives_and_simples(_icosahedral_roots(fam))
+        # diagrams 0 -3- 1 -5- 2 (H3) and 2 -3- 0 -3- 1 -5- 3 (H4)
+        h, f, g = HALF, PHI * HALF, PSI * HALF
+        simple = ([(-h, -f, g), (-g, h, -f), (f, -g, h)] if fam == "H3" else
+                  [(-h, -f, g, ZERO), (-g, h, -f, ZERO), (ZERO, f, h, -g), (f, -g, h, ZERO)])
+        # the positive roots are positive where every simple form equals 1;
+        # each root is at least 1 in size there, and the exact certificate
+        # below rejects a wrong sign
+        x0 = np.linalg.solve(_float_mat(simple), np.ones(n))
+        positive = [r for r in _icosahedral_roots(fam) if _float_vec(r) @ x0 > 0]
     elif fam == "I2" and ctype.p == 4:
         positive = [(ONE, M_ONE), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
         simple = [positive[0], positive[3]]
@@ -409,88 +403,20 @@ def _sum_root(i, j, n):
 
 
 def _icosahedral_roots(fam: str) -> list[tuple[Scalar, ...]]:
-    """Full (+/-) root sets of H3 and H4, unit length, over Q(sqrt5)."""
-    if fam == "H3":
-        out = set()
-        for i in range(3):
-            for s in (ONE, M_ONE):
-                v = [ZERO, ZERO, ZERO]
-                v[i] = s
-                out.add(tuple(v))
-        base = (HALF, PHI * HALF, PSI * HALF)
-        for rot in range(3):
-            pat = base[rot:] + base[:rot]
-            for signs in product((ONE, M_ONE), repeat=3):
-                out.add(tuple(s * x for s, x in zip(signs, pat)))
-        roots = sorted(out, key=lambda v: tuple(float(x) for x in v))
-        assert len(roots) == 30
-        return roots
-    # H4: vertices of the 600-cell
-    out = set()
-    for i in range(4):
-        for s in (ONE, M_ONE):
-            v = [ZERO] * 4
-            v[i] = s
-            out.add(tuple(v))
-    for signs in product((HALF, -HALF), repeat=4):
-        out.add(tuple(signs))
-    even_perms = [p for p in permutations(range(4)) if _perm_sign(p) == 1]
-    base = (ZERO, ONE, PSI, PHI)  # pattern (0, 1, 1/phi, phi) / 2 after scaling
-    base = tuple(x * HALF for x in base)
-    for perm in even_perms:
-        pat = tuple(base[perm[i]] for i in range(4))
-        nz = [i for i in range(4) if not pat[i].is_zero()]
-        for signs in product((ONE, M_ONE), repeat=3):
-            v = list(pat)
-            for s, i in zip(signs, nz):
-                v[i] = s * v[i]
-            out.add(tuple(v))
-    roots = sorted(out, key=lambda v: tuple(float(x) for x in v))
-    assert len(roots) == 120
-    return roots
-
-
-def _perm_sign(p) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _positives_and_simples(allroots):
-    """Split a full root set into positives w.r.t. a generic functional and
-    extract the simple system (extreme rays); `build_root_system` certifies
-    it exactly."""
-    n = len(allroots[0])
-    floats = np.array([[float(x) for x in v] for v in allroots])
-    rng = np.random.default_rng(2)
-    for _ in range(64):
-        t = rng.normal(size=n)
-        dots = floats @ t
-        if np.min(np.abs(dots)) > 1e-6:
-            break
-    else:
-        raise CheckFailure("could not find a generic positivity functional")
-    pos_idx = [i for i in range(len(allroots)) if dots[i] > 0]
-    positive = [allroots[i] for i in pos_idx]
-    pos_f = floats[pos_idx]
-    simple_local = _simple_roots_by_extreme_rays(pos_f)
-    if len(simple_local) != n:
-        raise CheckFailure(
-            f"extreme-ray search found {len(simple_local)} simple roots, expected {n}"
-        )
-    simple = [positive[i] for i in simple_local]
-    order = sorted(range(len(positive)), key=lambda i: tuple(pos_f[i]))
-    return [positive[i] for i in order], simple
+    """Full (+/-) root sets of H3 and H4, unit length, over Q(sqrt5), sorted
+    by their float coordinates: +-e_i, every sign change of every even
+    permutation of one pattern and, for H4 (the vertices of the 600-cell),
+    the 16 points (+-1/2, ..., +-1/2)."""
+    n = int(fam[1])
+    base = ((HALF, PHI * HALF, PSI * HALF) if fam == "H3"
+            else (ZERO, HALF, PSI * HALF, PHI * HALF))  # H4: (0, 1, 1/phi, phi) / 2
+    out = {v for i in range(n) for v in (_unit(i, n), _neg(_unit(i, n)))}
+    if fam == "H4":
+        out |= set(product((HALF, -HALF), repeat=4))
+    for p in permutations(range(n)):
+        if sum(p[i] > p[j] for i, j in combinations(range(n), 2)) % 2 == 0:
+            out.update(product(*((base[i], -base[i]) for i in p)))
+    return sorted(out, key=lambda v: tuple(float(x) for x in v))
 
 
 def _build_dihedral(ctype: CoxeterType) -> RootSystem:

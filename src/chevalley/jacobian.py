@@ -390,7 +390,8 @@ def det_vanishing_calibration(
             ny = np.linalg.norm(y)
             if ny > 1e-6:
                 built.append(y / ny)
-    X = np.concatenate([X, np.array(built)], axis=0)
+    # rank 1 builds none: the wall is the origin, off the unit sphere
+    X = np.concatenate([X, np.reshape(built, (-1, n))], axis=0)
 
     det = np.abs(np.linalg.det(basis.compiled.J(X)))
     forms = np.abs(X @ unit_roots.T)
@@ -420,3 +421,11 @@ def det_vanishing_calibration(
         "n_det_small": int(np.sum(small_det)),
         "small_det_form_ok": small_det_ok,
     }
+
+
+def calibration_passed(cal: dict) -> bool:
+    """The verdict on a `det_vanishing_calibration` result: |det| / prod|forms|
+    is one constant to 1e-8 relative, and both vanishing bounds hold."""
+    return (cal["ratio_spread"] <= 1e-8
+            and cal["det_near_wall_max"] <= cal["det_near_wall_bound"]
+            and cal["small_det_form_ok"])

@@ -173,6 +173,14 @@ class RatioReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @property
+    def passed(self) -> bool:
+        """The verdict on a `whitney_study`: a finite maximum ratio, no ratio
+        below 1 (to 1e-6), and a maximum that moves at most 5% relative
+        under refinement."""
+        return (bool(np.isfinite(self.max_ratio)) and self.min_ratio >= 1 - 1e-6
+                and self.refinement[-1]["max_ratio_rel_change"] <= 0.05)
+
 
 RESOLUTION_FLOOR_FACTOR = 6.0   # admitted pairs: image separation in local edge lengths
 NEAR_BOUNDARY_FRAC = 0.5        # share of pair sources within 2h of a chamber wall

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevalley import regularity
+from chevalley.coxeter import coxeter_type
 from chevalley.cli import (
     EXPLAIN,
     RunConfig,
@@ -500,6 +502,77 @@ def test_whitney_report_property(spec, a, cells, pairs, seed):
     statuses = {c["status"] for c in doc["checks"]}
     assert doc["checks"] and statuses <= {"pass", "fail", "anomaly", "unsupported"}
     assert (code == 0) == (statuses == {"pass"}) == doc["all_passed"]
+
+
+def _this_runs_report(code, out, err, cfg: RunConfig) -> dict | None:
+    """The run's outcome under the exit-code contract: an error (exit 2-4)
+    is one line on stderr and nothing on stdout; otherwise stdout is the JSON
+    report of cfg, and all_passed and the exit code agree with its statuses.
+    The report, or None after an error."""
+    assert isinstance(code, int) and 0 <= code <= 4
+    if not out:
+        assert code >= 2 and len(err.strip().splitlines()) == 1
+        return None
+    doc = json.loads(out)
+    prov = doc["provenance"]
+    assert (prov["type"], prov["command"], prov["seed"], prov["config_hash"]) == (
+        cfg.type_spec, cfg.command, cfg.seed, cfg.content_hash())
+    statuses = {c["status"] for c in doc["checks"]}
+    assert statuses <= {"pass", "fail", "anomaly", "unsupported"}
+    assert doc["all_passed"] == (statuses <= {"pass"})
+    assert code == (0 if doc["all_passed"] else 2 if statuses - {"pass"} == {"unsupported"}
+                    else 1)
+    return doc
+
+
+_SMALL_TYPES = ["A1", "B1", "A2", "B2", "G2", "I2:5", "I2:7", "B3", "H3"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(_SMALL_TYPES),
+    n=st.integers(1, 300),
+    k=st.none() | st.integers(-1, 4),
+    seed=st.integers(0, 2 ** 64 - 1),
+)
+def test_fiber_n_report_property(spec, n, k, seed):
+    """fiber on small types, any point count in 1..300, any k and seed: a k
+    outside 1..rank is a one-line usage error; otherwise stdout is this run's
+    report, one check per k."""
+    argv = ["fiber", "--type", spec, "--n", str(n), "--seed", str(seed)]
+    if k is not None:
+        argv += ["--k", str(k)]
+    code, out, err = _run_main(argv)
+    cfg = RunConfig(type_spec=spec, command="fiber", seed=seed, n_points=n, k=k)
+    doc = _this_runs_report(code, out, err, cfg)
+    rank = coxeter_type(spec).dim
+    if k is not None and not 1 <= k <= rank:
+        assert code == 2 and "needs k in" in err
+        return
+    ks = [k] if k is not None else range(1, rank)
+    assert [c["name"] for c in doc["checks"]] == [f"fiber:k={j}" for j in ks]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(_SMALL_TYPES), seed=st.integers(0, 2 ** 64 - 1))
+def test_all_report_property(spec, seed):
+    """all on small types and any seed: stdout is this run's report, and its
+    checks cover every suite."""
+    code, out, err = _run_main(["all", "--type", spec, "--seed", str(seed)])
+    doc = _this_runs_report(code, out, err, RunConfig(type_spec=spec, seed=seed))
+    names = {c["name"] for c in doc["checks"]}
+    assert {"degree-table", "det-factorization", "det-vanishing-locus",
+            "stratum-rank-summary", "whitney-ratio"} <= names
+
+
+def test_console_script_resolves_to_cli_main():
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10, where pytest depends on tomli
+        import tomli as tomllib
+    meta = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, attr = meta["project"]["scripts"]["chevalley"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_whitney_pairs_out_csv(tmp_path, capsys):

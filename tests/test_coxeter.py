@@ -2,9 +2,13 @@
 
 import copy
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+import chevalley
 from chevalley.coxeter import (
     RootSystem,
     _certify_simple_system,
@@ -227,6 +232,40 @@ def test_simple_system_certificate_and_support():
     # padded (A-family) case: e1 + e2 needs the diagonal, whose coefficient must be 0
     with pytest.raises(CheckFailure, match="nonnegative"):
         _certify_simple_system([b2.positive[0]], [b2.positive[0], b2.positive[1]])
+
+
+def _ray(v):
+    """A key for the open ray through v: v scaled so that its first nonzero
+    coordinate is +-1."""
+    lead = abs(next(x for x in v if not x.is_zero()))
+    return tuple(x / lead for x in v)
+
+
+@pytest.mark.parametrize("name", ["H3", "H4"])
+def test_icosahedral_simple_roots_are_the_indecomposable_positives(name, rs_cache):
+    """Exact oracle for the stated H3/H4 simple roots: a positive root is
+    simple exactly when it is not u + c*v for positive roots u, v and some
+    c > 0.  A plain sum u + v is too narrow for these non-crystallographic
+    systems: 8 of the 15 positive roots of H3 are no sum of two others."""
+    rs = rs_cache(name)
+    rays = {_ray(v) for v in rs.positive}
+    decomposable = {r for r in rs.positive for u in rs.positive
+                    if u != r and _ray(tuple(a - b for a, b in zip(r, u))) in rays}
+    assert len(rs.simple) == rs.n
+    assert set(rs.positive) - decomposable == set(rs.simple)
+
+
+def test_root_systems_do_not_load_scipy_optimize():
+    """Importing the CLI and building every supported root system leaves
+    scipy.optimize unloaded."""
+    code = ("import sys\n"
+            "import chevalley.cli\n"
+            "from chevalley.coxeter import build_root_system\n"
+            f"for t in {CRITERION_2_TYPES!r}:\n"
+            "    build_root_system(t)\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(chevalley.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_lambda_forms_vanish_on_their_hyperplanes(rs_cache, rng):

@@ -12,6 +12,7 @@ from chevalley import jacobian
 from chevalley.invariants import CompiledBasis, InvariantBasis
 from chevalley.jacobian import (
     _minor_table,
+    calibration_passed,
     det_vanishing_calibration,
     jacobian_matrix,
     numeric_rank,
@@ -361,6 +362,23 @@ def test_det_vanishing_two_sided(basis_cache, rs_cache):
         assert cal["n_near_wall"] > 0 and cal["n_det_small"] > 0
         assert cal["det_near_wall_max"] <= cal["det_near_wall_bound"]
         assert cal["small_det_form_ok"]
+        assert calibration_passed(cal)
+
+
+def test_rank_one_calibration_runs_on_random_directions(basis_cache, rs_cache):
+    """On rank 1 the only wall is the origin, off the unit sphere, so no
+    near-wall point is built."""
+    cal = det_vanishing_calibration(basis_cache("A1"), rs_cache("A1"), n_points=200, seed=4)
+    assert cal["n"] == 200 and cal["n_near_wall"] == 0 and calibration_passed(cal)
+
+
+def test_calibration_verdict_needs_every_bound():
+    edge = {"ratio_spread": 1e-8, "det_near_wall_max": 1.0,
+            "det_near_wall_bound": 1.0, "small_det_form_ok": True}
+    assert calibration_passed(edge)
+    for bad in ({"ratio_spread": 1.1e-8}, {"det_near_wall_max": 1.01},
+                {"small_det_form_ok": False}):
+        assert not calibration_passed({**edge, **bad})
 
 
 def test_stratum_rank_rejects_k0(basis_cache, rs_cache, strata_cache):

@@ -21,6 +21,7 @@ from chevalley.regularity import (
     TARGETS_PER_SOURCE,
     ChamberMesh,
     ImageGraph,
+    RatioReport,
     _admit_pairs,
     _draw_pairs,
     _empty_interior_cells,
@@ -225,6 +226,17 @@ def test_refinement_stability(basis_cache, rs_cache):
                            pairs=1500, seed=5)
         change = st.refinement[-1]["max_ratio_rel_change"]
         assert change <= 0.05, st.to_dict()
+        assert st.passed
+
+
+def test_study_verdict_reads_each_gate_at_its_edge():
+    """A study passes with a finite maximum, no ratio below 1 - 1e-6 and at
+    most 5% change under refinement; the verdict is not in the payload."""
+    edge = RatioReport(0.05, 10, 1.2, 1.1, 1 - 1e-6, [{"max_ratio_rel_change": 0.05}])
+    assert edge.passed and "passed" not in edge.to_dict()
+    for bad in (dict(max_ratio=math.inf), dict(min_ratio=1 - 2e-6),
+                dict(refinement=[{"max_ratio_rel_change": 0.051}])):
+        assert not RatioReport(**{**edge.to_dict(), **bad}).passed
 
 
 def test_rescaled_radius_consistency(basis_cache, rs_cache):
