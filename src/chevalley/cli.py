@@ -252,15 +252,21 @@ def _suite_statement(cfg: RunConfig, rep: SuiteReport, ctx: dict):
             strata=len(strata), max_bordering=worst)
 
 
+def _targets(cfg: RunConfig, ctx: dict, kmax: int, salt: int):
+    """(k, m, hint) for cfg.k, else each k in 1..kmax: cfg.target, else a
+    regular target drawn with seed cfg.seed + salt * k and its chamber point."""
+    for k in [cfg.k] if cfg.k is not None else range(1, kmax + 1):
+        if cfg.target is not None:
+            yield k, np.asarray(cfg.target, dtype=float), None
+        else:
+            yield (k, *random_regular_target(ctx["basis"], ctx["rs"], k, cfg.seed + salt * k))
+
+
 def _suite_morse(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     basis, rs = ctx["basis"], ctx["rs"]
-    n = basis.nvars
-    ks = [cfg.k] if cfg.k is not None else list(range(1, n))
-    for k in ks:
-        if cfg.target is not None:
-            m = np.asarray(cfg.target, dtype=float)
-        else:
-            m, _ = random_regular_target(basis, rs, k, cfg.seed + 17 * k)
+    if basis.nvars == 1:
+        raise CapabilityError(f"morse needs 1 <= k < n; {cfg.type_spec} has rank 1")
+    for k, m, _ in _targets(cfg, ctx, basis.nvars - 1, 17):
         cps = critical_points(basis, rs, k, m, seed=cfg.seed, strata=ctx["strata"])
         anomalies = [cp for cp in cps if cp.anomaly]
         # a fiber that fixes the degree-2 invariant |x|^2 is compact, so
@@ -283,13 +289,8 @@ def _suite_morse(cfg: RunConfig, rep: SuiteReport, ctx: dict):
 def _suite_fiber(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     basis, rs = ctx["basis"], ctx["rs"]
     n = basis.nvars
-    ks = [cfg.k] if cfg.k is not None else list(range(1, n))
-    for k in ks:
-        if cfg.target is not None:
-            m = np.asarray(cfg.target, dtype=float)
-            hint = None
-        else:
-            m, hint = random_regular_target(basis, rs, k, cfg.seed + 29 * k)
+    # k runs over 1..n-1 by default; rank 1 checks its one fiber, k = n = 1
+    for k, m, hint in _targets(cfg, ctx, max(n - 1, 1), 29):
         fs = sample_fiber(basis, rs, k, m, n_points=cfg.n_points,
                           seed=cfg.seed, x_hint=hint)
         if fs.empty:

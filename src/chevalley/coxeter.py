@@ -187,10 +187,13 @@ class RootSystem:
     are built on first use.  `exact` is False only for I2(p) with p != 4;
     in that case the exact fields are None.  `support[t, i]` says whether
     simple root i has a nonzero coefficient in positive root t.
+    `coweights` are the fundamental coweights w_j, <a_i, w_j> = delta_ij,
+    then the A family's pad diagonal/n; `coweights_f` holds them as the
+    columns of Omega = A^-1 (on the float I2(p), the float inverse).
     """
 
     def __init__(self, ctype: CoxeterType, simple_exact, positive_exact,
-                 simple_f, positive_f, support: np.ndarray):
+                 simple_f, positive_f, support: np.ndarray, coweights):
         self.ctype = ctype
         self.n = ctype.dim
         self.exact = simple_exact is not None
@@ -199,6 +202,9 @@ class RootSystem:
         self.simple_f = np.asarray(simple_f, dtype=float)
         self.positive_f = np.asarray(positive_f, dtype=float)
         self.support = support
+        self.coweights = coweights
+        self.coweights_f = (_float_mat(coweights).T if self.exact
+                            else np.linalg.inv(self.simple_f))
         self.simple_reflections = (
             [_reflection_exact(v) for v in simple_exact] if self.exact else None
         )
@@ -269,24 +275,25 @@ class RootSystem:
         raise ConvergenceError("chamber reduction did not terminate")
 
 
-def _certify_simple_system(simple, positive) -> np.ndarray:
+def _certify_simple_system(simple, positive):
     """Exact check: every positive root is a nonnegative combination of the
     claimed simple roots.  Raises on failure; returns the (|positive|, k)
-    bool support of the coefficients.
+    bool support of the coefficients and the n exact coweights.
 
-    One Gauss-Jordan elimination solves for all positive roots at once.  The
-    simple roots of the reducible A family span only the hyperplane
-    sum(x) = 0; a system with fewer simple roots than dimensions is padded
-    with the invariant diagonal, whose coefficient must then be 0.
+    One Gauss-Jordan elimination solves for all positive roots and the unit
+    vectors at once.  The simple roots of the reducible A family span only the
+    hyperplane sum(x) = 0; a system with fewer simple roots than dimensions is
+    padded with the invariant diagonal, whose coefficient must then be 0.  Row
+    j of the inverse is the coweight w_j; the pad's row is diagonal/n.
     """
-    n = len(positive[0])
+    n, count = len(positive[0]), len(positive)
     columns = list(simple)
     if len(simple) < n:
         columns.append(tuple(ONE for _ in range(n)))
     if len(columns) != n:
         raise CheckFailure("simple system has wrong size")
     a = [[c[i] for c in columns] for i in range(n)]
-    coeff = solve_linear(a, [[v[i] for v in positive] for i in range(n)])
+    coeff = solve_linear(a, [[v[i] for v in positive] + list(_unit(i, n)) for i in range(n)])
     if coeff is None:
         raise CheckFailure("claimed simple roots are linearly dependent")
     k = len(simple)
@@ -294,7 +301,8 @@ def _certify_simple_system(simple, positive) -> np.ndarray:
         if (any(coeff[i][t].sign() < 0 for i in range(k))
                 or not all(row[t].is_zero() for row in coeff[k:])):
             raise CheckFailure(f"root {v} is not a nonnegative combination of simples")
-    return np.array([[not x.is_zero() for x in row] for row in coeff[:k]]).T
+    support = np.array([[not x.is_zero() for x in row[:count]] for row in coeff[:k]]).T
+    return support, [tuple(row[count:]) for row in coeff]
 
 
 def build_root_system(ctype: CoxeterType | str) -> RootSystem:
@@ -384,7 +392,7 @@ def build_root_system(ctype: CoxeterType | str) -> RootSystem:
         positive,
         [_float_vec(v) for v in simple],
         [_float_vec(v) for v in positive],
-        _certify_simple_system(simple, positive),
+        *_certify_simple_system(simple, positive),
     )
 
 
@@ -432,7 +440,7 @@ def _build_dihedral(ctype: CoxeterType) -> RootSystem:
     positive_f = np.array([[math.sin(g), -math.cos(g)] for g in angles])
     simple_f = np.array([positive_f[0], positive_f[-1]])  # walls theta=pi/p, theta=0
     coeff = np.linalg.solve(simple_f.T, positive_f.T).T
-    return RootSystem(ctype, None, None, simple_f, positive_f, np.abs(coeff) >= 1e-10)
+    return RootSystem(ctype, None, None, simple_f, positive_f, np.abs(coeff) >= 1e-10, None)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +528,12 @@ def _dihedral_group(p: int):
 
 @dataclass(frozen=True)
 class Stratum:
-    """A face of the closed chamber: wall subset, span basis, isotropy set."""
+    """A face of the closed chamber: wall subset, face map, isotropy set.
+
+    The face map Omega_F (`coweights`) takes t to the span's point Omega_F t;
+    the open face is where t's simple coordinates (all but the A family's
+    pad) are positive.  Only `sample_stratum` reads the orthonormal `basis`.
+    """
 
     walls: tuple[int, ...]          # indices into the simple roots
     dim: int
@@ -528,6 +541,7 @@ class Stratum:
     isotropy: tuple[int, ...]       # positive-root indices vanishing on span(S)
     anchor: np.ndarray              # unit interior direction of the face
     stratum_id: str
+    coweights: np.ndarray           # (n, dim) coweights of the non-wall simples, then the pad
 
     def __repr__(self):
         return f"Stratum({self.stratum_id}, isotropy={len(self.isotropy)})"
@@ -538,12 +552,14 @@ def enumerate_strata(rs: RootSystem) -> list[Stratum]:
     face of the closed chamber.
 
     The simple roots are linearly independent, so the face of walls S has
-    dimension n - |S| and its relative interior is nonempty: the point of
-    span(S) where every other simple-root form equals 1 lies in it, and that
-    point is the anchor.  Isotropy is read off the simple-root support
-    `rs.support`: a root vanishes on the face of walls S exactly when its
-    simple-root coefficients are zero outside S (the parabolic subsystem of
-    S).
+    dimension n - |S|, and the coweights of the other simple roots (with the
+    A family's pad) map the t with positive simple coordinates onto its
+    relative interior.  The
+    anchor points to where every non-wall simple form equals 1 (their
+    coweights' sum; the A diagonal's is the pad).  Isotropy is read off
+    the simple-root support `rs.support`: a root vanishes on the face of
+    walls S exactly when its simple-root coefficients are zero outside S
+    (the parabolic subsystem of S).
     """
     n_walls = len(rs.simple_f)
     return [_make_stratum(rs, walls)
@@ -552,34 +568,24 @@ def enumerate_strata(rs: RootSystem) -> list[Stratum]:
 
 
 def _make_stratum(rs: RootSystem, walls) -> Stratum:
-    others = [i for i in range(len(rs.simple_f)) if i not in walls]
+    # the non-wall simple roots, then the A family's pad (column n - 1)
+    free = [i for i in range(rs.n) if i not in walls]
+    omega = rs.coweights_f[:, free]
     # span(S) = null space of the wall normals, which are independent
     if walls:
         basis = np.linalg.svd(rs.simple_f[list(walls)])[2][len(walls):].T
     else:
         basis = np.eye(rs.n)
-    dim = basis.shape[1]
-    anchor = _interior_anchor(rs, others, basis)
+    n_simple = len(rs.simple_f) - len(walls)
+    # Omega_F 1 over the simple coordinates; the pad alone on the A diagonal
+    anchor = omega[:, :n_simple or None].sum(axis=1)
+    if anchor.any():
+        anchor /= np.linalg.norm(anchor)
     # roots vanishing on span(S): their simple-root support lies inside S
-    iso = np.flatnonzero(~rs.support[:, others].any(axis=1)).tolist()
+    iso = np.flatnonzero(~rs.support[:, free[:n_simple]].any(axis=1)).tolist()
     wall_str = ",".join(str(w) for w in walls) if walls else "-"
-    sid = f"d{dim}:w{wall_str}"
-    return Stratum(tuple(walls), dim, basis, tuple(iso), anchor, sid)
-
-
-def _interior_anchor(rs, others, basis) -> np.ndarray:
-    """Unit direction in span(S) with every non-wall form positive: the
-    least-squares point of span(S) where each of them equals 1.  The forms
-    are independent on span(S), so that point solves the system exactly."""
-    if basis.shape[1] == 0:
-        return np.zeros(rs.n)
-    if not others:
-        v = basis[:, 0]
-        return v / np.linalg.norm(v)
-    a_on_span = rs.simple_f[others] @ basis  # (|others|, dim)
-    y, *_ = np.linalg.lstsq(a_on_span, np.ones(len(others)), rcond=None)
-    x = basis @ y
-    return x / np.linalg.norm(x)
+    sid = f"d{len(free)}:w{wall_str}"
+    return Stratum(tuple(walls), len(free), basis, tuple(iso), anchor, sid, omega)
 
 
 def sample_stratum(

@@ -193,8 +193,8 @@ def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> tuple[Scalar,
 def solve_linear(a, b) -> list[list[Scalar]] | None:
     """Solve the square exact system a X = b for every column of b at once.
 
-    One Gauss-Jordan elimination on [a | b]; b and the returned X are lists
-    of rows.  None if a is singular.
+    One Gauss-Jordan elimination on [a | b] that skips zero entries; b and
+    the returned X are lists of rows.  None if a is singular.
     """
     n = len(a)
     m = [list(row) + list(bi) for row, bi in zip(a, b)]
@@ -204,9 +204,9 @@ def solve_linear(a, b) -> list[list[Scalar]] | None:
             return None
         m[col], m[piv] = m[piv], m[col]
         inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
+        m[col] = [x * inv if x else x for x in m[col]]
         for r in range(n):
             if r != col and not m[r][col].is_zero():
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[col])]
     return [row[n:] for row in m]

@@ -62,7 +62,7 @@ def _gram_solve(J, rhs):
     return _solve(A, rhs[..., None])
 
 
-def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
+def _project_batch(cb, k, m, X, max_iter=60):
     """Least-squares Newton for P_k(x) = m on a batch of points.
 
     Returns (X, ok): updated points and a convergence mask.  Non-finite or
@@ -85,7 +85,7 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
         P, J = cb.evaluate(Xa, k)
         R = P - m
         bad = ~np.all(np.isfinite(R), axis=1) | (np.max(np.abs(Xa), axis=1) > 1e8)
-        done = np.max(np.abs(R), axis=1) <= tol * scale
+        done = np.max(np.abs(R), axis=1) <= NEWTON_TOL * scale
         step = np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve(J, R), axis=-1)
         # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
         norms = np.linalg.norm(step, axis=1, keepdims=True)
@@ -101,7 +101,7 @@ def _project_batch(cb, k, m, X, tol=NEWTON_TOL, max_iter=60):
         return X, converged
     R = cb.P(X, k) - m
     ok = np.all(np.isfinite(R), axis=1) & (
-        np.max(np.abs(R), axis=1) <= 10 * tol * scale
+        np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
     )
     return X, ok
 
@@ -324,11 +324,11 @@ def random_regular_target(
     uniform margin from every wall (generic regular values).
 
     The margin is relative to |x*| and is clamped to half the chamber's
-    inradius on the unit sphere, 1/|A^+ 1| for the unit simple roots A, so
+    inradius on the unit sphere, 1/|sum_j |a_j| w_j| (coweights w_j), so
     that narrow chambers (H4: 0.039) still admit targets.
     """
-    A = rs.simple_unit_f
-    inradius = 1.0 / np.linalg.norm(np.linalg.pinv(A) @ np.ones(len(A)))
+    norms = np.linalg.norm(rs.simple_f, axis=1)
+    inradius = 1.0 / np.linalg.norm(rs.coweights_f[:, :len(norms)] @ norms)
     margin = min(margin, 0.5 * inradius)
     rng = _rng(seed)
     for start in range(0, TARGET_CANDIDATES, TARGET_BLOCK):

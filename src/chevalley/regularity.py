@@ -377,8 +377,8 @@ def lift_derivatives(
 ):
     """Gradients (d p_{k+1} / d p_j)_{j=1..k} along a dimension-k stratum.
 
-    Solved per sample from the k x k system expressed in stratum
-    coordinates; a singular system at an interior sample would contradict
+    Solved per sample from the k x k system in the face coordinates t of
+    x = Omega_F t; a singular system at an interior sample would contradict
     the rank-k property and raises.  Returns (points, gradients).
     """
     k = stratum.dim
@@ -389,11 +389,11 @@ def lift_derivatives(
     X = points if points is not None else sample_stratum(
         stratum, samples, radius, seed, rs
     )
-    B = stratum.basis  # (n, k)
+    omega = stratum.coweights  # (n, k)
     G = basis.compiled.J(X, k + 1)           # (S, k+1, n)
-    M = np.einsum("sjn,nk->sjk", G[:, :k, :], B)   # (S, k, k): rows j, cols k
-    M = np.swapaxes(M, 1, 2)                       # system matrix (grad p_j . B)
-    rhs = np.einsum("sn,nk->sk", G[:, k, :], B)
+    M = np.einsum("sjn,nk->sjk", G[:, :k, :], omega)   # (S, k, k): rows j, cols k
+    M = np.swapaxes(M, 1, 2)                           # system matrix (grad p_j . omega)
+    rhs = np.einsum("sn,nk->sk", G[:, k, :], omega)
     # column j scales like |x|^(deg_j - 1); equilibrate before conditioning
     col = np.linalg.norm(M, axis=1, keepdims=True)
     if np.any(col <= 0):
@@ -417,6 +417,7 @@ def lift_derivatives(
 
 
 ENVELOPE_STRATUM_SAMPLES = 4000
+ENVELOPE_SEED = 5        # Philox key of the Newton starts in `envelope_at`
 
 
 @dataclass
@@ -521,43 +522,34 @@ def _empty_interior_cells(counts: np.ndarray) -> int:
     return int(np.sum(~pop & below & above))
 
 
-def envelope_at(
-    basis: InvariantBasis,
-    rs: RootSystem,
-    k: int,
-    m,
-    strata: list[Stratum] | None = None,
-    seed: int = 5,
-):
+def envelope_at(basis: InvariantBasis, rs: RootSystem, k: int, m):
     """Solver-exact envelope values at one target: p_{k+1} on each
-    dimension-k stratum solving P_k = m within the stratum span.
+    dimension-k stratum, at the solutions of P_k = m on its face.
 
+    Newton runs in the face coordinates t of x = Omega_F t, from 16 starts
+    t = c (1 + 0.3 z), z standard normal, with |Omega_F c 1| the fiber scale;
+    it keeps the solutions whose simple coordinates are >= -1e-9 max(scale, 1).
     The boundary of the image over the base is carried by these stratum
     graphs, so their min/max are the envelope values at m.  Strata whose
     graph does not reach m are skipped.  Returns (lo, hi, per-stratum dict).
     """
-    if strata is None:
-        strata = enumerate_strata(rs)
     m = np.asarray(m, dtype=float)
     cb = basis.compiled
-    rng = _rng(seed)
+    rng = _rng(ENVELOPE_SEED)
     scale = _fiber_scale(basis, m, None)
     per = {}
-    for s in strata:
+    for s in enumerate_strata(rs):
         if s.dim != k:
             continue
-        B = s.basis
-        anchor_y = B.T @ s.anchor
-        Y0 = anchor_y[None, :] * scale + 0.3 * scale * rng.normal(size=(16, k))
-        Y, ok = _project_batch(cb.restrict(B), k, m, Y0, max_iter=80)
-        X = Y[ok] @ B.T
-        if len(X):
-            inside = rs.chamber_contains(X, tol=1e-9 * max(scale, 1.0))
-            X = X[inside]
-        if len(X):
-            vals = cb.P(X, k + 1)[:, k]
-            values = [float(np.min(vals)), float(np.max(vals))]
-            per[s.stratum_id] = values
+        omega = s.coweights
+        c = scale / np.linalg.norm(omega.sum(axis=1))
+        T0 = c * (1.0 + 0.3 * rng.normal(size=(16, k)))
+        T, ok = _project_batch(cb.restrict(omega), k, m, T0, max_iter=80)
+        n_simple = len(rs.simple_f) - len(s.walls)  # the A family's pad coordinate is free
+        T = T[ok & np.all(T[:, :n_simple] >= -1e-9 * max(scale, 1.0), axis=1)]
+        if len(T):
+            vals = cb.P(T @ omega.T, k + 1)[:, k]
+            per[s.stratum_id] = [float(np.min(vals)), float(np.max(vals))]
     if not per:
         raise ConvergenceError("no stratum graph reaches this target")
     lo = min(v[0] for v in per.values())

@@ -549,7 +549,8 @@ def test_fiber_n_report_property(spec, n, k, seed):
     if k is not None and not 1 <= k <= rank:
         assert code == 2 and "needs k in" in err
         return
-    ks = [k] if k is not None else range(1, rank)
+    # by default k runs over 1..rank-1, and over k = 1 on rank 1
+    ks = [k] if k is not None else range(1, max(rank, 2))
     assert [c["name"] for c in doc["checks"]] == [f"fiber:k={j}" for j in ks]
 
 
@@ -563,6 +564,17 @@ def test_all_report_property(spec, seed):
     names = {c["name"] for c in doc["checks"]}
     assert {"degree-table", "det-factorization", "det-vanishing-locus",
             "stratum-rank-summary", "whitney-ratio"} <= names
+
+
+@pytest.mark.parametrize("spec", ["A1", "B1"])
+def test_rank_one_morse_is_unsupported(spec, capsys):
+    """morse needs 1 <= k < n, so on rank 1 it is a capability error; under
+    `all` it is recorded as unsupported while fiber checks its one fiber."""
+    assert main(["morse", "--type", spec]) == 2
+    assert "rank 1" in capsys.readouterr().err
+    assert main(["all", "--type", spec]) == 2
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert statuses["morse"] == "unsupported" and statuses["fiber:k=1"] == "pass"
 
 
 def test_console_script_resolves_to_cli_main():

@@ -221,7 +221,7 @@ def test_simple_system_certificate_and_support():
     b2 = build_root_system("B2")
     # positive roots e1-e2, e1+e2, e1, e2 over the simple roots e1-e2, e2
     assert b2.support.tolist() == [[True, False], [True, True], [True, True], [False, True]]
-    assert np.array_equal(_certify_simple_system(b2.simple, b2.positive), b2.support)
+    assert np.array_equal(_certify_simple_system(b2.simple, b2.positive)[0], b2.support)
     e1, e2 = b2.positive[2], b2.positive[3]
     # e1 - e2 = e1 + (-1) e2: a negative coordinate
     with pytest.raises(CheckFailure, match="nonnegative"):
@@ -232,6 +232,46 @@ def test_simple_system_certificate_and_support():
     # padded (A-family) case: e1 + e2 needs the diagonal, whose coefficient must be 0
     with pytest.raises(CheckFailure, match="nonnegative"):
         _certify_simple_system([b2.positive[0]], [b2.positive[0], b2.positive[1]])
+
+
+@pytest.mark.parametrize("name", CRITERION_2_TYPES)
+def test_coweights_are_dual_to_the_simple_roots(name, rs_cache):
+    """<a_i, w_j> = delta_ij, exactly over Q(sqrt5) on the exact types and to
+    1e-12 on the float I2(p); on the A family the last coweight is the pad,
+    which every simple root annihilates and whose coordinate sum is 1."""
+    rs = rs_cache(name)
+    if not rs.exact:
+        assert rs.coweights is None
+        assert np.abs(rs.simple_f @ rs.coweights_f - np.eye(rs.n)).max() <= 1e-12
+        return
+    assert len(rs.coweights) == rs.n
+    for i, a in enumerate(rs.simple):
+        for j, w in enumerate(rs.coweights):
+            assert vec_dot(a, w) == (ONE if i == j else ZERO), (i, j)
+    if len(rs.simple) < rs.n:
+        assert vec_dot((ONE,) * rs.n, rs.coweights[-1]) == ONE
+    assert rs.coweights_f.tobytes() == _float_mat(rs.coweights).T.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), scale=st.floats(1e-6, 1e6))
+@pytest.mark.parametrize("name", CRITERION_2_TYPES)
+def test_face_map_lands_in_its_open_face(name, data, scale, rs_cache, strata_cache):
+    """On every face, x = Omega_F t with t > 0 has every non-wall unit form
+    positive and every wall form zero to 1e-12 |x|, and `stratum_of_point`
+    reads back that face."""
+    rs, strata = rs_cache(name), strata_cache(name)
+    for s in strata:
+        if s.dim == 0:
+            continue
+        t = scale * np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=s.dim,
+                                                max_size=s.dim)))
+        x = s.coweights @ t
+        forms = rs.simple_unit_f @ x
+        free = [i for i in range(len(rs.simple_f)) if i not in s.walls]
+        assert np.all(forms[free] > 0), s.stratum_id
+        assert np.all(np.abs(forms[list(s.walls)]) <= 1e-12 * np.linalg.norm(x)), s.stratum_id
+        assert stratum_of_point(rs, strata, x) is s
 
 
 def _ray(v):
@@ -559,13 +599,13 @@ def _replay_rounds(s, count, radius, seed, rs, margin=0.02):
     """The batched rounds rebuilt from one pre-drawn normal stream, with the
     bookkeeping done sample by sample: round r takes the next len(pending)
     draws in sample order, and the radii are the uniforms that follow the
-    last draw taken.  Returns (points, rounds)."""
+    last draw taken.  Returns (points, the round that placed each sample)."""
     stream = np.random.Generator(np.random.Philox(key=seed)).normal(
         size=(60 * count, s.dim))
     others = [i for i in range(len(rs.simple_f)) if i not in s.walls]
     a_others = rs.simple_unit_f[others]
     jitter = [0.45] * count
-    unit = np.empty((count, rs.n))
+    unit, placed = np.empty((count, rs.n)), np.zeros(count, dtype=int)
     pending, used, rounds = list(range(count)), 0, 0
     while pending:
         rounds += 1
@@ -585,12 +625,12 @@ def _replay_rounds(s, count, radius, seed, rs, margin=0.02):
                 jitter[i] *= 0.7
                 still.append(i)
             else:
-                unit[i] = X[row]
+                unit[i], placed[i] = X[row], rounds
         pending = still
     rng = np.random.Generator(np.random.Philox(key=seed))
     rng.normal(size=(used, s.dim))
     r = radius * rng.uniform(0.15, 1.0, size=count) ** (1.0 / s.dim)
-    return unit * r[:, None], rounds
+    return unit * r[:, None], placed
 
 
 @pytest.mark.parametrize("name", ["B2", "D6", "F4", "H4"])
@@ -604,11 +644,41 @@ def test_sample_stratum_replays_batched_rounds(name, rs_cache, strata_cache):
             continue
         for seed in (3, 29):
             for count in (1, 5, 100):
-                want, rounds = _replay_rounds(s, count, 1.7, seed, rs)
-                most_rounds = max(most_rounds, rounds)
+                want, placed = _replay_rounds(s, count, 1.7, seed, rs)
+                most_rounds = max(most_rounds, placed.max())
                 assert np.array_equal(sample_stratum(s, count, 1.7, seed, rs), want), (
                     s.stratum_id, seed, count)
     assert most_rounds > 1
+
+
+def _least_squares_anchor(rs, s):
+    """The reference anchor: the normalized least-squares point of the face's
+    span where every non-wall simple form equals 1, or the first frame
+    column on the A family's diagonal line."""
+    others = [i for i in range(len(rs.simple_f)) if i not in s.walls]
+    if not others:
+        return s.basis[:, 0] / np.linalg.norm(s.basis[:, 0])
+    y = np.linalg.lstsq(rs.simple_f[others] @ s.basis, np.ones(len(others)), rcond=None)[0]
+    return s.basis @ y / np.linalg.norm(s.basis @ y)
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "H3", "D6", "F4", "H4"])
+def test_sample_stratum_replays_the_least_squares_anchor(name, rs_cache, strata_cache):
+    """The coweight anchor Omega_F 1 is the least-squares anchor up to
+    rounding: on every face, the sampler accepts the same candidates in the
+    same rounds and moves no point by more than 1e-12."""
+    rs = rs_cache(name)
+    for s in strata_cache(name):
+        if s.dim == 0:
+            continue
+        old = replace(s, anchor=_least_squares_anchor(rs, s))
+        assert np.abs(old.anchor - s.anchor).max() <= 1e-14, s.stratum_id
+        for seed in (1, 2, 3):
+            want, want_placed = _replay_rounds(old, 100, 1.0, seed, rs)
+            got, got_placed = _replay_rounds(s, 100, 1.0, seed, rs)
+            assert np.array_equal(got_placed, want_placed), (s.stratum_id, seed)
+            assert np.abs(got - want).max() <= 1e-12, (s.stratum_id, seed)
+            assert np.array_equal(sample_stratum(s, 100, 1.0, seed, rs), got)
 
 
 @pytest.mark.parametrize("name", ["B2", "D6", "F4", "H4"])

@@ -514,20 +514,19 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache):
 
 
 @pytest.mark.parametrize("name,k", [("B3", 1), ("B3", 2), ("H3", 1), ("H3", 2)])
-def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache,
-                                            strata_cache, monkeypatch):
+def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache, monkeypatch):
     """`envelope_at` on restricted bases gives the floats of the per-call
     projection on the face coordinates."""
     import chevalley.regularity as regularity
 
     b, rs = basis_cache(name), rs_cache(name)
     m = random_regular_target(b, rs, k, 17)[0]
-    got = regularity.envelope_at(b, rs, k, m, strata=strata_cache(name))
+    got = regularity.envelope_at(b, rs, k, m)
     monkeypatch.setattr(regularity, "_project_batch", _project_batch_reference)
     # the per-call reference takes J on the face coordinates, J(Y B^T) B
     monkeypatch.setattr(RestrictedBasis, "J", lambda rb, Y, k=None: np.einsum(
         "bkn,nj->bkj", rb.base.J(Y @ rb.B.T, k), rb.B), raising=False)
-    want = regularity.envelope_at(b, rs, k, m, strata=strata_cache(name))
+    want = regularity.envelope_at(b, rs, k, m)
     assert got == want
 
 

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 
 from chevalley import regularity
 from chevalley.errors import ConvergenceError, UsageError
-from chevalley.probe import _rng, fiber_value_interval, sample_fiber
+from chevalley.probe import _rng, fiber_value_interval, random_regular_target, sample_fiber
 from chevalley.coxeter import enumerate_strata, sample_stratum
 from chevalley.regularity import (
     ENVELOPE_STRATUM_SAMPLES,
@@ -332,6 +332,21 @@ def test_envelope_at_matches_fiber_interval(basis_cache, rs_cache):
         rng_v = hi_f - lo_f
         assert abs(lo_e - lo_f) <= 1e-3 * rng_v
         assert abs(hi_e - hi_f) <= 1e-3 * rng_v
+
+
+@pytest.mark.parametrize("seed", [17, 4246])
+def test_envelope_at_reaches_both_ends_on_d5(seed, basis_cache, rs_cache):
+    """D5, k = 4: the fiber is a curve, and the range of p_5 over it has one
+    end on the face d4:w2 and the other on d4:w3; `envelope_at` must find
+    both, so that its (lo, hi) is the fiber's value interval."""
+    b, rs = basis_cache("D5"), rs_cache("D5")
+    m, hint = random_regular_target(b, rs, 4, seed)
+    lo_e, hi_e, per = envelope_at(b, rs, 4, m)
+    assert set(per) == {"d4:w2", "d4:w3"}
+    lo_f, hi_f, _ = fiber_value_interval(
+        sample_fiber(b, rs, 4, m, n_points=1500, seed=6, x_hint=hint), b, 4)
+    assert abs(lo_e - lo_f) <= 1e-3 * (hi_f - lo_f)
+    assert abs(hi_e - hi_f) <= 1e-3 * (hi_f - lo_f)
 
 
 def test_envelope_prism_containment(basis_cache, rs_cache):
