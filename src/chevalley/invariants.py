@@ -140,8 +140,8 @@ class CompiledBasis:
 
     def evaluate(self, X: np.ndarray, k: int | None = None, hess: bool = False):
         """(P, J) or (P, J, H) of the first k invariants at a batch X of shape
-        (B, n), from one power table.  Each equals its own `P` / `J` /
-        `hessians` call on the same batch bit for bit."""
+        (B, n), from one power table, bit for bit the `P` / `J` / `hessians`
+        values of each row, whatever batch holds it."""
         k = self.k if k is None else k
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
@@ -149,7 +149,7 @@ class CompiledBasis:
         if not 1 <= k <= self.k:
             raise UsageError(f"k must be in 1..{self.k}")
         # the invariants have the top exponent; their derivatives lower ones
-        table = power_table(X, self._p.degrees[k - 1])
+        table = power_table(X, self._p.degrees[k])
         P = self._p.from_powers(table, k)
         J = self._g.from_powers(table, k * self.n).reshape(len(X), k, self.n)
         if not hess:

@@ -14,7 +14,7 @@ degrees are limited to MAX_DEGREE.
 
 `eval_exact` evaluates at exact points.  Float evaluation has one path,
 `CompiledPoly`, which freezes a list of polynomials into one monomial table
-and coefficient vectors and evaluates it on a batch of points at once; the
+and a sparse coefficient matrix and evaluates it on a batch of points; the
 fiber samplers, mesh builders and Jacobian checks all run on it.
 """
 
@@ -27,6 +27,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import UsageError
 from .field import ONE, Scalar, ZERO
@@ -381,11 +382,16 @@ class PolyMatrix:
 
 
 def power_table(x: np.ndarray, degree: int) -> np.ndarray:
-    """x_i^0..x_i^degree for the rows of x (B, n): shape (B, n, degree + 1).
-
-    An entry x_i^p does not depend on `degree`, so one table of the largest
-    degree serves every polynomial table of a batch."""
-    return x[:, :, None] ** np.arange(degree + 1)
+    """x_i^0..x_i^degree for the rows of x (B, n), as x^p = x^(p//2) x^(p - p//2):
+    shape (B, n, degree + 1), a view of an (n, degree + 1, B) array.  An entry
+    does not depend on `degree`, so one table serves every polynomial table."""
+    table = np.empty((x.shape[1], degree + 1, len(x)))
+    table[:, 0] = 1.0
+    if degree:
+        table[:, 1] = x.T
+    for p in range(2, degree + 1):
+        np.multiply(table[:, p // 2], table[:, p - p // 2], out=table[:, p])
+    return table.transpose(2, 0, 1)
 
 
 class CompiledPoly:
@@ -395,19 +401,14 @@ class CompiledPoly:
     The union of the monomials is numbered in order of first appearance
     (each polynomial's terms in graded-lex order), so the first `count`
     polynomials use only a prefix of the table.  A batch is evaluated in
-    chunks of rows: one power table x_i^0..x_i^d, the monomials as products
-    of its entries taken variable by variable, then one matrix-vector
-    product per polynomial over its own monomial columns.
-
-    The rounding is that of evaluating each polynomial on its own as
-    `prod(x ** expo) @ coef` over the whole batch.  Two details keep it:
-    the gathered columns are made C-contiguous (BLAS takes another
-    summation path on F-ordered input), and chunks are a multiple of 64
-    rows, because BLAS sums a row in an order that depends on where the
-    row sits in its batch.
+    chunks of rows, for memory: the monomials, rows of an (M, rows) array,
+    are products of power-table entries in variable order, and one product
+    with the CSR coefficients (count, M) sums each value left to right over
+    its own terms.  So a row's bits depend on that row alone, not on its
+    batch, chunk or neighbours, nor on the BLAS thread count.
     """
 
-    __slots__ = ("nvars", "expo", "terms", "ends", "degrees", "single")
+    __slots__ = ("nvars", "expo", "ends", "degrees", "single", "_csr", "_coef")
 
     def __init__(self, polys: SparsePoly | Sequence[SparsePoly]):
         self.single = isinstance(polys, SparsePoly)
@@ -415,17 +416,17 @@ class CompiledPoly:
         if not polys:
             raise UsageError("CompiledPoly needs at least one polynomial")
         self.nvars = polys[0].nvars
+        if any(p.nvars != self.nvars for p in polys):
+            raise UsageError("CompiledPoly entries must share nvars")
+        terms = [p.canonical_terms() for p in polys]
         index: dict[Exponent, int] = {}
-        self.terms: list[tuple[np.ndarray, np.ndarray]] = []
-        self.ends: list[int] = []
-        for p in polys:
-            if p.nvars != self.nvars:
-                raise UsageError("CompiledPoly entries must share nvars")
-            terms = p.canonical_terms()
-            cols = [index.setdefault(e, len(index)) for e, _ in terms]
-            self.terms.append((np.array(cols, dtype=np.intp),
-                               np.array([float(c) for _, c in terms], dtype=float)))
-            self.ends.append(len(index))
+        cols = np.array([index.setdefault(e, len(index)) for t in terms for e, _ in t],
+                        dtype=np.int32)
+        ptr = np.cumsum([0] + [len(t) for t in terms], dtype=np.int32)
+        self._csr = (np.array([float(c) for t in terms for _, c in t]), cols, ptr)
+        self._coef: dict[int, csr_matrix] = {}  # CSR of the first `count`, built on first use
+        # ends[c] monomials and powers up to degrees[c] serve the first c polynomials
+        self.ends = [int(cols[:end].max(initial=-1)) + 1 for end in ptr]
         self.expo = np.array(list(index), dtype=np.int64).reshape(len(index), self.nvars)
         self.degrees = [int(self.expo[:end].max(initial=0)) for end in self.ends]
 
@@ -436,39 +437,34 @@ class CompiledPoly:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.nvars:
             raise UsageError("evaluation point has wrong length")
-        count = len(self.terms) if count is None else count
-        if not 0 <= count <= len(self.terms):
-            raise UsageError(f"count must be in 0..{len(self.terms)}")
-        flat = x.reshape(-1, self.nvars)
-        degree = self.degrees[count - 1] if count else 0
-        out = self._values(len(flat), count, lambda a, b: power_table(flat[a:b], degree))
-        out = out.reshape(x.shape[:-1] + (count,))
+        size = len(self.ends) - 1
+        count = size if count is None else count
+        if not 0 <= count <= size:
+            raise UsageError(f"count must be in 0..{size}")
+        table = power_table(x.reshape(-1, self.nvars), self.degrees[count])
+        out = self.from_powers(table, count).reshape(x.shape[:-1] + (count,))
         return out[..., 0] if self.single else out
 
     def from_powers(self, table: np.ndarray, count: int) -> np.ndarray:
         """Values of the first `count` polynomials from a power table of the
         whole batch, (B, nvars, >= degree + 1) as `power_table` builds it:
         shape (B, count), equal bit for bit to `self(x, count)`."""
-        return self._values(len(table), count, lambda a, b: table[a:b])
-
-    def _values(self, size: int, count: int, powers) -> np.ndarray:
-        # powers(a, b) is the power table of rows a..b-1
-        out = np.zeros((size, count))
-        if count:
-            expo = self.expo[:self.ends[count - 1]]
-            rows = self.chunk_rows(count)
-            for start in range(0, size, rows):
-                table = powers(start, start + rows)
-                mono = table[:, 0, expo[:, 0]]
-                for v in range(1, self.nvars):
-                    mono *= table[:, v, expo[:, v]]
-                for q, (cols, coef) in enumerate(self.terms[:count]):
-                    out[start:start + rows, q] = np.ascontiguousarray(mono[:, cols]) @ coef
+        if count not in self._coef:
+            data, cols, ptr = self._csr
+            self._coef[count] = csr_matrix((data[:ptr[count]], cols[:ptr[count]], ptr[:count + 1]),
+                                           shape=(count, self.ends[count]))
+        expo = self.expo[:self.ends[count]].T
+        out = np.empty((len(table), count))
+        rows = self.chunk_rows(count)
+        for start in range(0, len(table), rows):
+            powers = table[start:start + rows].transpose(1, 2, 0)
+            mono = powers[0, expo[0]]
+            for v in range(1, self.nvars):
+                mono *= powers[v, expo[v]]
+            out[start:start + rows] = (self._coef[count] @ mono).T
         return out
 
     def chunk_rows(self, count: int) -> int:
-        """Rows per chunk when evaluating the first `count` polynomials: a
-        multiple of 64 holding about 2**20 monomial values."""
-        width = self.ends[count - 1] if count else 0
-        return max(64, CHUNK_VALUES // max(width, 1) // 64 * 64)
-
+        """Rows per chunk when evaluating the first `count` polynomials:
+        about CHUNK_VALUES monomial values."""
+        return max(1, CHUNK_VALUES // max(self.ends[count], 1))

@@ -69,9 +69,9 @@ def _project_batch(cb, k, m, X, max_iter=60):
     runaway rows are marked failed and left untouched.
 
     A row that converged in the loop is not moved again and passed a test
-    ten times tighter than the closing one, so when every row converged
-    the closing evaluation is skipped.  Otherwise it runs on the whole
-    batch, because a row's rounding depends on its place in the batch.
+    ten times tighter than the closing one, and a row's values do not
+    depend on its batch, so the closing evaluation runs on the other rows
+    only.
     """
     m = np.asarray(m, dtype=float)
     X = np.array(X, dtype=float)
@@ -97,13 +97,13 @@ def _project_batch(cb, k, m, X, max_iter=60):
         idx = np.flatnonzero(active)
         active[idx[done | bad]] = False
         converged[idx[done & ~bad]] = True
-    if np.all(converged):
-        return X, converged
-    R = cb.P(X, k) - m
-    ok = np.all(np.isfinite(R), axis=1) & (
-        np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
-    )
-    return X, ok
+    rest = np.flatnonzero(~converged)
+    if len(rest):
+        R = cb.P(X[rest], k) - m
+        converged[rest] = np.all(np.isfinite(R), axis=1) & (
+            np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
+        )
+    return X, converged
 
 
 def _tangent_directions(J, G):
@@ -216,7 +216,7 @@ def sample_fiber(
             X[bad] = seeds[repl]
         collected.append(X[ok & ~runaway].copy())
     pts = np.concatenate(collected, axis=0)
-    pts = np.concatenate([pts, _extend_extremes(cb, rs, k, m, pts, s, cap)], axis=0)
+    pts = np.concatenate([pts, _extend_extremes(cb, k, m, pts, s, cap)], axis=0)
 
     # reduce to the chamber and deduplicate deterministically
     pts = rs.to_chamber(pts)
@@ -239,7 +239,7 @@ def sample_fiber(
     return FiberSample(basis.ctype.name, k, m, pts, seed, resid)
 
 
-def _extend_extremes(cb, rs, k, m, pts, s, cap):
+def _extend_extremes(cb, k, m, pts, s, cap):
     """Push the current extreme points of p_{k+1} outward along the fiber.
 
     Projected-gradient polish so that sampled value intervals reach the
@@ -249,8 +249,6 @@ def _extend_extremes(cb, rs, k, m, pts, s, cap):
         return np.zeros((0, pts.shape[1]))
     vals = cb.P(pts, k + 1)[:, k]
     chosen = pts[[int(np.argmin(vals)), int(np.argmax(vals))]].copy()
-    # P and J of `chosen`: a moved row takes the values its candidate had at
-    # the same place of the same two-row batch
     P, J = cb.evaluate(chosen, k + 1)
     signs = np.array([-1.0, 1.0])
     out = [chosen.copy()]
@@ -461,15 +459,13 @@ def critical_points(
     _, uniq = np.unique(quant, axis=0, return_index=True)
     X, mu = X[np.sort(uniq)], mu[np.sort(uniq)]
 
-    out = []
-    for x, mui in zip(X, mu):
-        out.append(_classify_critical(basis, rs, strata, k, m, x, mui))
+    P, G, H = cb.evaluate(X, k + 1, hess=True)
+    out = [_classify_critical(rs, strata, k, m, *row) for row in zip(X, mu, P, G, H)]
     out.sort(key=lambda cp: (cp.value, tuple(cp.x)))
     return out
 
 
-def _classify_critical(basis, rs, strata, k, m, x, mu) -> CriticalPoint:
-    P, G, H = (a[0] for a in basis.compiled.evaluate(x[None, :], k + 1, hess=True))
+def _classify_critical(rs, strata, k, m, x, mu, P, G, H) -> CriticalPoint:
     Jk, gk1 = G[:k], G[k]
     resid = max(
         float(np.max(np.abs(P[:k] - m))),

@@ -37,6 +37,7 @@ from .probe import _fiber_scale, _project_batch, _rng
 
 MESH_POINT_BUDGET = 8_000_000   # points of the bounding cube
 _MESH_BLOCK = 1 << 16            # cube points enumerated at a time
+LIFT_COLUMN_FLOOR = 1e-9         # scale-free floor of a lift system column
 
 
 @dataclass
@@ -379,7 +380,9 @@ def lift_derivatives(
 
     Solved per sample from the k x k system in the face coordinates t of
     x = Omega_F t; a singular system at an interior sample would contradict
-    the rank-k property and raises.  Returns (points, gradients).
+    the rank-k property and raises, as does a gradient that vanishes along
+    the face (a column below LIFT_COLUMN_FLOOR of its scale).  Returns
+    (points, gradients).
     """
     k = stratum.dim
     if k < 1:
@@ -394,11 +397,16 @@ def lift_derivatives(
     M = np.einsum("sjn,nk->sjk", G[:, :k, :], omega)   # (S, k, k): rows j, cols k
     M = np.swapaxes(M, 1, 2)                           # system matrix (grad p_j . omega)
     rhs = np.einsum("sn,nk->sk", G[:, k, :], omega)
-    # column j scales like |x|^(deg_j - 1); equilibrate before conditioning
+    # column j scales like gradient_scales[j] |x|^(deg_j - 1) max|omega column|
     col = np.linalg.norm(M, axis=1, keepdims=True)
-    if np.any(col <= 0):
+    scale = (basis.compiled.gradient_scales[:k] * np.max(np.linalg.norm(omega, axis=0))
+             * np.linalg.norm(X, axis=1)[:, None] ** (np.array(basis.degrees[:k]) - 1))
+    low = np.argwhere(~(col[:, 0, :] > LIFT_COLUMN_FLOOR * scale))
+    if len(low):
+        s, j = low[0]
         raise ConvergenceError(
-            f"degenerate lift system on stratum {stratum.stratum_id}"
+            f"degenerate lift system on stratum {stratum.stratum_id}: the gradient of p_{j + 1}"
+            f" has norm {col[s, 0, j]:.2g} at scale {scale[s, j]:.2g}, at x = {X[s].tolist()}"
         )
     Me = M / col
     conds = np.linalg.cond(Me)

@@ -1,6 +1,8 @@
 """Invariant systems: closed forms, data files, caching, evaluation."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,13 +235,24 @@ def test_cache_env_var_resolution(tmp_path, monkeypatch, basis_cache):
 
 
 def _per_polynomial_reference(polys, X):
-    """Each polynomial on its own over the whole batch, prod(x ** expo) @ coef."""
+    """The evaluator's contract in plain numpy: x^p = x^(p//2) * x^(p - p//2)
+    from x^0 = 1 and x^1 = x, a monomial as the product of its powers in
+    variable order, and each value as acc = acc + c * m over the
+    polynomial's terms in canonical order, starting from 0."""
+    n = X.shape[1]
+    top = max((max(e) for p in polys for e in p.terms), default=0)
+    powers = [np.ones_like(X), X]
+    for p in range(2, top + 1):
+        powers.append(powers[p // 2] * powers[p - p // 2])
     cols = []
     for p in polys:
-        terms = p.canonical_terms()
-        expo = np.array([e for e, _ in terms], dtype=np.int64).reshape(-1, X.shape[1])
-        coef = np.array([float(c) for _, c in terms])
-        cols.append(np.prod(X[:, None, :] ** expo, -1) @ coef)
+        acc = np.zeros(len(X))
+        for e, c in p.canonical_terms():
+            mono = powers[e[0]][:, 0]
+            for v in range(1, n):
+                mono = mono * powers[e[v]][:, v]
+            acc = acc + float(c) * mono
+        cols.append(acc)
     return np.stack(cols, -1)
 
 
@@ -293,7 +306,7 @@ def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
     b = basis_cache(name)
     cb = b.compiled
     X = rng.normal(size=(200, b.nvars))
-    # default chunks; 64-row chunks for every table; 128-row chunks for P
+    # default chunks; one-row chunks for every table; 128-row chunks for P
     for chunk_values in (poly.CHUNK_VALUES, 1, 128 * cb._p.ends[-1]):
         monkeypatch.setattr(poly, "CHUNK_VALUES", chunk_values)
         for size in (0, 1, 2, 65, 200):
@@ -306,6 +319,67 @@ def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
                 assert np.array_equal(H, cb.hessians(Xs, k))
                 P2, J2 = cb.evaluate(Xs, k)
                 assert np.array_equal(P2, P) and np.array_equal(J2, J)
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_evaluation_does_not_depend_on_batch_position(name, basis_cache, rng, monkeypatch):
+    """A row's P, J and Hessians are the same bits batched, row by row, in
+    reversed order and with one row per chunk."""
+    cb = basis_cache(name).compiled
+    X = rng.normal(size=(70, cb.n)) * np.exp(rng.uniform(-3, 3, size=(70, 1)))
+    P, J, H = cb.evaluate(X, hess=True)
+    assert np.array_equal(cb.P(X), P) and np.array_equal(cb.J(X), J)
+    assert np.array_equal(cb.hessians(X), H)
+    rows = [cb.evaluate(x[None, :], hess=True) for x in X]
+    for got, want in zip(zip(*rows), (P, J, H)):
+        assert np.array_equal(np.concatenate(got), want)
+    for got, want in zip(cb.evaluate(X[::-1], hess=True), (P, J, H)):
+        assert np.array_equal(got[::-1], want)
+    monkeypatch.setattr(poly, "CHUNK_VALUES", 1)
+    assert cb._hess.chunk_rows(cb.k * cb.n * (cb.n + 1) // 2) == 1
+    for got, want in zip(cb.evaluate(X, hess=True), (P, J, H)):
+        assert np.array_equal(got, want)
+
+
+def _gamma(m):
+    u = 2.0 ** -53
+    return m * u / (1 - m * u)
+
+
+def _dyadic(v):
+    """A float as (a, s) with v = a / 2^s."""
+    a, d = float(v).as_integer_ratio()
+    return a, d.bit_length() - 1
+
+
+@pytest.mark.parametrize("name", ["B3", "A4", "D6", "H3", "F4", "H4"])
+def test_evaluation_within_recursive_summation_bound(name, basis_cache):
+    """Against exact evaluation of the float-coefficient tables: a value of
+    T terms of total degree <= d in n variables is off by at most
+    gamma_{T+d+n} * sum |c m| (x^p takes p - 1 rounded products, a monomial
+    n - 1 more, the coefficient one and the sum T - 1; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3-4).  The exact sums are
+    integers over one power of two."""
+    b = basis_cache(name)
+    cb, n = b.compiled, b.nvars
+    X = np.random.default_rng(41).normal(size=(40, n))
+    points = []  # (powers a_v^p of the numerators over 2^s, s) per point
+    for x in X:
+        parts = [_dyadic(v) for v in x]
+        s = max(t for _, t in parts)
+        points.append(([[(a << s - t) ** p for p in range(b.degrees[-1] + 1)]
+                        for a, t in parts], s))
+    grads = [p.diff(j) for p in b.polys for j in range(n)]
+    for polys, got in ((b.polys, cb.P(X)), (grads, cb.J(X).reshape(len(X), -1))):
+        for q, p in enumerate(polys):
+            terms = [(e, *_dyadic(c)) for e, c in p.canonical_terms()]
+            bound = Fraction(_gamma(len(terms) + max(p.degree(), 0) + n))
+            for (powers, s), value in zip(points, got[:, q]):
+                top = max(t + s * sum(e) for e, _, t in terms)
+                exact = [c * math.prod(powers[v][e[v]] for v in range(n)) << top - t - s * sum(e)
+                         for e, c, t in terms]
+                err = abs(Fraction(value) - Fraction(sum(exact), 1 << top))
+                assert err <= bound * Fraction(sum(map(abs, exact)), 1 << top)
 
 
 def test_evaluate_rejects_bad_shapes(basis_cache):

@@ -508,7 +508,7 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache):
             rng = np.random.default_rng(seed)
             pts, ok = _project_batch(cb, k, m, hint + 0.1 * s * rng.normal(size=(40, b.nvars)))
             pts = pts[ok]
-            got = _extend_extremes(cb, rs, k, m, pts, s, cap)
+            got = _extend_extremes(cb, k, m, pts, s, cap)
             want = _extend_extremes_reference(cb, k, m, pts, s, cap)
             assert np.array_equal(got, want)
 

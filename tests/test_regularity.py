@@ -306,6 +306,22 @@ def test_lift_derivative_gradients_bounded_on_ball(basis_cache, rs_cache, strata
         assert np.max(np.abs(grads)) < 1e3
 
 
+@pytest.mark.parametrize("name,face", [("D5", "d3:w3,4"), ("D6", "d4:w4,5")])
+def test_lift_derivatives_raise_where_a_gradient_vanishes_on_the_face(
+        name, face, basis_cache, rs_cache, strata_cache):
+    """The product invariant x_1...x_n of D_n vanishes to second order where
+    x_{n-1} = x_n = 0, so its lift column is rounding noise, ~1e-35 of its
+    scale; the system is degenerate and the error names a point of the face."""
+    from chevalley.coxeter import stratum_of_point
+
+    b, rs, strata = basis_cache(name), rs_cache(name), strata_cache(name)
+    s = next(t for t in strata if t.stratum_id == face)
+    with pytest.raises(ConvergenceError, match=f"{face}: the gradient of p_{s.dim}") as err:
+        lift_derivatives(b, rs, s, samples=30, seed=5)
+    x = np.array([float(v) for v in str(err.value).split("at x = [")[1].rstrip("]").split(",")])
+    assert stratum_of_point(rs, strata, x).stratum_id == face
+
+
 def test_envelopes_b2_closed_form(basis_cache, rs_cache):
     """Envelope over p1 in [0, a^2]: min = 0, max = p1^2/4; the Lipschitz
     constant of the max envelope up to p1 <= 4 is about 2."""
