@@ -222,9 +222,7 @@ def _suite_invariants(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     rep.add("jacobian-rank", "pass" if rank == ct.dim else "fail", rank=rank)
 
     if cfg.out and cfg.command == "invariants":
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
-        save_basis(basis, out / f"{ct.canonical_key}.json")
+        save_basis(basis, Path(cfg.out) / f"{ct.canonical_key}.json")
 
 
 def _suite_jacobian(cfg: RunConfig, rep: SuiteReport, ctx: dict):
@@ -313,10 +311,12 @@ def _suite_whitney(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     study = whitney_study(basis, rs, cfg.radius, cfg.pitch,
                           pairs=cfg.pairs, seed=cfg.seed, pair_table=table)
     if cfg.pairs_out:
-        with open(cfg.pairs_out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source", "target", "euclid", "geodesic", "ratio"])
-            w.writerows(table)
+        try:
+            with open(cfg.pairs_out, "w", newline="") as fh:
+                csv.writer(fh).writerows(
+                    [("source", "target", "euclid", "geodesic", "ratio"), *table])
+        except OSError as exc:
+            raise UsageError(f"cannot write the pair table: {exc}") from exc
     rep.add("whitney-ratio", "pass" if study.passed else "fail", **study.to_dict())
     # envelopes and the prism containment over the first projection
     if basis.nvars >= 2:
@@ -501,7 +501,10 @@ def main(argv=None) -> int:
         rep = run_suite(cfg)
         payload = emit_report(rep, cfg.fmt)
         if cfg.out and cfg.command != "invariants":
-            Path(cfg.out).write_bytes(payload)
+            try:
+                Path(cfg.out).write_bytes(payload)
+            except OSError as exc:
+                raise UsageError(f"cannot write the report: {exc}") from exc
         else:
             sys.stdout.write(payload.decode())
         return rep.exit_code

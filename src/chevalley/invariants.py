@@ -270,8 +270,11 @@ def save_basis(basis: InvariantBasis, path: Path) -> None:
             basis.ctype.canonical_key, basis.degrees, basis.polys
         ),
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1))
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=1))
+    except OSError as exc:
+        raise UsageError(f"cannot write invariant basis: {exc}") from exc
 
 
 def load_basis(path: Path, ctype: CoxeterType) -> InvariantBasis:

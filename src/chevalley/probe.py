@@ -31,7 +31,6 @@ CRITICAL_RESIDUAL_TOL = 1e-9
 HESSIAN_EIG_FLOOR = 1e-6
 FIBER_MULTISTARTS = 128      # Newton starts seeding each fiber sample
 TARGET_CANDIDATES = 500      # draws before random_regular_target gives up
-TARGET_BLOCK = 16            # candidates drawn and reduced per to_chamber call
 _NEAREST = 8                 # neighbours per point in the connectivity subgraph
 
 
@@ -328,13 +327,15 @@ def random_regular_target(
     norms = np.linalg.norm(rs.simple_f, axis=1)
     inradius = 1.0 / np.linalg.norm(rs.coweights_f[:, :len(norms)] @ norms)
     margin = min(margin, 0.5 * inradius)
+    mirrors = rs.positive_f / np.linalg.norm(rs.positive_f, axis=1, keepdims=True)
     rng = _rng(seed)
-    for start in range(0, TARGET_CANDIDATES, TARGET_BLOCK):
-        X = np.empty((min(TARGET_BLOCK, TARGET_CANDIDATES - start), basis.nvars))
-        for j in range(len(X)):
-            x = rng.normal(size=basis.nvars)
-            X[j] = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
-        for x in rs.to_chamber(X):
+    for _ in range(TARGET_CANDIDATES):
+        x = rng.normal(size=basis.nvars)
+        x = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
+        # reflections keep the distance to the nearest mirror, the least wall
+        # distance in the chamber: reduce only what may pass, up to 1e-9 |x|
+        if np.min(np.abs(mirrors @ x)) >= (margin - 1e-9) * np.linalg.norm(x):
+            x = rs.to_chamber(x)
             if np.min(rs.wall_distances(x)) >= margin * np.linalg.norm(x):
                 return basis.compiled.P(x[None, :], k)[0], x
     raise ConvergenceError("could not sample a regular target")

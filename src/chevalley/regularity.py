@@ -8,9 +8,9 @@ length over straight-line image distance then estimates the geodesic ratio;
 the supremum of that ratio over pairs is the quantity whose finiteness is
 being certified.  Pairs are vertex indices, drawn with a bias toward the
 image boundary, where the cusps live.  Large Dijkstra sweeps run on forked
-workers with identical distances (`_pair_geodesics`): their memory is not in
-the parent's ru_maxrss, and a trace of `dijkstra` here sees only the
-parent's share.
+pool workers (processes: scipy's `dijkstra` holds the GIL) with identical
+distances (`_pair_geodesics`): their memory is not in the parent's
+ru_maxrss, and a trace of `dijkstra` here sees only the parent's share.
 
 The module also computes the lift derivatives d p_{k+1} / d p_j on strata
 (bounded, with continuous extension toward the origin) and the min/max
@@ -21,9 +21,10 @@ and as solver-exact values at matched targets.
 from __future__ import annotations
 
 import os
-import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from multiprocessing import get_context
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -221,57 +222,48 @@ def _draw_pairs(g: ImageGraph, pairs: int, seed: int):
 # they take 0.2 s or more, a fork of a ~120 MB process 10-30 ms
 FORK_MIN_WORK = 10_000_000
 
+_worker_shares = []   # filled in each sweep worker by the pool's initializer
+
+
+def _sweep(graph: csr_matrix, sources, src, tgt) -> np.ndarray:
+    """Graph distance sources[src[i]] -> tgt[i] for every pair: one directed
+    search per source (the CSR is symmetric), 128 sources per scipy call."""
+    out = np.empty(len(src))
+    for lo in range(0, len(sources), 128):
+        dist = dijkstra(graph, directed=True, indices=sources[lo:lo + 128])
+        sel = (src >= lo) & (src < lo + 128)
+        out[sel] = dist[src[sel] - lo, tgt[sel]]
+    return out
+
+
+def _sweep_share(k: int) -> np.ndarray:
+    return _sweep(*_worker_shares[k])
+
 
 def _pair_geodesics(graph: csr_matrix, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Graph distance s[i] -> t[i] for every pair: one directed search per
-    distinct source (the CSR is symmetric), 128 sources per scipy call.
-    scipy searches from each source on its own, so a large sweep is split
-    into one share per usable CPU, at most one per source, bit-identical:
-    forked children inherit the graph, run no BLAS and pipe back distances.
+    """Graph distance s[i] -> t[i] for every pair, by `_sweep`.  scipy
+    searches from each source on its own, so a large sweep is split into one
+    share per usable CPU, at most one per source, bit-identical.  The parent
+    sweeps the first share and a pool of forked processes the others; not
+    threads, since `dijkstra` holds the GIL.  The workers inherit the graph at
+    fork, unpickled, and a worker's exception re-raises here with its type.
     """
     sources, which = np.unique(s, return_inverse=True)
     # os.sched_getaffinity is Linux-only; elsewhere every sweep stays in-process
     big = len(sources) * graph.nnz >= FORK_MIN_WORK and hasattr(os, "sched_getaffinity")
     workers = min(len(os.sched_getaffinity(0)), len(sources)) if big else 1
+    if workers == 1:
+        return _sweep(graph, sources, which, t)
     cuts = [len(sources) * k // workers for k in range(workers + 1)]
     pairs = [np.flatnonzero((which >= lo) & (which < hi)) for lo, hi in zip(cuts, cuts[1:])]
-
-    def sweep(k):
-        src, out = which[pairs[k]], np.empty(len(pairs[k]))
-        for lo in range(cuts[k], cuts[k + 1], 128):
-            hi = min(lo + 128, cuts[k + 1])
-            dist = dijkstra(graph, directed=True, indices=sources[lo:hi])
-            sel = (src >= lo) & (src < hi)
-            out[sel] = dist[src[sel] - lo, t[pairs[k][sel]]]
-        return out
-
+    shares = [(graph, sources[lo:hi], which[p] - lo, t[p])
+              for lo, hi, p in zip(cuts, cuts[1:], pairs)]
+    with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
+                             initializer=_worker_shares.extend, initargs=(shares,)) as pool:
+        rest = pool.map(_sweep_share, range(1, workers))
+        dists = [_sweep(*shares[0]), *rest]
     geo = np.empty(len(s))
-    children = []   # (pid, read end of its pipe, share)
-    try:
-        for k in range(1, workers):
-            r, w = os.pipe()
-            reader = open(r, "rb")
-            with open(w, "wb") as out:
-                pid = os.fork()
-                if pid == 0:   # the child leaves by os._exit alone
-                    try:
-                        out.write(sweep(k).tobytes())
-                        out.flush()
-                    except BaseException:
-                        os._exit(1)
-                    os._exit(0)
-            children.append((pid, reader, k))
-        geo[pairs[0]] = sweep(0)
-        for pid, reader, k in children:
-            data = reader.read()   # EOF once the child has exited
-            if len(data) != geo.itemsize * len(pairs[k]):
-                raise RuntimeError(f"Dijkstra worker {pid} failed")
-            geo[pairs[k]] = np.frombuffer(data)
-    finally:
-        for pid, reader, _ in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)   # stops a child still sweeping on failure
-            os.waitpid(pid, 0)
+    geo[np.concatenate(pairs)] = np.concatenate(dists)
     return geo
 
 

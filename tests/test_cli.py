@@ -137,6 +137,23 @@ def test_cli_writes_report_and_converts(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-jacobian", "--type", "B2", "--out", "{missing}/r.json"],
+    ["all", "--type", "B2", "--out", "{dir}"],
+    ["whitney", "--type", "B2", "--h", "0.1", "--pairs", "200",
+     "--pairs-out", "{missing}/x.csv"],
+    ["invariants", "--type", "B2", "--out", "{file}/sub"],
+], ids=["report-in-missing-dir", "report-onto-dir", "pairs-in-missing-dir",
+        "basis-under-file"])
+def test_unwritable_output_is_a_usage_error(tmp_path, argv):
+    """An output path that cannot be written is a one-line usage error."""
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": tmp_path / "file"}
+    code, out, err = _run_main([a.format(**paths) for a in argv])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_cli_fiber_and_morse_commands(capsys):
     assert main(["morse", "--type", "B2", "--k", "1", "--m", "1.0"]) == 0
     capsys.readouterr()

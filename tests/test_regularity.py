@@ -2,6 +2,8 @@
 
 import math
 import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -596,22 +598,27 @@ def test_sweep_forks_at_most_one_worker_per_source(pair_case, monkeypatch):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("failing", ["children", "parent"])
+@pytest.mark.parametrize("failing", ["children", "parent", "dead"])
 def test_failed_sweep_raises_and_reaps_every_child(pair_case, monkeypatch, failing):
-    """A worker's failure raises in the parent; a failure in the parent's own
-    share stops the workers still sweeping.  No child outlives the call."""
+    """A worker's exception re-raises in the parent with its own type, a
+    worker that dies raises BrokenProcessPool, and a failure in the parent's
+    own share raises.  No child outlives the call, and none hangs it."""
     _, g, si, ti = pair_case
     parent, search = os.getpid(), regularity.dijkstra
 
     def dijkstra(*args, **kwargs):
         if (os.getpid() == parent) == (failing == "parent"):
+            if failing == "dead":
+                os._exit(1)
             raise MemoryError("injected")
         return search(*args, **kwargs)
 
     _split_sweeps(monkeypatch, 3)
     monkeypatch.setattr(regularity, "dijkstra", dijkstra)
-    with pytest.raises(RuntimeError if failing == "children" else MemoryError):
+    start = time.monotonic()
+    with pytest.raises(BrokenProcessPool if failing == "dead" else MemoryError):
         _ratio_stats(g, *_admitted(g, si, ti))
+    assert time.monotonic() - start < 10
     _assert_no_child_left()
 
 
