@@ -16,6 +16,7 @@ run; such a run exits 2 unless some check failed or found an anomaly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -308,15 +309,16 @@ def _suite_fiber(cfg: RunConfig, rep: SuiteReport, ctx: dict):
 def _suite_whitney(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     basis, rs = ctx["basis"], ctx["rs"]
     table = [] if cfg.pairs_out else None
-    study = whitney_study(basis, rs, cfg.radius, cfg.pitch,
-                          pairs=cfg.pairs, seed=cfg.seed, pair_table=table)
-    if cfg.pairs_out:
-        try:
-            with open(cfg.pairs_out, "w", newline="") as fh:
-                csv.writer(fh).writerows(
-                    [("source", "target", "euclid", "geodesic", "ratio"), *table])
-        except OSError as exc:
-            raise UsageError(f"cannot write the pair table: {exc}") from exc
+    # open the pair table first: an unwritable path fails before the sweeps
+    try:
+        fh = open(cfg.pairs_out, "w", newline="") if cfg.pairs_out else contextlib.nullcontext()
+    except OSError as exc:
+        raise UsageError(f"cannot write the pair table: {exc}") from exc
+    with fh:
+        study = whitney_study(basis, rs, cfg.radius, cfg.pitch,
+                              pairs=cfg.pairs, seed=cfg.seed, pair_table=table)
+        if cfg.pairs_out:
+            csv.writer(fh).writerows([("source", "target", "euclid", "geodesic", "ratio"), *table])
     rep.add("whitney-ratio", "pass" if study.passed else "fail", **study.to_dict())
     # envelopes and the prism containment over the first projection
     if basis.nvars >= 2:

@@ -36,9 +36,11 @@ SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
-# exact polynomial arithmetic (generator substitution, the Jacobian
-# determinant) is affordable up to this Coxeter number, the top degree;
-# the degree-30 H4 system is beyond it
+# exact generator substitution and the symbolic Jacobian determinant run up
+# to this Coxeter number, the top degree.  The cap refuses H4 (30), though
+# the integer kernel computes its determinant in seconds and its exact
+# substitution invariance in about half a minute; ROADMAP item 10 chooses
+# the method for it
 EXACT_COXETER_LIMIT = 12
 NUMERIC_RANK_REL_TOL = 1e-8  # singular values below this fraction of the top one
 
@@ -58,17 +60,20 @@ class InvariantBasis:
         self.polys = list(polys)
         self.degrees = degs
         self.provenance = provenance
-        self._compiled: CompiledBasis | None = None
 
     @property
     def nvars(self) -> int:
         return self.ctype.dim
 
-    @property
+    @cached_property
+    def gradients(self) -> tuple[tuple[SparsePoly, ...], ...]:
+        """The exact gradient rows, gradients[i][j] = d p_i / d x_j; the
+        float tables and the symbolic Jacobian both read them."""
+        return tuple(tuple(p.diff(j) for j in range(self.nvars)) for p in self.polys)
+
+    @cached_property
     def compiled(self) -> "CompiledBasis":
-        if self._compiled is None:
-            self._compiled = CompiledBasis(self)
-        return self._compiled
+        return CompiledBasis(self)
 
     def __repr__(self):
         return f"InvariantBasis({self.ctype.name}, degrees={self.degrees})"
@@ -89,10 +94,7 @@ class CompiledBasis:
         self.n = basis.nvars
         self.k = len(basis.polys)
         self._p = CompiledPoly(basis.polys)
-        self._grad_polys = [
-            [p.diff(j) for j in range(self.n)] for p in basis.polys
-        ]
-        self._g = CompiledPoly([q for row in self._grad_polys for q in row])
+        self._g = CompiledPoly([q for row in basis.gradients for q in row])
 
     def P(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Invariant values; X of shape (..., n) -> (..., k)."""
@@ -119,7 +121,7 @@ class CompiledBasis:
     @cached_property
     def _hess(self) -> CompiledPoly:
         return CompiledPoly([
-            q.diff(l) for row in self._grad_polys
+            q.diff(l) for row in self.basis.gradients
             for j, q in enumerate(row) for l in range(j, self.n)
         ])
 

@@ -33,8 +33,7 @@ from .poly import CHUNK_VALUES, CompiledPoly, PolyMatrix, SparsePoly, product
 
 def jacobian_matrix(basis: InvariantBasis) -> PolyMatrix:
     """Entry (i, j) = d p_i / d x_j, exact."""
-    n = basis.nvars
-    return PolyMatrix([[p.diff(j) for j in range(n)] for p in basis.polys])
+    return PolyMatrix(basis.gradients)
 
 
 def wall_form_product(rs: RootSystem) -> SparsePoly:
@@ -97,8 +96,8 @@ def verify_det_factorization(
 ) -> FactorizationReport:
     """Check det J == c * prod(wall forms) exactly and return the constant.
 
-    The symbolic determinant is affordable up to Coxeter number
-    EXACT_COXETER_LIMIT; beyond it (H4) the check raises CapabilityError.
+    The symbolic determinant runs up to Coxeter number EXACT_COXETER_LIMIT;
+    beyond it (H4) the cap raises CapabilityError.
     A zero or non-constant ratio raises CheckFailure: it flags an
     invariant-construction bug.
     """

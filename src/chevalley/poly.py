@@ -5,12 +5,12 @@ All arithmetic is exact; canonical term order is graded lexicographic
 (total degree first, then exponent tuple, leading term first) so that
 serialization and hashing are reproducible.
 
-Products, sums, scaling, powers, linear substitution and determinants run on
-one integer form: the operands go over a shared denominator d once, a term
-becomes a pair of ints (a, b) meaning (a + b*sqrt5)/d under a packed-int
-exponent, and the result comes back as normalized `Scalar`s once, at the end
-of the operation.  `Scalar` is the type at the kernel's boundary; total
-degrees are limited to MAX_DEGREE.
+Products, sums, scaling, powers, derivatives, linear substitution and
+determinants run on one integer form: the operands go over a shared
+denominator d once, a term becomes a pair of ints (a, b) meaning
+(a + b*sqrt5)/d under a packed-int exponent, and the result comes back as
+normalized `Scalar`s once, at the end of the operation.  `Scalar` is the
+type at the kernel's boundary; total degrees are limited to MAX_DEGREE.
 
 `eval_exact` evaluates at exact points.  Float evaluation has one path,
 `CompiledPoly`, which freezes a list of polynomials into one monomial table
@@ -173,14 +173,14 @@ class SparsePoly:
         """Exact partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise UsageError(f"diff index {i} out of range for nvars={self.nvars}")
-        out: dict[Exponent, Scalar] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * Scalar(e[i])
-        return _raw(self.nvars, out)
+        d, (f,) = _forms(self)
+        shift = FIELD_BITS * i
+        out = {}
+        for e, (a, b) in f.items():
+            p = e >> shift & MAX_DEGREE  # the exponent of x_i
+            if p:
+                out[e - (1 << shift)] = (a * p, b * p)
+        return _poly(self.nvars, out, d)
 
     # -- evaluation --------------------------------------------------------------
 

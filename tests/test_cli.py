@@ -145,8 +145,14 @@ def test_cli_writes_report_and_converts(tmp_path, capsys):
     ["invariants", "--type", "B2", "--out", "{file}/sub"],
 ], ids=["report-in-missing-dir", "report-onto-dir", "pairs-in-missing-dir",
         "basis-under-file"])
-def test_unwritable_output_is_a_usage_error(tmp_path, argv):
-    """An output path that cannot be written is a one-line usage error."""
+def test_unwritable_output_is_a_usage_error(tmp_path, argv, monkeypatch):
+    """An output path that cannot be written is a one-line usage error; the
+    pair table is opened before the Whitney sweeps run."""
+    def no_study(*args, **kwargs):
+        raise AssertionError("whitney_study ran before the pair table was opened")
+
+    if "--pairs-out" in argv:
+        monkeypatch.setattr("chevalley.cli.whitney_study", no_study)
     (tmp_path / "file").write_text("")
     paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": tmp_path / "file"}
     code, out, err = _run_main([a.format(**paths) for a in argv])

@@ -256,6 +256,31 @@ def _per_polynomial_reference(polys, X):
     return np.stack(cols, -1)
 
 
+def _scalar_diff(p, i):
+    """Term-by-term derivative on Scalars, the reference for the kernel's."""
+    return SparsePoly(p.nvars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * Scalar(e[i])
+                                for e, c in p.terms.items() if e[i]})
+
+
+def _exact_terms(p):
+    return [(e, c.to_strings()) for e, c in p.canonical_terms()]
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(1, 5)]
+                         + [f"D{n}" for n in range(2, 7)] + [f"I2:{p}" for p in range(3, 13)]
+                         + ["H3", "H4", "F4"])
+def test_kernel_diff_matches_scalar_reference(name, basis_cache):
+    """The gradient rows, and on B3, H3 and F4 the second derivatives,
+    equal the term-by-term derivatives coefficient for coefficient."""
+    b = basis_cache(name)
+    for p, row in zip(b.polys, b.gradients):
+        for j, q in enumerate(row):
+            assert _exact_terms(q) == _exact_terms(_scalar_diff(p, j))
+            if name in ("B3", "H3", "F4"):
+                for l in range(b.nvars):
+                    assert _exact_terms(q.diff(l)) == _exact_terms(_scalar_diff(q, l))
+
+
 @pytest.mark.parametrize("name", ["H4", "F4", "D6", "I2:7", "A4"])
 def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng):
     b = basis_cache(name)

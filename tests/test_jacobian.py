@@ -9,7 +9,7 @@ import pytest
 from chevalley.errors import CheckFailure, UsageError
 from chevalley.field import ONE, Scalar
 from chevalley import jacobian
-from chevalley.invariants import CompiledBasis, InvariantBasis
+from chevalley.invariants import CompiledBasis, InvariantBasis, basic_invariants
 from chevalley.jacobian import (
     _minor_table,
     calibration_passed,
@@ -60,6 +60,22 @@ def test_factorization_exact_everywhere(name, basis_cache, rs_cache):
     assert rep.exact and rep.residual == 0.0 and rep.c != 0.0
     # deg det J equals the reflection count
     assert rep.det_degree == sum(k - 1 for k in basis_cache(name).degrees)
+
+
+def test_gradients_are_differentiated_once(rs_cache, monkeypatch):
+    """A basis differentiates each invariant once: the float J and Hessian
+    tables and the symbolic Jacobian read one set of exact gradient rows,
+    and using them all again differentiates nothing."""
+    calls = []
+    diff = SparsePoly.diff
+    monkeypatch.setattr(SparsePoly, "diff", lambda p, i: calls.append(i) or diff(p, i))
+    b, rs = basic_invariants("B3"), rs_cache("B3")
+    for _ in range(2):
+        b.compiled.hessians(np.ones((2, 3)))
+        jacobian_matrix(b)
+        verify_det_factorization(b, rs)
+        verify_det_factorization(b, rs)
+        assert len(calls) == 3 * 3 + 3 * 6  # the gradients, then the Hessians' upper triangles
 
 
 def test_factorization_flags_broken_basis(basis_cache, rs_cache):

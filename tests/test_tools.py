@@ -10,9 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from chevalley.field import Scalar
-from chevalley.poly import SparsePoly
-
 TOOLS = Path(__file__).parent.parent / "tools"
 DATA_DIR = Path(__file__).parent.parent / "src" / "chevalley" / "data"
 
@@ -51,16 +48,3 @@ def test_averaged_data_files_rebuild_byte_identical(tmp_path):
         )
         for name in ("H3", "F4"):
             assert (out / f"{name}.json").read_bytes() == (DATA_DIR / f"{name}.json").read_bytes()
-
-
-def test_expand_linear_power_matches_repeated_multiplication(rng):
-    expand_linear_power = _load(TOOLS / "build_h4_invariants.py").expand_linear_power
-    for _ in range(10):
-        coeffs = [Scalar(int(rng.integers(-3, 4)), int(rng.integers(-1, 2)))
-                  for _ in range(3)]
-        form = SparsePoly(3, {
-            tuple(1 if j == i else 0 for j in range(3)): c
-            for i, c in enumerate(coeffs) if not c.is_zero()
-        })
-        k = int(rng.integers(0, 7))
-        assert expand_linear_power(coeffs, k) == form ** k

@@ -37,7 +37,6 @@ import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -61,49 +60,6 @@ from chevalley.invariants import (
 from chevalley.poly import CompiledPoly, PolyMatrix, SparsePoly
 
 
-def expand_linear_power(coeffs: Sequence[Scalar], k: int) -> SparsePoly:
-    """Exact expansion of (c_0 x_0 + ... + c_{n-1} x_{n-1})^k.
-
-    Goes through the multinomial theorem with cached coefficient powers, which
-    is much faster than repeated polynomial multiplication for the degree-30
-    orbit sums.
-    """
-    n = len(coeffs)
-    coeffs = [c if isinstance(c, Scalar) else Scalar(c) for c in coeffs]
-    live = [i for i, c in enumerate(coeffs) if not c.is_zero()]
-    if not live:
-        return SparsePoly.zero(n) if k > 0 else SparsePoly.const(n, 1)
-    pows = {i: [ONE] for i in live}
-    for i in live:
-        for _ in range(k):
-            pows[i].append(pows[i][-1] * coeffs[i])
-    fact = [math.factorial(j) for j in range(k + 1)]
-    out: dict[tuple[int, ...], Scalar] = {}
-
-    def rec(pos: int, remaining: int, exp: list[int], coeff_mult: int, prod: Scalar):
-        if pos == len(live) - 1:
-            i = live[pos]
-            e = exp.copy()
-            e[i] = remaining
-            c = prod * pows[i][remaining] * Scalar(coeff_mult // fact[remaining])
-            key = tuple(e)
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-            return
-        i = live[pos]
-        for take in range(remaining + 1):
-            exp[i] = take
-            rec(pos + 1, remaining - take, exp, coeff_mult // fact[take], prod * pows[i][take])
-        exp[i] = 0
-
-    rec(0, k, [0] * n, fact[k], ONE)
-    return SparsePoly(n, out)
-
-
 def sum_of_squares(n: int) -> SparsePoly:
     return SparsePoly(n, {tuple(2 if j == i else 0 for j in range(n)): ONE for i in range(n)})
 
@@ -120,7 +76,8 @@ def orbit_power_sum(positive_roots, k: int) -> SparsePoly:
     n = len(positive_roots[0])
     acc = SparsePoly.zero(n)
     for v in positive_roots:
-        acc = acc + expand_linear_power(v, k)
+        form = SparsePoly(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(v)})
+        acc = acc + form ** k
     return acc.scale(Scalar(2))
 
 
@@ -133,17 +90,12 @@ def _root_classes(rs: RootSystem) -> list[list[tuple[Scalar, ...]]]:
     return [by_norm[key] for key in sorted(by_norm, key=float)]
 
 
-def _gradient_rows(polys: list[SparsePoly]) -> list[list[SparsePoly]]:
-    n = polys[0].nvars
-    return [[p.diff(j) for j in range(n)] for p in polys]
-
-
 def _exact_rank_advances(polys: list[SparsePoly], candidate: SparsePoly) -> bool:
     """True iff the Jacobian of polys + [candidate] has full row rank as a
     polynomial matrix (checked by finding one nonvanishing minor)."""
-    rows = _gradient_rows(polys + [candidate])
-    j = len(rows)
     n = candidate.nvars
+    rows = [[p.diff(j) for j in range(n)] for p in polys + [candidate]]
+    j = len(rows)
     for cols in combinations(range(n), j):
         sub = PolyMatrix([[rows[r][c] for c in cols] for r in range(j)])
         if not sub.det().is_zero():
