@@ -500,15 +500,19 @@ def main(argv=None) -> int:
             sys.stdout.write(emit_report(_read_report(args.infile), args.fmt).decode())
             return 0
         cfg = _config_from_args(args)
-        rep = run_suite(cfg)
-        payload = emit_report(rep, cfg.fmt)
-        if cfg.out and cfg.command != "invariants":
-            try:
-                Path(cfg.out).write_bytes(payload)
-            except OSError as exc:
-                raise UsageError(f"cannot write the report: {exc}") from exc
-        else:
-            sys.stdout.write(payload.decode())
+        to_file = cfg.out and cfg.command != "invariants"
+        # open the report first: an unwritable path fails before the suites
+        try:
+            fh = open(cfg.out, "wb") if to_file else contextlib.nullcontext()
+        except OSError as exc:
+            raise UsageError(f"cannot write the report: {exc}") from exc
+        with fh:
+            rep = run_suite(cfg)
+            payload = emit_report(rep, cfg.fmt)
+            if to_file:
+                fh.write(payload)
+            else:
+                sys.stdout.write(payload.decode())
         return rep.exit_code
     except ChevalleyError as exc:
         print(f"error: {exc}", file=sys.stderr)

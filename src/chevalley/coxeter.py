@@ -15,10 +15,10 @@ Supported families and their realizations:
   H3, H4          icosahedral groups with exact Q(sqrt5) root data.
   F4              the 24-cell symmetry group, rational root data.
 
-Every exact family states its simple roots.  H3 and H4 take as positive the
-roots that are positive where every simple form equals 1; the others list
-theirs.  Each exact system is certified exactly: every positive root is a
-nonnegative combination of the simple roots.
+Every exact family states only its simple roots.  The positive roots are
+their closure under the simple reflections, walked exactly in simple-root
+coordinates, and certified on the way: every root has coordinates of one
+sign, and there are sum(degree - 1) positive roots.
 
 Root data is exact wherever the ambient field allows it.  For I2(p) with
 p != 4 no orthogonal 2x2 realization has all entries in Q(sqrt5) (a rotation
@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -183,9 +182,9 @@ class RootSystem:
     """Positive roots, simple roots and per-root reflection data for a type.
 
     Float mirrors of the simple data are precomputed since almost all
-    downstream numerics run on them; the reflections of all positive roots
-    are built on first use.  `exact` is False only for I2(p) with p != 4;
-    in that case the exact fields are None.  `support[t, i]` says whether
+    downstream numerics run on them; the exact simple reflections and the
+    reflections of all positive roots are built on first use.  `exact` is
+    False only for I2(p) with p != 4; in that case the exact fields are None.  `support[t, i]` says whether
     simple root i has a nonzero coefficient in positive root t.
     `coweights` are the fundamental coweights w_j, <a_i, w_j> = delta_ij,
     then the A family's pad diagonal/n; `coweights_f` holds them as the
@@ -205,9 +204,6 @@ class RootSystem:
         self.coweights = coweights
         self.coweights_f = (_float_mat(coweights).T if self.exact
                             else np.linalg.inv(self.simple_f))
-        self.simple_reflections = (
-            [_reflection_exact(v) for v in simple_exact] if self.exact else None
-        )
         self.simple_reflections_f = np.array(
             [self._float_reflection(v) for v in self.simple_f]
         )
@@ -220,6 +216,11 @@ class RootSystem:
     def _float_reflection(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         return np.eye(len(v)) - 2.0 * np.outer(v, v) / (v @ v)
+
+    @cached_property
+    def simple_reflections(self):
+        """Exact reflection of every simple root; None for float types."""
+        return [_reflection_exact(v) for v in self.simple] if self.exact else None
 
     @cached_property
     def reflections(self):
@@ -275,156 +276,98 @@ class RootSystem:
         raise ConvergenceError("chamber reduction did not terminate")
 
 
-def _certify_simple_system(simple, positive):
-    """Exact check: every positive root is a nonnegative combination of the
-    claimed simple roots.  Raises on failure; returns the (|positive|, k)
-    bool support of the coefficients and the n exact coweights.
+def _certify_simple_system(simple, count):
+    """Exact certificate of a claimed simple system: its positive roots are
+    the closure of the simple roots under the simple reflections (every root
+    is conjugate to a simple one).  Raises `CheckFailure` unless the simple
+    roots are independent, every root has simple coordinates of one sign and
+    the closure has `count` positive roots.  Returns the positive roots
+    sorted by their float coordinates, their (|positive|, k) bool support
+    and the n exact coweights.
 
-    One Gauss-Jordan elimination solves for all positive roots and the unit
-    vectors at once.  The simple roots of the reducible A family span only the
-    hyperplane sum(x) = 0; a system with fewer simple roots than dimensions is
-    padded with the invariant diagonal, whose coefficient must then be 0.  Row
-    j of the inverse is the coweight w_j; the pad's row is diagonal/n.
+    In simple coordinates c, s_i changes only c_i, by -sum_j c_j
+    2<a_j, a_i>/<a_i, a_i>; it maps a_i to -a_i and permutes the other
+    positive roots.  The coweights w_j are the rows of the inverse of the
+    simple roots as columns.  The A family's simple roots span only the
+    hyperplane sum(x) = 0, so they are padded with the invariant diagonal,
+    whose row is diagonal/n.
     """
-    n, count = len(positive[0]), len(positive)
-    columns = list(simple)
-    if len(simple) < n:
-        columns.append(tuple(ONE for _ in range(n)))
+    n, k = len(simple[0]), len(simple)
+    columns = list(simple) + ([(ONE,) * n] if k < n else [])
     if len(columns) != n:
         raise CheckFailure("simple system has wrong size")
-    a = [[c[i] for c in columns] for i in range(n)]
-    coeff = solve_linear(a, [[v[i] for v in positive] + list(_unit(i, n)) for i in range(n)])
-    if coeff is None:
+    coweights = solve_linear([[c[i] for c in columns] for i in range(n)],
+                             [_unit(i, n) for i in range(n)])
+    if coweights is None:
         raise CheckFailure("claimed simple roots are linearly dependent")
-    k = len(simple)
-    for t, v in enumerate(positive):
-        if (any(coeff[i][t].sign() < 0 for i in range(k))
-                or not all(row[t].is_zero() for row in coeff[k:])):
-            raise CheckFailure(f"root {v} is not a nonnegative combination of simples")
-    support = np.array([[not x.is_zero() for x in row[:count]] for row in coeff[:k]]).T
-    return support, [tuple(row[count:]) for row in coeff]
+    scale = [Scalar(2) / vec_dot(a, a) for a in simple]
+    cartan = [[vec_dot(b, a) * t for b in simple] for a, t in zip(simple, scale)]
+    coords = [_unit(i, k) for i in range(k)]
+    roots, seen = list(simple), set(coords)
+    for c, v in zip(coords, roots):  # both grow while they are walked
+        for i, (row, a) in enumerate(zip(cartan, simple)):
+            if not any(c[:i] + c[i + 1:]):  # s_i a_i = -a_i
+                continue
+            shift = vec_dot(row, c)
+            w = c[:i] + (c[i] - shift,) + c[i + 1:]
+            if w in seen:
+                continue
+            if w[i].sign() < 0:
+                raise CheckFailure(f"root {w} has simple coordinates of both signs")
+            if len(coords) == count:
+                raise CheckFailure(f"reflection closure outgrew {count} positive roots")
+            seen.add(w)
+            coords.append(w)
+            roots.append(tuple(x - shift * y if y else x for x, y in zip(v, a)))
+    if len(coords) != count:
+        raise CheckFailure(f"reflection closure has {len(coords)} positive roots, "
+                           f"the degree table {count}")
+    order = sorted(range(count), key=lambda t: tuple(map(float, roots[t])))
+    support = np.array([[bool(x) for x in coords[t]] for t in order])
+    return [roots[t] for t in order], support, [tuple(row) for row in coweights]
 
 
 def build_root_system(ctype: CoxeterType | str) -> RootSystem:
-    """Construct the root system of a supported type.
-
-    Positive-root count always equals sum(degree - 1); this is asserted.
-    """
+    """Construct the root system of a supported type from its stated simple
+    roots; the positive roots are their certified reflection closure."""
     if isinstance(ctype, str):
         ctype = coxeter_type(ctype)
     n = ctype.dim
     fam = ctype.family
+    chain = [tuple(
+        ONE if j == i else (M_ONE if j == i + 1 else ZERO) for j in range(n)
+    ) for i in range(n - 1)]  # e_i - e_{i+1}
 
     if fam == "A":
-        simple = [tuple(
-            ONE if j == i + 1 else (M_ONE if j == i else ZERO) for j in range(n)
-        ) for i in range(n - 1)]  # e_{i+1} - e_i, ascending chamber
-        positive = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = [ZERO] * n
-                v[j] = ONE
-                v[i] = M_ONE
-                positive.append(tuple(v))
+        simple = [_neg(v) for v in chain]  # e_{i+1} - e_i, ascending chamber
     elif fam == "B":
-        simple = [tuple(
-            ONE if j == i else (M_ONE if j == i + 1 else ZERO) for j in range(n)
-        ) for i in range(n - 1)] + [_unit(n - 1, n)]
-        positive = (
-            [_diff_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
-            + [_sum_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
-            + [_unit(i, n) for i in range(n)]
-        )
+        simple = chain + [_unit(n - 1, n)]
     elif fam == "D":
-        simple = [tuple(
-            ONE if j == i else (M_ONE if j == i + 1 else ZERO) for j in range(n)
-        ) for i in range(n - 1)] + [
-            tuple(ONE if j >= n - 2 else ZERO for j in range(n))
-        ]
-        positive = (
-            [_diff_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
-            + [_sum_root(i, j, n) for i in range(n) for j in range(i + 1, n)]
-        )
+        simple = chain + [tuple(ONE if j >= n - 2 else ZERO for j in range(n))]
     elif fam == "F4":
-        e = lambda i: _unit(i, 4)
-        simple = [
-            _diff_root(1, 2, 4),
-            _diff_root(2, 3, 4),
-            e(3),
-            (HALF, -HALF, -HALF, -HALF),
-        ]
-        halves = [
-            tuple(Scalar(Fraction(s, 2)) for s in (1, s2, s3, s4))
-            for s2 in (1, -1) for s3 in (1, -1) for s4 in (1, -1)
-        ]
-        positive = (
-            [_diff_root(i, j, 4) for i in range(4) for j in range(i + 1, 4)]
-            + [_sum_root(i, j, 4) for i in range(4) for j in range(i + 1, 4)]
-            + [e(i) for i in range(4)]
-            + halves
-        )
+        simple = chain[1:] + [_unit(3, 4), (HALF, -HALF, -HALF, -HALF)]
     elif fam in ("H3", "H4"):
         # diagrams 0 -3- 1 -5- 2 (H3) and 2 -3- 0 -3- 1 -5- 3 (H4)
         h, f, g = HALF, PHI * HALF, PSI * HALF
         simple = ([(-h, -f, g), (-g, h, -f), (f, -g, h)] if fam == "H3" else
                   [(-h, -f, g, ZERO), (-g, h, -f, ZERO), (ZERO, f, h, -g), (f, -g, h, ZERO)])
-        # the positive roots are positive where every simple form equals 1;
-        # each root is at least 1 in size there, and the exact certificate
-        # below rejects a wrong sign
-        x0 = np.linalg.solve(_float_mat(simple), np.ones(n))
-        positive = [r for r in _icosahedral_roots(fam) if _float_vec(r) @ x0 > 0]
     elif fam == "I2" and ctype.p == 4:
-        positive = [(ONE, M_ONE), (ONE, ZERO), (ONE, ONE), (ZERO, ONE)]
-        simple = [positive[0], positive[3]]
+        simple = [(ONE, M_ONE), (ZERO, ONE)]
     elif fam == "I2":
         return _build_dihedral(ctype)
     else:
         raise CapabilityError(f"unsupported family {fam!r}")
 
-    expected = ctype.n_positive_roots
-    if len(positive) != expected:
-        raise CheckFailure(
-            f"{ctype.name}: built {len(positive)} positive roots, expected {expected}"
-        )
+    positive, support, coweights = _certify_simple_system(simple, ctype.n_positive_roots)
     return RootSystem(
         ctype,
         simple,
         positive,
         [_float_vec(v) for v in simple],
         [_float_vec(v) for v in positive],
-        *_certify_simple_system(simple, positive),
+        support,
+        coweights,
     )
-
-
-def _diff_root(i, j, n):
-    v = [ZERO] * n
-    v[i] = ONE
-    v[j] = M_ONE
-    return tuple(v)
-
-
-def _sum_root(i, j, n):
-    v = [ZERO] * n
-    v[i] = ONE
-    v[j] = ONE
-    return tuple(v)
-
-
-def _icosahedral_roots(fam: str) -> list[tuple[Scalar, ...]]:
-    """Full (+/-) root sets of H3 and H4, unit length, over Q(sqrt5), sorted
-    by their float coordinates: +-e_i, every sign change of every even
-    permutation of one pattern and, for H4 (the vertices of the 600-cell),
-    the 16 points (+-1/2, ..., +-1/2)."""
-    n = int(fam[1])
-    base = ((HALF, PHI * HALF, PSI * HALF) if fam == "H3"
-            else (ZERO, HALF, PSI * HALF, PHI * HALF))  # H4: (0, 1, 1/phi, phi) / 2
-    out = {v for i in range(n) for v in (_unit(i, n), _neg(_unit(i, n)))}
-    if fam == "H4":
-        out |= set(product((HALF, -HALF), repeat=4))
-    for p in permutations(range(n)):
-        if sum(p[i] > p[j] for i, j in combinations(range(n), 2)) % 2 == 0:
-            out.update(product(*((base[i], -base[i]) for i in p)))
-    return sorted(out, key=lambda v: tuple(float(x) for x in v))
 
 
 def _build_dihedral(ctype: CoxeterType) -> RootSystem:

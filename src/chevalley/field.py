@@ -182,7 +182,8 @@ def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
         raise UsageError("dot product of different lengths")
     out = ZERO
     for a, b in zip(u, v):
-        out = out + a * b
+        if a and b:
+            out = out + a * b
     return out
 
 

@@ -147,12 +147,15 @@ def test_cli_writes_report_and_converts(tmp_path, capsys):
         "basis-under-file"])
 def test_unwritable_output_is_a_usage_error(tmp_path, argv, monkeypatch):
     """An output path that cannot be written is a one-line usage error; the
-    pair table is opened before the Whitney sweeps run."""
-    def no_study(*args, **kwargs):
-        raise AssertionError("whitney_study ran before the pair table was opened")
+    report is opened before the suites run, and the pair table before the
+    Whitney sweeps."""
+    def not_run(*args, **kwargs):
+        raise AssertionError("the work ran before its output was opened")
 
     if "--pairs-out" in argv:
-        monkeypatch.setattr("chevalley.cli.whitney_study", no_study)
+        monkeypatch.setattr("chevalley.cli.whitney_study", not_run)
+    elif argv[0] != "invariants":
+        monkeypatch.setattr("chevalley.cli.run_suite", not_run)
     (tmp_path / "file").write_text("")
     paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": tmp_path / "file"}
     code, out, err = _run_main([a.format(**paths) for a in argv])
@@ -453,6 +456,47 @@ def test_type_exit_codes_property(spec):
     assert isinstance(code, int) and 0 <= code <= 4
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def invariants_paths(tmp_path_factory):
+    """Cache and output paths for generated `invariants` argv: an empty
+    directory, a missing one, a plain file, a path under that file and a
+    directory holding a tampered H3 cache."""
+    root = tmp_path_factory.mktemp("invariants-argv")
+    (root / "empty").mkdir()
+    (root / "file").write_text("")
+    data = Path(__file__).parent.parent / "src" / "chevalley" / "data" / "H3.json"
+    doc = json.loads(data.read_text())
+    doc["polys"][1]["terms"][0]["a"] = "31337/1"
+    (root / "tampered").mkdir()
+    (root / "tampered" / "H3.json").write_text(json.dumps(doc))
+    return {name: str(root / name)
+            for name in ("empty", "missing", "file", "file/sub", "tampered")}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    spec=st.sampled_from(["A2", "B3", "D4", "I2:5", "G2", "H3"])
+    | st.sampled_from(_NEAR_MISS_TYPES) | st.text(max_size=4),
+    seed=st.none() | st.integers(-1, 2 ** 64) | st.text(max_size=3),
+    fmt=st.none() | st.sampled_from(["json", "csv", "text"]) | st.text(max_size=4),
+    cache=st.none() | st.sampled_from(["empty", "missing", "file", "tampered"]),
+    out=st.none() | st.sampled_from(["empty", "missing", "file", "file/sub"]),
+)
+def test_invariants_argv_exit_codes_property(invariants_paths, spec, seed, fmt, cache, out):
+    """Generated argv for `invariants`: main exits 0, 2 or 3, raises nothing
+    (so prints no traceback) and writes at most one line to stderr."""
+    argv = ["invariants", f"--type={spec}"]
+    for flag, value in (("--seed", seed), ("--format", fmt)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    for flag, name in (("--cache-dir", cache), ("--out", out)):
+        if name is not None:
+            argv += [flag, invariants_paths[name]]
+    code, _, err = _run_main(argv)
+    assert code in (0, 2, 3)
+    assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -39,6 +39,7 @@ ALL_TYPES = ["A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4",
 CRITERION_2_TYPES = (["A1"] + [f"A{n}" for n in range(2, 7)]
                      + [f"B{n}" for n in range(1, 5)] + [f"D{n}" for n in range(2, 7)]
                      + [f"I2:{p}" for p in range(3, 13)] + ["G2", "H3", "F4", "H4"])
+EXACT_TYPES = [t for t in CRITERION_2_TYPES if t[0] in "ABDFH" or t == "I2:4"]
 
 
 def mat_mul(x, y):
@@ -219,19 +220,67 @@ def test_reflections_are_lazy_and_match_the_eager_construction(name):
 
 def test_simple_system_certificate_and_support():
     b2 = build_root_system("B2")
-    # positive roots e1-e2, e1+e2, e1, e2 over the simple roots e1-e2, e2
-    assert b2.support.tolist() == [[True, False], [True, True], [True, True], [False, True]]
-    assert np.array_equal(_certify_simple_system(b2.simple, b2.positive)[0], b2.support)
-    e1, e2 = b2.positive[2], b2.positive[3]
-    # e1 - e2 = e1 + (-1) e2: a negative coordinate
-    with pytest.raises(CheckFailure, match="nonnegative"):
-        _certify_simple_system([e1, e2], b2.positive)
+    # positive roots e2, e1-e2, e1, e1+e2 (by coordinates) over the simple roots e1-e2, e2
+    assert b2.support.tolist() == [[False, True], [True, False], [True, True], [True, True]]
+    positive, support, coweights = _certify_simple_system(b2.simple, 4)
+    assert positive == b2.positive and coweights == b2.coweights
+    assert np.array_equal(support, b2.support)
+    e1, e2 = (ONE, ZERO), (ZERO, ONE)
+    # the acute pair e1 - e2, e1: its second reflection takes e1 - e2 to
+    # -e1 - e2 = (e1 - e2) - 2 e1, with coordinates of both signs
+    with pytest.raises(CheckFailure, match="both signs"):
+        _certify_simple_system([b2.simple[0], e1], 4)
+    # e1, e2 close to the sub-system A1 x A1: two roots where B2 has four
+    with pytest.raises(CheckFailure, match="has 2 positive roots"):
+        _certify_simple_system([e1, e2], 4)
+    # the B2 closure outgrows a smaller degree table
+    with pytest.raises(CheckFailure, match="outgrew 3"):
+        _certify_simple_system(b2.simple, 3)
     # e1 and 2 e1 are dependent
     with pytest.raises(CheckFailure, match="dependent"):
-        _certify_simple_system([e1, tuple(2 * x for x in e1)], b2.positive)
-    # padded (A-family) case: e1 + e2 needs the diagonal, whose coefficient must be 0
-    with pytest.raises(CheckFailure, match="nonnegative"):
-        _certify_simple_system([b2.positive[0]], [b2.positive[0], b2.positive[1]])
+        _certify_simple_system([e1, tuple(2 * x for x in e1)], 4)
+
+
+def _closed_form_positive_roots(ctype):
+    """Textbook positive roots of the A, B, D, F4 and I2(4) realizations:
+    e_j - e_i (i < j) for A; e_i - e_j, e_i + e_j (i < j) for D, with e_i for
+    B; the B4 set and (1, +-1, +-1, +-1)/2 for F4."""
+    n, fam = ctype.dim, ctype.family
+    e = [tuple(Scalar(int(i == j)) for j in range(n)) for i in range(n)]
+    add = lambda u, v, c=1: tuple(a + c * b for a, b in zip(u, v))
+    if fam == "A":
+        return {add(e[j], e[i], -1) for i in range(n) for j in range(i + 1, n)}
+    if fam == "I2":
+        return {add(e[0], e[1], -1), e[0], add(e[0], e[1]), e[1]}
+    roots = {add(e[i], e[j], c) for i in range(n) for j in range(i + 1, n) for c in (1, -1)}
+    if fam in ("B", "F4"):
+        roots |= set(e)
+    if fam == "F4":
+        h = Scalar(Fraction(1, 2))
+        roots |= {(h, *signs) for signs in product((h, -h), repeat=3)}
+    return roots
+
+
+@pytest.mark.parametrize("name", [t for t in EXACT_TYPES if t[0] != "H"])
+def test_positive_roots_are_the_closed_form(name, rs_cache):
+    rs = rs_cache(name)
+    assert len(rs.positive) == rs.ctype.n_positive_roots
+    assert set(rs.positive) == _closed_form_positive_roots(rs.ctype)
+
+
+@pytest.mark.parametrize("name", EXACT_TYPES)
+def test_support_is_read_off_the_coweights(name, rs_cache):
+    """The closure's simple coordinates are <v, w_i> for the coweights w_i:
+    nonnegative, nonzero exactly on the support, zero on the A family's pad;
+    the roots are sorted by their float coordinates."""
+    rs = rs_cache(name)
+    k = len(rs.simple)
+    for v, row in zip(rs.positive, rs.support.tolist()):
+        coords = [vec_dot(v, w) for w in rs.coweights]
+        assert all(c.sign() >= 0 for c in coords[:k]) and not any(coords[k:])
+        assert row == [bool(c) for c in coords[:k]]
+    keys = [tuple(map(float, v)) for v in rs.positive]
+    assert keys == sorted(keys)
 
 
 @pytest.mark.parametrize("name", CRITERION_2_TYPES)
