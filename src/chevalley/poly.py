@@ -6,11 +6,11 @@ All arithmetic is exact; canonical term order is graded lexicographic
 serialization and hashing are reproducible.
 
 Products, sums, scaling, powers, derivatives, linear substitution and
-determinants run on one integer form: the operands go over a shared
-denominator d once, a term becomes a pair of ints (a, b) meaning
-(a + b*sqrt5)/d under a packed-int exponent, and the result comes back as
-normalized `Scalar`s once, at the end of the operation.  `Scalar` is the
-type at the kernel's boundary; total degrees are limited to MAX_DEGREE.
+determinants run on one integer form: the coefficients' `Scalar` triples
+(p, q, d) go over a shared denominator d once, a term becomes a pair of
+ints (a, b) meaning (a + b*sqrt5)/d under a packed-int exponent, and the
+result comes back as normalized triples once, at the end of the operation;
+no `Fraction` is built on the way.  Total degrees are limited to MAX_DEGREE.
 
 `eval_exact` evaluates at exact points.  Float evaluation has one path,
 `CompiledPoly`, which freezes a list of polynomials into one monomial table
@@ -21,7 +21,6 @@ fiber samplers, mesh builders and Jacobian checks all run on it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -58,6 +57,9 @@ class SparsePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
+
+    def __reduce__(self):
+        return (_raw, (self.nvars, self.terms))
 
     # -- constructors --------------------------------------------------------
 
@@ -148,10 +150,8 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "SparsePoly":
-        c = _as_scalar(c)
+        ca, cb, dc = (c if isinstance(c, Scalar) else Scalar(c)).triple
         d, (f,) = _forms(self)
-        dc = math.lcm(c.a.denominator, c.b.denominator)
-        ca, cb = _ints(c, dc)
         return _poly(self.nvars, {e: (a * ca + 5 * b * cb, a * cb + b * ca)
                                   for e, (a, b) in f.items()}, d * dc)
 
@@ -187,14 +187,8 @@ class SparsePoly:
     def eval_exact(self, xs: Sequence[Scalar]) -> Scalar:
         if len(xs) != self.nvars:
             raise UsageError("evaluation point has wrong length")
-        total = ZERO
-        for e, c in self.terms.items():
-            term = c
-            for x, p in zip(xs, e):
-                if p:
-                    term = term * (x ** p)
-            total = total + term
-        return total
+        return sum((math.prod((x ** p for x, p in zip(xs, e) if p), start=c)
+                    for e, c in self.terms.items()), ZERO)
 
     # -- composition with a linear map -------------------------------------------
 
@@ -204,7 +198,7 @@ class SparsePoly:
         if len(m) != n or any(len(row) != n for row in m):
             raise UsageError("substitution matrix must be square of size nvars")
         unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-        rows = [SparsePoly(n, {unit[j]: _as_scalar(c) for j, c in enumerate(r)}) for r in m]
+        rows = [SparsePoly(n, {unit[j]: c for j, c in enumerate(r)}) for r in m]
         # one denominator d for p and the rows: a term of degree k comes out
         # over d^(k+1) and is lifted to d^(top+1)
         d, (f, *rows) = _forms(self, *rows)
@@ -229,7 +223,7 @@ class SparsePoly:
         return {
             "nvars": self.nvars,
             "terms": [
-                {"e": list(e), "a": c.to_strings()[0], "b": c.to_strings()[1]}
+                {"e": list(e), **dict(zip("ab", c.to_strings()))}
                 for e, c in self.canonical_terms()
             ],
         }
@@ -250,10 +244,6 @@ def _raw(nvars: int, terms: dict[Exponent, Scalar]) -> SparsePoly:
     return p
 
 
-def _as_scalar(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar(c)
-
-
 # -- integer kernel: a form is {packed exponent: (a, b)} over a denominator d
 # kept by the caller, each term (a + b*sqrt5)/d * x^e.  e_i sits in bits
 # [FIELD_BITS*i, FIELD_BITS*(i+1)), so exponents of a product add as ints;
@@ -269,16 +259,11 @@ def _check_degree(deg: int) -> None:
         raise UsageError(f"total degree {deg} exceeds the exact kernel's limit {MAX_DEGREE}")
 
 
-def _ints(c: Scalar, d: int) -> tuple[int, int]:
-    """Numerators of c over the denominator d (a multiple of c's)."""
-    return (c.a.numerator * (d // c.a.denominator), c.b.numerator * (d // c.b.denominator))
-
-
 def _forms(*polys: SparsePoly) -> tuple[int, list[dict[int, tuple[int, int]]]]:
-    """The polys as forms over their least common denominator."""
+    """The polys as forms over the least common denominator of their triples."""
     for p in polys:
         _check_degree(p.degree())
-    d = math.lcm(*(x.denominator for p in polys for c in p.terms.values() for x in (c.a, c.b)))
+    d = math.lcm(*(c.triple[2] for p in polys for c in p.terms.values()))
     forms = []
     for p in polys:
         f = {}
@@ -286,7 +271,8 @@ def _forms(*polys: SparsePoly) -> tuple[int, list[dict[int, tuple[int, int]]]]:
             k = 0
             for x in reversed(e):
                 k = (k << FIELD_BITS) | x
-            f[k] = _ints(c, d)
+            a, b, dc = c.triple
+            f[k] = (a * (d // dc), b * (d // dc))
         forms.append(f)
     return d, forms
 
@@ -298,7 +284,7 @@ def _poly(nvars: int, f: dict[int, tuple[int, int]], d: int) -> SparsePoly:
     scalars: dict[tuple[int, int], Scalar] = {}
     return _raw(nvars, {
         tuple([k >> s & MAX_DEGREE for s in shifts]):
-            scalars.get(v) or scalars.setdefault(v, Scalar(Fraction(v[0], d), Fraction(v[1], d)))
+            scalars.get(v) or scalars.setdefault(v, Scalar.from_triple(*v, d))
         for k, v in f.items() if v[0] or v[1]})
 
 
@@ -352,6 +338,9 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        return (PolyMatrix, (self.entries,))
 
     def __getitem__(self, ij):
         i, j = ij

@@ -3,6 +3,7 @@
 import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -216,6 +217,35 @@ def test_reflections_are_lazy_and_match_the_eager_construction(name):
     assert rs.reflections_f.tobytes() == eager.tobytes()
     assert rs.reflections_f is rs.reflections_f
     assert (rs.reflections is None) == (not rs.exact)
+
+
+@pytest.mark.parametrize("name", EXACT_TYPES)
+def test_float_root_data_is_the_float_of_the_exact_data(name, rs_cache):
+    """simple_f, positive_f and coweights_f hold a + b*sqrt5 as float(a) +
+    float(b)*sqrt(5) of each exact entry, bit for bit."""
+    rs = rs_cache(name)
+
+    def ref(rows):
+        return np.array([[float(x.a) + float(x.b) * math.sqrt(5.0) for x in v] for v in rows])
+
+    assert rs.simple_f.tobytes() == ref(rs.simple).tobytes()
+    assert rs.positive_f.tobytes() == ref(rs.positive).tobytes()
+    assert np.ascontiguousarray(rs.coweights_f).tobytes() == ref(rs.coweights).T.copy().tobytes()
+
+
+@pytest.mark.parametrize("name", ["B2", "H3", "I2:5"])
+def test_root_systems_pickle_and_deepcopy(name):
+    rs = build_root_system(name)
+    if rs.exact:
+        rs.reflections  # a cached exact field travels too
+    for other in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
+        assert other.ctype == rs.ctype and other.exact == rs.exact
+        assert (other.simple, other.positive, other.coweights) == (rs.simple, rs.positive, rs.coweights)
+        assert other.positive_f.tobytes() == rs.positive_f.tobytes()
+        assert np.array_equal(other.support, rs.support)
+        if rs.exact:
+            assert other.reflections == rs.reflections
+            assert other.simple_reflections == rs.simple_reflections
 
 
 def test_simple_system_certificate_and_support():

@@ -1,6 +1,8 @@
 """Sparse polynomial arithmetic, differentiation, substitution, determinants."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +225,19 @@ def test_serialization_round_trip(rng):
     es = [tuple(t["e"]) for t in p.to_json_dict()["terms"]]
     assert es == [(2, 0), (0, 2), (1, 0)]
     assert json.dumps(p.to_json_dict()) == json.dumps(round_trip(p).to_json_dict())
+
+
+def test_polynomials_and_matrices_pickle_and_deepcopy(rng):
+    for p in [_random_poly(rng, 3), SparsePoly.zero(2), (X(2, 0) + SparsePoly.const(2, PHI)) ** 3]:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            q = pickle.loads(pickle.dumps(p, protocol))
+            assert q == p and q.nvars == p.nvars and q.canonical_terms() == p.canonical_terms()
+        assert copy.deepcopy(p) == p
+        with pytest.raises(AttributeError):
+            pickle.loads(pickle.dumps(p)).terms = {}
+    m = PolyMatrix([[X(2, 0), SparsePoly.const(2, PHI)], [X(2, 1), X(2, 0) * X(2, 1)]])
+    for other in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert other.entries == m.entries and other.det() == m.det()
 
 
 def test_eval_product_homomorphism_random_points(rng):
