@@ -179,12 +179,14 @@ def _float_mat(m) -> np.ndarray:
 
 
 class RootSystem:
-    """Positive roots, simple roots and per-root reflection data for a type.
+    """Positive roots, simple roots and simple reflections for a type.
 
-    Float mirrors of the simple data are precomputed since almost all
-    downstream numerics run on them; the exact simple reflections and the
-    reflections of all positive roots are built on first use.  `exact` is
-    False only for I2(p) with p != 4; in that case the exact fields are None.  `support[t, i]` says whether
+    Float mirrors of the root data and the simple reflections are
+    precomputed since almost all downstream numerics run on them; the exact
+    simple reflections are built on first use.  The closure certificate of
+    `build_root_system` is the one proof that the reflections permute the
+    roots up to sign.  `exact` is False only for I2(p) with p != 4; in that
+    case the exact fields are None.  `support[t, i]` says whether
     simple root i has a nonzero coefficient in positive root t.
     `coweights` are the fundamental coweights w_j, <a_i, w_j> = delta_ij,
     then the A family's pad diagonal/n; `coweights_f` holds them as the
@@ -221,18 +223,6 @@ class RootSystem:
     def simple_reflections(self):
         """Exact reflection of every simple root; None for float types."""
         return [_reflection_exact(v) for v in self.simple] if self.exact else None
-
-    @cached_property
-    def reflections(self):
-        """Exact reflection of every positive root; None for float types."""
-        return [_reflection_exact(v) for v in self.positive] if self.exact else None
-
-    @cached_property
-    def reflections_f(self) -> np.ndarray:
-        """Float reflection of every positive root, shape (|positive|, n, n)."""
-        if self.exact:
-            return np.array([_float_mat(m) for m in self.reflections])
-        return np.array([self._float_reflection(v) for v in self.positive_f])
 
     # -- chamber --------------------------------------------------------------
 
@@ -589,24 +579,3 @@ def stratum_of_point(rs: RootSystem, strata: list[Stratum], x):
             return s
     return None
 
-
-def verify_root_closure(rs: RootSystem) -> bool:
-    """Each reflection permutes the positive roots up to sign (exact systems)."""
-    if not rs.exact:
-        refs = rs.reflections_f
-        roots = rs.positive_f
-        for w in refs:
-            for v in roots:
-                img = w @ v
-                ok = np.any(np.all(np.abs(roots - img) < 1e-9, axis=1)) or np.any(
-                    np.all(np.abs(roots + img) < 1e-9, axis=1)
-                )
-                if not ok:
-                    return False
-        return True
-    rootset = set(rs.positive) | {_neg(v) for v in rs.positive}
-    for w in rs.reflections:
-        for v in rs.positive:
-            if tuple(mat_vec(w, v)) not in rootset:
-                return False
-    return True

@@ -69,7 +69,7 @@ class InvariantBasis:
     def gradients(self) -> tuple[tuple[SparsePoly, ...], ...]:
         """The exact gradient rows, gradients[i][j] = d p_i / d x_j; the
         float tables and the symbolic Jacobian both read them."""
-        return tuple(tuple(p.diff(j) for j in range(self.nvars)) for p in self.polys)
+        return tuple(p.gradient() for p in self.polys)
 
     @cached_property
     def compiled(self) -> "CompiledBasis":
@@ -121,8 +121,8 @@ class CompiledBasis:
     @cached_property
     def _hess(self) -> CompiledPoly:
         return CompiledPoly([
-            q.diff(l) for row in self.basis.gradients
-            for j, q in enumerate(row) for l in range(j, self.n)
+            h for row in self.basis.gradients
+            for j, q in enumerate(row) for h in q.gradient()[j:]
         ])
 
     def _symmetric(self, upper: np.ndarray, k: int) -> np.ndarray:
@@ -249,16 +249,10 @@ def _dihedral_polys(p: int) -> list[SparsePoly]:
 # ---------------------------------------------------------------------------
 
 
-def _basis_payload(ctype_name: str, degs, polys) -> dict:
-    return {
-        "type": ctype_name,
-        "degrees": list(degs),
-        "polys": [p.to_json_dict() for p in polys],
-    }
-
-
-def basis_content_hash(ctype_name: str, degs, polys) -> str:
-    payload = _basis_payload(ctype_name, degs, polys)
+def basis_content_hash(doc: dict) -> str:
+    """SHA-256 of a data file's `type`, `degrees` and `polys` as stored,
+    serialized with sorted keys and no spaces."""
+    payload = {key: doc[key] for key in ("type", "degrees", "polys")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -266,12 +260,12 @@ def basis_content_hash(ctype_name: str, degs, polys) -> str:
 def save_basis(basis: InvariantBasis, path: Path) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        **_basis_payload(basis.ctype.canonical_key, basis.degrees, basis.polys),
+        "type": basis.ctype.canonical_key,
+        "degrees": list(basis.degrees),
+        "polys": [p.to_json_dict() for p in basis.polys],
         "provenance": basis.provenance,
-        "sha256": basis_content_hash(
-            basis.ctype.canonical_key, basis.degrees, basis.polys
-        ),
     }
+    doc["sha256"] = basis_content_hash(doc)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=1))
@@ -280,19 +274,21 @@ def save_basis(basis: InvariantBasis, path: Path) -> None:
 
 
 def load_basis(path: Path, ctype: CoxeterType) -> InvariantBasis:
+    """The basis stored at path.  The content hash is checked on the payload
+    as read, before any polynomial is parsed; a file that cannot be read or
+    parsed, fails its hash or holds another type is an IntegrityError."""
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IntegrityError(f"cannot read invariant cache {path}: {exc}") from exc
-    polys = [SparsePoly.from_json_dict(d) for d in doc.get("polys", [])]
-    expected = basis_content_hash(doc.get("type", ""), doc.get("degrees", []), polys)
-    if doc.get("sha256") != expected:
-        raise IntegrityError(f"invariant cache {path} failed its hash check")
-    if doc.get("type") != ctype.canonical_key:
-        raise IntegrityError(
-            f"invariant cache {path} is for {doc.get('type')}, wanted {ctype.canonical_key}"
-        )
-    return InvariantBasis(ctype, polys, f"file:{doc['sha256'][:12]}")
+        digest = basis_content_hash(doc)
+        if doc["sha256"] != digest:
+            raise IntegrityError(f"invariant cache {path} failed its hash check")
+        if doc["type"] != ctype.canonical_key:
+            raise IntegrityError(f"invariant cache {path} is for {doc['type']}, "
+                                 f"wanted {ctype.canonical_key}")
+        polys = [SparsePoly.from_json_dict(d) for d in doc["polys"]]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise IntegrityError(f"cannot read invariant cache {path}: {exc!r}") from exc
+    return InvariantBasis(ctype, polys, f"file:{digest[:12]}")
 
 
 def _cache_candidates(ctype: CoxeterType, cache_dir) -> list[Path]:

@@ -5,12 +5,13 @@ All arithmetic is exact; canonical term order is graded lexicographic
 (total degree first, then exponent tuple, leading term first) so that
 serialization and hashing are reproducible.
 
-Products, sums, scaling, powers, derivatives, linear substitution and
+Products, sums, scaling, powers, gradients, linear substitution and
 determinants run on one integer form: the coefficients' `Scalar` triples
 (p, q, d) go over a shared denominator d once, a term becomes a pair of
 ints (a, b) meaning (a + b*sqrt5)/d under a packed-int exponent, and the
 result comes back as normalized triples once, at the end of the operation;
-no `Fraction` is built on the way.  Total degrees are limited to MAX_DEGREE.
+no `Fraction` is built on the way.  A gradient's n partial derivatives
+share one form.  Total degrees are limited to MAX_DEGREE.
 
 `eval_exact` evaluates at exact points.  Float evaluation has one path,
 `CompiledPoly`, which freezes a list of polynomials into one monomial table
@@ -169,18 +170,19 @@ class SparsePoly:
                 base, d = _mul_into({}, base, base), d * d
         return _poly(self.nvars, out, dout)
 
-    def diff(self, i: int) -> "SparsePoly":
-        """Exact partial derivative with respect to variable i."""
-        if not 0 <= i < self.nvars:
-            raise UsageError(f"diff index {i} out of range for nvars={self.nvars}")
+    def gradient(self) -> tuple["SparsePoly", ...]:
+        """The exact partial derivatives d/dx_0, ..., d/dx_{n-1}, all from
+        one integer form."""
         d, (f,) = _forms(self)
-        shift = FIELD_BITS * i
-        out = {}
-        for e, (a, b) in f.items():
-            p = e >> shift & MAX_DEGREE  # the exponent of x_i
-            if p:
-                out[e - (1 << shift)] = (a * p, b * p)
-        return _poly(self.nvars, out, d)
+        grads = []
+        for shift in range(0, FIELD_BITS * self.nvars, FIELD_BITS):
+            out = {}
+            for e, (a, b) in f.items():
+                p = e >> shift & MAX_DEGREE  # the exponent of this variable
+                if p:
+                    out[e - (1 << shift)] = (a * p, b * p)
+            grads.append(_poly(self.nvars, out, d))
+        return tuple(grads)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -397,11 +399,10 @@ class CompiledPoly:
     batch, chunk or neighbours, nor on the BLAS thread count.
     """
 
-    __slots__ = ("nvars", "expo", "ends", "degrees", "single", "_csr", "_coef")
+    __slots__ = ("nvars", "expo", "ends", "degrees", "_csr", "_coef")
 
-    def __init__(self, polys: SparsePoly | Sequence[SparsePoly]):
-        self.single = isinstance(polys, SparsePoly)
-        polys = [polys] if self.single else list(polys)
+    def __init__(self, polys: Sequence[SparsePoly]):
+        polys = list(polys)
         if not polys:
             raise UsageError("CompiledPoly needs at least one polynomial")
         self.nvars = polys[0].nvars
@@ -421,8 +422,7 @@ class CompiledPoly:
 
     def __call__(self, x: np.ndarray, count: int | None = None) -> np.ndarray:
         """Values of the first `count` polynomials (default all) at x of
-        shape (..., nvars): shape (..., count), or (...) for a compiled
-        single polynomial."""
+        shape (..., nvars): shape (..., count)."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.nvars:
             raise UsageError("evaluation point has wrong length")
@@ -431,8 +431,7 @@ class CompiledPoly:
         if not 0 <= count <= size:
             raise UsageError(f"count must be in 0..{size}")
         table = power_table(x.reshape(-1, self.nvars), self.degrees[count])
-        out = self.from_powers(table, count).reshape(x.shape[:-1] + (count,))
-        return out[..., 0] if self.single else out
+        return self.from_powers(table, count).reshape(x.shape[:-1] + (count,))
 
     def from_powers(self, table: np.ndarray, count: int) -> np.ndarray:
         """Values of the first `count` polynomials from a power table of the

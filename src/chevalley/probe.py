@@ -44,12 +44,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _solve(A, b):
-    """Batched solve of A x = b; the pseudo-inverse for the whole batch
-    when some A is singular."""
+    """Batched solve of A x = b.  When some A is singular, each row is
+    solved on its own and only the singular ones get the pseudo-inverse, so
+    a row's result does not depend on its batch."""
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(A) @ b
+        if A.ndim == 2:
+            return np.linalg.pinv(A) @ b
+        return np.array([_solve(a, r) for a, r in zip(A, b)])
 
 
 def _gram_solve(J, rhs):

@@ -101,6 +101,13 @@ def test_tampered_cache_exits_3(tmp_path, capsys):
     assert "hash" in capsys.readouterr().err
 
 
+def test_malformed_cache_exits_3(malformed_h3, capsys):
+    code = main(["invariants", "--type", "H3", "--cache-dir", str(malformed_h3.parent)])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_explain_covers_every_command(capsys):
     for name in ("invariants", "verify-jacobian", "verify-statement",
                  "morse", "fiber", "whitney", "all"):

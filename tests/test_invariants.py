@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from chevalley import poly
-from chevalley.coxeter import build_root_system, coxeter_type, generate_group
+from chevalley.coxeter import (
+    _float_mat,
+    _reflection_exact,
+    build_root_system,
+    coxeter_type,
+    generate_group,
+)
 from chevalley.errors import CapabilityError, IntegrityError, UsageError
 from chevalley.field import ONE, Scalar
 from chevalley.invariants import (
+    _PACKAGE_DATA,
     InvariantBasis,
     basic_invariants,
     basis_content_hash,
@@ -120,7 +127,7 @@ def test_orbit_collapse(basis_cache, rs_cache, rng):
     for name in ("B3", "H3"):
         b = basis_cache(name)
         rs = rs_cache(name)
-        gens = rs.reflections_f
+        gens = [_float_mat(_reflection_exact(v)) for v in rs.positive]
         X = rng.normal(size=(100, rs.n))
         base = b.compiled.P(X)
         for w in gens:
@@ -169,10 +176,28 @@ def test_cache_round_trip_and_hash_stability(tmp_path, basis_cache):
     b = basis_cache("H3")
     save_basis(b, tmp_path / "H3.json")
     again = load_basis(tmp_path / "H3.json", coxeter_type("H3"))
-    assert [p for p in again.polys] == [p for p in b.polys]
-    h1 = basis_content_hash("H3", b.degrees, b.polys)
-    h2 = basis_content_hash("H3", again.degrees, again.polys)
-    assert h1 == h2
+    assert again.polys == b.polys
+    save_basis(again, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "H3.json").read_bytes()
+    for name in ("H3", "F4", "H4"):
+        doc = json.loads((_PACKAGE_DATA / f"{name}.json").read_text())
+        assert basis_content_hash(doc) == doc["sha256"]
+
+
+def test_malformed_cache_is_an_integrity_error(malformed_h3):
+    with pytest.raises(IntegrityError, match="cannot read"):
+        load_basis(malformed_h3, coxeter_type("H3"))
+
+
+def test_reordered_terms_fail_the_hash(tmp_path, basis_cache):
+    """The hash covers the terms as stored: the same polynomial with its
+    terms in another order is a different file."""
+    doc = json.loads((_PACKAGE_DATA / "H3.json").read_text())
+    doc["polys"][1]["terms"].reverse()
+    assert SparsePoly.from_json_dict(doc["polys"][1]) == basis_cache("H3").polys[1]
+    (tmp_path / "H3.json").write_text(json.dumps(doc))
+    with pytest.raises(IntegrityError, match="hash"):
+        load_basis(tmp_path / "H3.json", coxeter_type("H3"))
 
 
 def test_tampered_cache_is_rejected(tmp_path, basis_cache):
@@ -278,15 +303,15 @@ def test_kernel_diff_matches_scalar_reference(name, basis_cache):
             assert _exact_terms(q) == _exact_terms(_scalar_diff(p, j))
             if name in ("B3", "H3", "F4"):
                 for l in range(b.nvars):
-                    assert _exact_terms(q.diff(l)) == _exact_terms(_scalar_diff(q, l))
+                    assert _exact_terms(q.gradient()[l]) == _exact_terms(_scalar_diff(q, l))
 
 
 @pytest.mark.parametrize("name", ["H4", "F4", "D6", "I2:7", "A4"])
 def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng):
     b = basis_cache(name)
     cb, n, k = b.compiled, b.nvars, len(b.polys)
-    grads = [p.diff(j) for p in b.polys for j in range(n)]
-    hess = [[[p.diff(j).diff(l) for l in range(n)] for j in range(n)] for p in b.polys]
+    grads = [g for p in b.polys for g in p.gradient()]
+    hess = [[g.gradient() for g in p.gradient()] for p in b.polys]
     two_chunks = cb._g.chunk_rows(k * n) + 65
     for size in (0, 1, 65, two_chunks):
         X = rng.normal(size=(size, n))
@@ -394,7 +419,7 @@ def test_evaluation_within_recursive_summation_bound(name, basis_cache):
         s = max(t for _, t in parts)
         points.append(([[(a << s - t) ** p for p in range(b.degrees[-1] + 1)]
                         for a, t in parts], s))
-    grads = [p.diff(j) for p in b.polys for j in range(n)]
+    grads = [g for p in b.polys for g in p.gradient()]
     for polys, got in ((b.polys, cb.P(X)), (grads, cb.J(X).reshape(len(X), -1))):
         for q, p in enumerate(polys):
             terms = [(e, *_dyadic(c)) for e, c in p.canonical_terms()]

@@ -67,15 +67,15 @@ def test_gradients_are_differentiated_once(rs_cache, monkeypatch):
     tables and the symbolic Jacobian read one set of exact gradient rows,
     and using them all again differentiates nothing."""
     calls = []
-    diff = SparsePoly.diff
-    monkeypatch.setattr(SparsePoly, "diff", lambda p, i: calls.append(i) or diff(p, i))
+    gradient = SparsePoly.gradient
+    monkeypatch.setattr(SparsePoly, "gradient", lambda p: calls.append(p) or gradient(p))
     b, rs = basic_invariants("B3"), rs_cache("B3")
     for _ in range(2):
         b.compiled.hessians(np.ones((2, 3)))
         jacobian_matrix(b)
         verify_det_factorization(b, rs)
         verify_det_factorization(b, rs)
-        assert len(calls) == 3 * 3 + 3 * 6  # the gradients, then the Hessians' upper triangles
+        assert len(calls) == 3 + 3 * 3  # the invariants, then their gradient rows
 
 
 def test_factorization_flags_broken_basis(basis_cache, rs_cache):

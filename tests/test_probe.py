@@ -438,6 +438,25 @@ def test_gram_solve_matches_reference(scale):
                               equal_nan=True)
 
 
+def test_singular_matrix_leaves_the_other_rows_alone():
+    """With one singular matrix in a batch, every other row is its own
+    solve bit for bit, as it is in a batch without the singular one, and
+    only the singular row gets the pseudo-inverse."""
+    from chevalley.probe import _solve
+
+    rng = np.random.default_rng(17)
+    A, b = rng.normal(size=(40, 5, 5)), rng.normal(size=(40, 5, 1))
+    A[13, :, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A[13], b[13])
+    got = _solve(A, b)
+    for i in range(40):
+        want = np.linalg.pinv(A[i]) @ b[i] if i == 13 else np.linalg.solve(A[i], b[i])
+        assert np.array_equal(got[i], want)
+    rest = np.arange(40) != 13
+    assert np.array_equal(got[rest], np.linalg.solve(A[rest], b[rest]))
+
+
 @pytest.mark.parametrize("name", REFERENCE_TYPES)
 def test_project_batch_matches_reference_loop(name, basis_cache, rs_cache):
     b, rs = basis_cache(name), rs_cache(name)
