@@ -149,21 +149,25 @@ def _float_product_spread(rs: RootSystem, closed_form: SparsePoly, seed: int) ->
 
 @lru_cache(maxsize=256)
 def _laplace_plan(r: int, n: int, rows: tuple[tuple[int, ...], ...]):
-    """Gather plan of `_minor_table` for r x n matrices and the row sets `rows`.
+    """Gather plan of `_minor_table` for r x n matrices and the row sets
+    `rows`, which may have mixed sizes.
 
     Level m lists the m-minors on every distinct m-row prefix of the row
-    sets over every m-column subset, flattened as prefix * C(n, m) + subset.
-    Term t of a level-m minor is the entry (last row, c_t) times the level
-    m-1 minor of the parent prefix without column c_t; the level holds both
-    as flat indices of shape (m, minors).  Entries index the r * n values of
-    a sample followed by their negatives, so each term carries its sign
-    (-1)^(m-1+t).  Also returns the final prefix of each row set.
+    sets of at least m rows, over every m-column subset, flattened as
+    prefix * C(n, m) + subset.  Term t of a level-m minor is the entry (last
+    row, c_t) times the level m-1 minor of the parent prefix without column
+    c_t; the level holds both as flat indices of shape (m, minors).  Entries
+    index the r * n values of a sample followed by their negatives, so each
+    term carries its sign (-1)^(m-1+t).  A row set of m rows is read at
+    level m: the level lists those row sets' positions in `rows` and their
+    prefixes.  Also returns the (r, len(rows)) row membership mask.
     """
     plan, prefixes = [], {(): 0}
-    for m in range(1, len(rows[0]) + 1):
+    for m in range(1, max(map(len, rows)) + 1):
         level: dict[tuple, int] = {}
         for row in rows:
-            level.setdefault(row[:m], len(level))
+            if len(row) >= m:
+                level.setdefault(row[:m], len(level))
         cols = list(combinations(range(n), m))
         index = {c: i for i, c in enumerate(combinations(range(n), m - 1))}
         sub = np.array([[index[c[:t] + c[t + 1:]] for t in range(m)] for c in cols])
@@ -172,47 +176,57 @@ def _laplace_plan(r: int, n: int, rows: tuple[tuple[int, ...], ...]):
         entry = (last * n + np.array(cols)[None]).reshape(-1, m).T
         entry[(m - 1 + np.arange(m)) % 2 == 1] += r * n
         minor = (parent * len(index) + sub[None]).reshape(-1, m).T
-        plan.append((entry, minor))
+        read = [j for j, row in enumerate(rows) if len(row) == m]
+        plan.append((entry, minor, np.array(read, dtype=int),
+                     np.array([level[rows[j]] for j in read], dtype=int)))
         prefixes = level
-    return plan, [prefixes[row] for row in rows]
+    member = np.zeros((r, len(rows)), dtype=bool)
+    for j, row in enumerate(rows):
+        member[list(row), j] = True
+    return plan, member
 
 
-def _minor_table(J: np.ndarray, row_sets, size: int) -> np.ndarray:
+def _minor_table(J: np.ndarray, row_sets) -> np.ndarray:
     """Max |minor| over all column subsets, per sample and row set.
 
-    J has shape (S, r, n); each entry of row_sets lists `size` rows.  The
-    minors come from a memoized Laplace expansion along the last row of each
-    row set (`_laplace_plan`), built level by level from 1 x 1 up to `size`;
-    each minor is a signed sum of m products added elementwise in a fixed
-    order.  So the table is exact on small-integer entries, and a minor
-    depends only on its own sample, not on the batch or on the chunks of
-    samples.  A row set with a non-finite entry gets NaN.  Returns shape
+    J has shape (S, r, n); each entry of row_sets lists the rows of one
+    minor, and sizes may be mixed.  All the minors come from one memoized
+    Laplace expansion along the last row of each row set (`_laplace_plan`),
+    built level by level from 1 x 1 up to the largest size, with samples on
+    the inner, contiguous axis; a row set of m rows is read at level m, so a
+    row set that is a prefix of a longer one costs nothing extra.  Each
+    minor is a signed sum of m products added elementwise in a fixed order,
+    the same terms whichever row sets share the call.  So the table is
+    exact on small-integer entries, and a minor depends only on its own
+    sample and rows, not on the batch, the chunks of samples or the other
+    row sets.  A row set with a non-finite entry gets NaN.  Returns shape
     (S, len(row_sets)).
     """
     S, r, n = J.shape
-    rows = np.array(row_sets, dtype=int).reshape(-1, size)
-    out = np.zeros((S, len(rows)))
-    if not len(rows):
-        return out
-    plan, final = _laplace_plan(r, n, tuple(map(tuple, rows.tolist())))
+    rows = tuple(tuple(int(i) for i in row) for row in row_sets)
+    out = np.zeros((len(rows), S))
+    if not rows:
+        return out.T
+    plan, member = _laplace_plan(r, n, rows)
     # a level's gathered entries and minors and the previous level, at most
     # CHUNK_VALUES values together
-    step = max(1, CHUNK_VALUES // (3 * max(entry.size for entry, _ in plan)))
+    step = max(1, CHUNK_VALUES // (3 * max(level[0].size for level in plan)))
     for lo in range(0, S, step):
-        Jc = J[lo:lo + step].reshape(-1, r * n)
-        signed = np.concatenate([Jc, -Jc], axis=1)
-        minors = np.ones((len(Jc), 1))
+        Jc = J[lo:lo + step].reshape(-1, r * n).T
+        signed = np.concatenate([Jc, -Jc])
+        minors = np.ones((1, Jc.shape[1]))
         with np.errstate(invalid="ignore"):  # non-finite rows are set to NaN below
-            for entry, minor in plan:
-                terms = np.take(signed, entry, axis=1)
-                terms *= np.take(minors, minor, axis=1)
-                minors = terms[:, 0].copy()
-                for t in range(1, len(entry)):
-                    minors += terms[:, t]
-        table = np.abs(minors.reshape(len(Jc), -1, math.comb(n, size)))
-        out[lo:lo + step] = table.max(axis=2)[:, final]
-    finite = np.isfinite(J).all(axis=2)
-    out[~finite[:, rows].all(axis=2)] = np.nan
+            for m, (entry, minor, read, prefix) in enumerate(plan, 1):
+                terms = signed[entry]
+                terms *= minors[minor]
+                minors = terms[0]
+                for t in range(1, m):
+                    minors += terms[t]
+                if len(read):
+                    table = minors.reshape(-1, math.comb(n, m), Jc.shape[1])[prefix]
+                    out[read, lo:lo + step] = np.abs(table).max(axis=1)
+    out = out.T
+    out[~np.isfinite(J).all(axis=2) @ member] = np.nan
     return out
 
 
@@ -247,7 +261,8 @@ class StratumRankReport:
         }
 
 
-def _degree_row_options(degs, size: int):
+@lru_cache(maxsize=64)
+def _degree_row_options(degs: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
     """Row subsets whose degree multiset equals the first `size` degrees.
 
     Equal degrees make the basis order ambiguous there; the rank statement
@@ -255,11 +270,8 @@ def _degree_row_options(degs, size: int):
     for the D family), so every such subset is admissible.
     """
     target = sorted(degs[:size])
-    out = []
-    for rows in combinations(range(len(degs)), size):
-        if sorted(degs[r] for r in rows) == target:
-            out.append(list(rows))
-    return out
+    return tuple(rows for rows in combinations(range(len(degs)), size)
+                 if sorted(degs[r] for r in rows) == target)
 
 
 def verify_stratum_rank(
@@ -281,9 +293,10 @@ def verify_stratum_rank(
       (c) the singular-value rank of the full Jacobian is exactly k;
       (d) in fact every (k+1)-row minor, any rows and columns, is below tol.
 
-    The minors come from one Laplace-expansion table per size
-    (`_minor_table`): the k-minors on the live leading row sets, and the
-    (k+1)-minors on every row set, of which (b) reads the admissible columns.
+    The minors come from one Laplace-expansion table (`_minor_table`) on
+    the live leading row sets and every (k+1)-row set: the k-minors are read
+    off level k of the (k+1)-row expansion, and (b) reads the admissible
+    row sets among the (k+1)-minors.
 
     When the first k degrees force a row that vanishes identically on the
     stratum (the D(2m) product invariant on faces where two coordinates are
@@ -299,27 +312,24 @@ def verify_stratum_rank(
     X = X / np.linalg.norm(X, axis=1, keepdims=True)
     J = basis.compiled.J(X)  # (S, n_invariants, n)
     scales = basis.compiled.gradient_scales
-    degs = list(basis.degrees)
 
     row_norms = np.max(np.linalg.norm(J, axis=2), axis=0)  # max over samples
     dead_rows = [i for i in range(n) if row_norms[i] <= 1e-10 * scales[i]]
 
-    def normalized(row_sets, size):
-        scale = np.array([np.prod(scales[list(rows)]) for rows in row_sets])
-        return _minor_table(J, row_sets, size) / scale
-
-    live = [rows for rows in _degree_row_options(degs, k)
+    live = [rows for rows in _degree_row_options(basis.degrees, k)
             if not any(r in dead_rows for r in rows)]
     degenerate = not live
-    lead = normalized(live, k).max(axis=1, initial=0.0)
-
     # every (k+1)-row minor (none when k = n); the bordering minors are those
     # on the degree-admissible row sets
     all_rows = list(combinations(range(J.shape[1]), k + 1))
-    admissible = {tuple(rows) for rows in _degree_row_options(degs, k + 1)}
-    table = normalized(all_rows, k + 1)
-    any_minor = table.max(axis=1, initial=0.0)
-    border = table[:, [rows in admissible for rows in all_rows]].max(axis=1, initial=0.0)
+    admissible = set(_degree_row_options(basis.degrees, k + 1))
+    scale = np.concatenate([np.prod(scales[np.array(sets, dtype=int).reshape(-1, size)], axis=1)
+                            for sets, size in ((live, k), (all_rows, k + 1))])
+    table = _minor_table(J, live + all_rows) / scale
+    lead = table[:, :len(live)].max(axis=1, initial=0.0)
+    rest = table[:, len(live):]
+    any_minor = rest.max(axis=1, initial=0.0)
+    border = rest[:, [rows in admissible for rows in all_rows]].max(axis=1, initial=0.0)
     ranks = numeric_rank(J)
 
     checks = (border <= tol) & (ranks == k) & (any_minor <= tol)

@@ -464,12 +464,13 @@ def critical_points(
     X, mu = X[np.sort(uniq)], mu[np.sort(uniq)]
 
     P, G, H = cb.evaluate(X, k + 1, hess=True)
-    out = [_classify_critical(rs, strata, k, m, *row) for row in zip(X, mu, P, G, H)]
+    border = _minor_table(G, [range(k + 1)])[:, 0]
+    out = [_classify_critical(rs, strata, k, m, *row) for row in zip(X, mu, P, G, H, border)]
     out.sort(key=lambda cp: (cp.value, tuple(cp.x)))
     return out
 
 
-def _classify_critical(rs, strata, k, m, x, mu, P, G, H) -> CriticalPoint:
+def _classify_critical(rs, strata, k, m, x, mu, P, G, H, border) -> CriticalPoint:
     Jk, gk1 = G[:k], G[k]
     resid = max(
         float(np.max(np.abs(P[:k] - m))),
@@ -487,8 +488,6 @@ def _classify_critical(rs, strata, k, m, x, mu, P, G, H) -> CriticalPoint:
     T = vt[rank:].T  # (n, n-rank)
     eigs = np.linalg.eigvalsh(T.T @ Hl @ T) if T.shape[1] else np.zeros(0)
 
-    border = float(_minor_table(G[None], [range(k + 1)], k + 1)[0, 0])
-
     anomaly = False
     reason = ""
     if st is None:
@@ -505,7 +504,7 @@ def _classify_critical(rs, strata, k, m, x, mu, P, G, H) -> CriticalPoint:
         stratum_dim=sdim,
         hessian_eigs=eigs,
         residual=resid,
-        bordering_minor_max=border,
+        bordering_minor_max=float(border),
         anomaly=anomaly,
         anomaly_reason=reason,
     )

@@ -117,18 +117,18 @@ def test_jacobian_minor_examples(basis_cache):
     # the full minor vanishes on the diagonal wall, exactly and in floats
     assert jm.det().eval_exact([one, one]).is_zero()
     J = b.compiled.J(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    assert _minor_table(J[:1], [[0]], 1)[0, 0] == 2.0
-    assert _minor_table(J[1:], [[0, 1]], 2)[0, 0] < 1e-12
+    assert _minor_table(J[:1], [[0]])[0, 0] == 2.0
+    assert _minor_table(J[1:], [[0, 1]])[0, 0] < 1e-12
     # every 1x1 minor of the first row, per sample
-    assert np.array_equal(_minor_table(J, [[0]], 1)[:, 0], [2.0, 2.0])
+    assert np.array_equal(_minor_table(J, [[0]])[:, 0], [2.0, 2.0])
 
 
-def _minor_loop(J, row_sets, size):
+def _minor_loop(J, row_sets):
     """Reference for _minor_table: one determinant call per row set and
     column subset, a running maximum over the column subsets."""
     out = np.zeros((J.shape[0], len(row_sets)))
     for t, rows in enumerate(row_sets):
-        for cols in combinations(range(J.shape[2]), size):
+        for cols in combinations(range(J.shape[2]), len(rows)):
             vals = np.abs(np.linalg.det(J[:, list(rows)][:, :, list(cols)]))
             out[:, t] = np.maximum(out[:, t], vals)
     return out
@@ -138,25 +138,25 @@ def _all_row_sets(r, size):
     return [list(rows) for rows in combinations(range(r), size)]
 
 
-def _exact_minor_table(J, row_sets, size):
+def _exact_minor_table(J, row_sets):
     """Max |minor| per sample and row set from exact determinants of
     integer-valued entries (PolyMatrix constants)."""
     out = np.zeros((J.shape[0], len(row_sets)))
     for s in range(J.shape[0]):
         for t, rows in enumerate(row_sets):
-            for cols in combinations(range(J.shape[2]), size):
+            for cols in combinations(range(J.shape[2]), len(rows)):
                 M = PolyMatrix([[SparsePoly.const(1, int(J[s, i, j])) for j in cols]
                                 for i in rows])
                 out[s, t] = max(out[s, t], abs(float(M.det().eval_exact([ONE]))))
     return out
 
 
-def _forward_error_bound(J, row_sets, size):
-    """4 m eps prod_i |row_i|_1 over the rows of each set: a bound on the
+def _forward_error_bound(J, row_sets):
+    """4 m eps prod_i |row_i|_1 over the m rows of each set: a bound on the
     rounding of any m x m minor on those rows, by LU or by Laplace."""
     norms = np.abs(J).sum(axis=2)
-    return 4 * size * np.finfo(float).eps * np.stack(
-        [np.prod(norms[:, list(rows)], axis=1) for rows in row_sets], axis=1)
+    return np.stack([4 * len(rows) * np.finfo(float).eps * np.prod(norms[:, list(rows)], axis=1)
+                     for rows in row_sets], axis=1)
 
 
 def test_minor_table_exact_on_small_integers(rng):
@@ -165,7 +165,7 @@ def test_minor_table_exact_on_small_integers(rng):
         J[0, -1] = J[0, 0]  # a repeated row: every minor through both is 0
         for size in range(1, min(r, n) + 1):
             rows = _all_row_sets(r, size)
-            assert np.array_equal(_minor_table(J, rows, size), _exact_minor_table(J, rows, size))
+            assert np.array_equal(_minor_table(J, rows), _exact_minor_table(J, rows))
 
 
 def _assert_within_forward_error_of_loop(A):
@@ -174,8 +174,8 @@ def _assert_within_forward_error_of_loop(A):
     r, n = A.shape[1:]
     for size in range(1, min(r, n) + 1):
         rows = _all_row_sets(r, size)
-        err = np.abs(_minor_table(A, rows, size) - _minor_loop(A, rows, size))
-        assert np.all(err <= _forward_error_bound(A, rows, size))
+        err = np.abs(_minor_table(A, rows) - _minor_loop(A, rows))
+        assert np.all(err <= _forward_error_bound(A, rows))
 
 
 def test_minor_table_matches_loop_on_random_stacks(rng):
@@ -201,23 +201,44 @@ def test_minor_table_depends_only_on_its_sample(rng, monkeypatch):
     J[3] *= 1e-5  # a sample far from its neighbours' scale
     for size in (2, 3, 4):
         rows = _all_row_sets(4, size)
-        whole = _minor_table(J, rows, size)
-        alone = np.concatenate([_minor_table(J[i:i + 1], rows, size) for i in range(11)])
+        whole = _minor_table(J, rows)
+        alone = np.concatenate([_minor_table(J[i:i + 1], rows) for i in range(11)])
         order = rng.permutation(11)
         assert np.array_equal(whole, alone)
-        assert np.array_equal(_minor_table(J[order], rows, size), whole[order])
+        assert np.array_equal(_minor_table(J[order], rows), whole[order])
         with monkeypatch.context() as mp:
             # from one sample per chunk up to 2, 3 and 13 for sizes 2, 3, 4
             for chunk in (1, 100, 500):
                 mp.setattr(jacobian, "CHUNK_VALUES", chunk)
-                assert np.array_equal(_minor_table(J, rows, size), whole)
+                assert np.array_equal(_minor_table(J, rows), whole)
+
+
+def test_minor_table_mixed_sizes_match_single_size_tables(rng, monkeypatch):
+    """One call on row sets of every size, shuffled together, gives each row
+    set the bits of its single-size call, NaN included, at any chunking."""
+    for S, r, n in ((6, 4, 4), (5, 5, 4), (4, 6, 6)):
+        for J in (rng.normal(size=(S, r, n)), rng.integers(-3, 4, size=(S, r, n)).astype(float)):
+            J[1, r - 1, 0] = np.inf  # every row set through row r-1 is NaN at sample 1
+            single = {}
+            for size in range(1, min(r, n) + 1):
+                rows = _all_row_sets(r, size)
+                single.update(zip(map(tuple, rows), _minor_table(J, rows).T))
+            mixed = [list(rows) for rows in single]
+            mixed = [mixed[i] for i in rng.permutation(len(mixed))]
+            expected = np.stack([single[tuple(rows)] for rows in mixed], axis=1)
+            assert np.array_equal(np.isnan(expected).any(axis=0), [r - 1 in rows for rows in mixed])
+            assert np.array_equal(_minor_table(J, mixed), expected, equal_nan=True)
+            with monkeypatch.context() as mp:
+                for chunk in (1, 100, 500):
+                    mp.setattr(jacobian, "CHUNK_VALUES", chunk)
+                    assert np.array_equal(_minor_table(J, mixed), expected, equal_nan=True)
 
 
 def test_minor_table_nan_for_non_finite_entries(basis_cache, rs_cache, strata_cache, monkeypatch):
     J = np.tile(np.eye(3), (4, 1, 1))
     J[1, 2, 0], J[2, 0, 1], J[3, 1, 1] = np.inf, np.nan, -np.inf
     rows = _all_row_sets(3, 2)  # (0, 1), (0, 2), (1, 2)
-    table = _minor_table(J, rows, 2)
+    table = _minor_table(J, rows)
     assert np.array_equal(np.isnan(table), [[0, 0, 0], [0, 1, 1], [1, 1, 0], [1, 0, 1]])
     assert np.all(table[~np.isnan(table)] == 1.0)
     # a face whose Jacobian overflows at one sample fails there
@@ -262,11 +283,25 @@ def test_stratum_rank_verdicts_match_loop_kernel(name, basis_cache, rs_cache,
             assert abs(x.max_any_minor - y.max_any_minor) <= 1e-14
 
 
+def test_stratum_rank_makes_one_minor_pass_per_face(basis_cache, rs_cache, strata_cache,
+                                                    monkeypatch):
+    """The leading k-minors are read off the (k+1)-row expansion, so every
+    D6 face, the degenerate one included, makes one `_minor_table` call."""
+    b, rs = basis_cache("D6"), rs_cache("D6")
+    faces = [s for s in strata_cache("D6") if s.dim >= 1]
+    calls = []
+    table = jacobian._minor_table
+    monkeypatch.setattr(jacobian, "_minor_table", lambda J, rows: calls.append(J) or table(J, rows))
+    reps = [verify_stratum_rank(b, rs, s, samples=10) for s in faces]
+    assert len(calls) == len(faces)
+    assert any(rep.leading_degenerate for rep in reps)
+
+
 def test_minor_table_without_row_sets(basis_cache, rs_cache, strata_cache):
     """k = n: no (k+1)-row set exists, so the table is empty and the
     bordering and any-row maxima stay 0."""
     J = np.ones((3, 2, 2))
-    assert _minor_table(J, _all_row_sets(2, 3), 3).shape == (3, 0)
+    assert _minor_table(J, _all_row_sets(2, 3)).shape == (3, 0)
     b, rs = basis_cache("B3"), rs_cache("B3")
     s = next(t for t in strata_cache("B3") if t.dim == 3)
     rep = verify_stratum_rank(b, rs, s, samples=10)
@@ -312,7 +347,7 @@ def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strat
     jm = jacobian_matrix(b)
     s = next(t for t in strata_cache("B3") if t.dim == 1)
     x = sample_stratum(s, 1, 1.0, 5, rs)[0]
-    assert _minor_table(b.compiled.J(x[None, :]), [[0, 1]], 2)[0, 0] <= 1e-10
+    assert _minor_table(b.compiled.J(x[None, :]), [[0, 1]])[0, 0] <= 1e-10
     # B3 faces are spanned by 0/1 vectors: the rounded direction lies on the
     # face exactly, and there every 2x2 minor of rows 0, 1 is exactly zero
     xq = [Scalar(int(round(v))) for v in x / np.max(np.abs(x))]
