@@ -15,7 +15,7 @@ from .errors import (
     UsageError,
 )
 from .field import Scalar
-from .invariants import InvariantBasis, basic_invariants, chevalley_eval
+from .invariants import InvariantBasis, basic_invariants
 from .poly import PolyMatrix, SparsePoly
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PolyMatrix",
     "InvariantBasis",
     "basic_invariants",
-    "chevalley_eval",
     "ChevalleyError",
     "UsageError",
     "CapabilityError",

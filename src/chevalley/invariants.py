@@ -159,38 +159,6 @@ class CompiledBasis:
         H = self._hess.from_powers(table, k * (self.n * (self.n + 1) // 2))
         return P, J, self._symmetric(H, k)
 
-    def restrict(self, B: np.ndarray) -> "RestrictedBasis":
-        """The invariants on the span of B's columns, in its coordinates."""
-        return RestrictedBasis(self, B)
-
-
-class RestrictedBasis:
-    """A compiled basis pulled back along y -> B y, where B is (n, d):
-    P(Y) = P(Y B^T) for Y of shape (S, d), and `evaluate` gives it with
-    J(Y) = J(Y B^T) B from one power table."""
-
-    def __init__(self, base: CompiledBasis, B: np.ndarray):
-        self.base = base
-        self.B = np.asarray(B, dtype=float)
-
-    def P(self, Y: np.ndarray, k: int | None = None) -> np.ndarray:
-        return self.base.P(Y @ self.B.T, k)
-
-    def evaluate(self, Y: np.ndarray, k: int | None = None):
-        P, J = self.base.evaluate(Y @ self.B.T, k)
-        return P, np.einsum("bkn,nj->bkj", J, self.B)
-
-
-def chevalley_eval(basis: InvariantBasis, x, k: int | None = None) -> np.ndarray:
-    """P_k(x) = (p_1(x), ..., p_k(x)) as floats."""
-    k = len(basis.polys) if k is None else k
-    if not 1 <= k <= len(basis.polys):
-        raise UsageError(f"k must be in 1..{len(basis.polys)}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (basis.nvars,):
-        raise UsageError("point has wrong dimension")
-    return basis.compiled.P(x[None, :], k)[0]
-
 
 # ---------------------------------------------------------------------------
 # closed-form constructions

@@ -7,13 +7,16 @@ samplers work in the whole space and reduce at the end.
 
 All heavy paths are batched over numpy arrays: the Newton re-projection,
 the tangential random walk and the Lagrange solves all advance hundreds of
-points per step.  Randomness comes from a counter-based Philox stream keyed
-by the caller's seed, so every output is reproducible byte for byte.
+points per step, through one Newton loop (`_newton`) in which each row
+stops on its own residual, so a solution depends on its start alone.
+Randomness comes from a counter-based Philox stream keyed by the caller's
+seed, so every output is reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -64,44 +67,63 @@ def _gram_solve(J, rhs):
     return _solve(A, rhs[..., None])
 
 
-def _project_batch(cb, k, m, X, max_iter=60):
-    """Least-squares Newton for P_k(x) = m on a batch of points.
+def _newton(system, Z, tol, max_iter, cap, runaway):
+    """Batched Newton in which each row stops on its own residual.
 
-    Returns (X, ok): updated points and a convergence mask.  Non-finite or
-    runaway rows are marked failed and left untouched.
-
-    A row that converged in the loop is not moved again and passed a test
-    ten times tighter than the closing one, and a row's values do not
-    depend on its batch, so the closing evaluation runs on the other rows
-    only.
+    system(Za) gives the residuals R and Newton steps of the active rows Za,
+    cap(Za) their largest step lengths and runaway(Za) the rows that ran
+    away.  A row stops as converged once max|R| <= tol, and as failed when
+    R or its step length is not finite or it ran away; it is not moved
+    again.  Every other row takes its step, shortened to the cap.  Returns
+    (Z, converged); callers close with their own test on the other rows.
     """
-    m = np.asarray(m, dtype=float)
-    X = np.array(X, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(m)))
-    active = np.ones(len(X), dtype=bool)
-    converged = np.zeros(len(X), dtype=bool)
+    Z = np.array(Z, dtype=float)
+    active = np.ones(len(Z), dtype=bool)
+    converged = np.zeros(len(Z), dtype=bool)
     for _ in range(max_iter):
-        if not np.any(active):
-            break
-        Xa = X[active]
-        P, J = cb.evaluate(Xa, k)
-        R = P - m
-        bad = ~np.all(np.isfinite(R), axis=1) | (np.max(np.abs(Xa), axis=1) > 1e8)
-        done = np.max(np.abs(R), axis=1) <= NEWTON_TOL * scale
-        step = np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve(J, R), axis=-1)
-        # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
-        cap = 0.5 * (1.0 + np.linalg.norm(Xa, axis=1, keepdims=True))
-        step = np.where(norms > cap, step * cap / np.maximum(norms, 1e-300), step)
-        move = ~(done | bad)
-        Xa[move] -= step[move]
-        X[active] = Xa
         idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        Za = Z[idx]
+        R, step = system(Za)
+        norms = np.linalg.norm(step, axis=1, keepdims=True)
+        bad = ~np.all(np.isfinite(R), axis=1) | ~np.isfinite(norms[:, 0]) | runaway(Za)
+        done = np.max(np.abs(R), axis=1) <= tol
+        move = ~(done | bad)
+        step, norms, limit = step[move], norms[move], cap(Za[move])
+        Z[idx[move]] = Za[move] - np.where(
+            norms > limit, step * limit / np.maximum(norms, 1e-300), step)
         active[idx[done | bad]] = False
         converged[idx[done & ~bad]] = True
+    return Z, converged
+
+
+def _project_batch(evaluate, m, X, max_iter=60):
+    """Least-squares Newton for P(x) = m on a batch of points, where
+    evaluate(X) gives (P, J) at X.  Returns (X, ok): updated points and a
+    convergence mask.  Rows beyond |x_i| > 1e8 are marked failed.
+
+    A row that converged in the loop passed a test ten times tighter than
+    the closing one, and a row's values do not depend on its batch, so the
+    closing evaluation runs on the other rows only.
+    """
+    m = np.asarray(m, dtype=float)
+    scale = 1.0 + float(np.max(np.abs(m)))
+
+    def gauss_newton(Xa):
+        P, J = evaluate(Xa)
+        R = P - m
+        return R, np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve(J, R), axis=-1)
+
+    # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
+    X, converged = _newton(
+        gauss_newton, X, NEWTON_TOL * scale, max_iter,
+        cap=lambda Xa: 0.5 * (1.0 + np.linalg.norm(Xa, axis=1, keepdims=True)),
+        runaway=lambda Xa: np.max(np.abs(Xa), axis=1) > 1e8,
+    )
     rest = np.flatnonzero(~converged)
     if len(rest):
-        R = cb.P(X[rest], k) - m
+        R = evaluate(X[rest])[0] - m
         converged[rest] = np.all(np.isfinite(R), axis=1) & (
             np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
         )
@@ -192,7 +214,8 @@ def sample_fiber(
     X0 = rng.normal(size=(FIBER_MULTISTARTS, n)) * s
     if x_hint is not None:
         X0[0] = np.asarray(x_hint, dtype=float)
-    X0, ok = _project_batch(cb, k, m, X0)
+    fiber = partial(cb.evaluate, k=k)
+    X0, ok = _project_batch(fiber, m, X0)
     seeds = X0[ok]
     if len(seeds) == 0:
         return FiberSample(basis.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
@@ -210,7 +233,7 @@ def sample_fiber(
     for _ in range(steps):
         T = _tangent_directions(cb.J(X, k), rng.normal(size=(walkers, n)))
         X = X + step_len * T
-        X, ok = _project_batch(cb, k, m, X, max_iter=25)
+        X, ok = _project_batch(fiber, m, X, max_iter=25)
         runaway = np.linalg.norm(X, axis=1) > cap
         bad = ~ok | runaway
         if np.any(bad):
@@ -258,7 +281,7 @@ def _extend_extremes(cb, k, m, pts, s, cap):
     for _ in range(40):
         T = _tangent_directions(np.ascontiguousarray(J[:, :k]), J[:, k, :] * signs[:, None])
         cand = chosen + step * T
-        cand, ok = _project_batch(cb, k, m, cand, max_iter=25)
+        cand, ok = _project_batch(partial(cb.evaluate, k=k), m, cand, max_iter=25)
         P_new, J_new = cb.evaluate(cand, k + 1)
         better = ok & (signs * (P_new[:, k] - P[:, k]) > 0)
         better &= np.linalg.norm(cand, axis=1) <= cap
@@ -387,7 +410,8 @@ def critical_points(
     strata: list[Stratum] | None = None,
 ) -> list[CriticalPoint]:
     """Solve the square Lagrange system {P_k = m} + {grad p_{k+1} = sum mu_j
-    grad p_j} by batched Newton multistart.
+    grad p_j} by batched Newton multistart.  Each start is solved on its
+    own, so fewer starts find a subset of the points, bit for bit.
 
     Each converged solution is reflected into the chamber (the multipliers
     are reflection-invariant), deduplicated, and classified: the stratum it
@@ -408,7 +432,7 @@ def critical_points(
     s = _fiber_scale(basis, m, None)
 
     X0 = rng.normal(size=(multistarts, n)) * s
-    X0, ok = _project_batch(cb, k, m, X0)
+    X0, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
     X = X0[ok]
     if len(X) == 0:
         return []
@@ -417,43 +441,32 @@ def critical_points(
     Jk = G[:, :k, :]
     mu = _gram_solve(Jk, np.einsum("bkn,bn->bk", Jk, G[:, k, :]))[..., 0]
 
-    Z = np.concatenate([X, mu], axis=1)
-    scale = 1.0 + float(np.max(np.abs(m)))
-    for _ in range(80):
+    def lagrange(Z, with_step=True):
+        """Residuals of the Lagrange system at the rows Z = (x, mu), and
+        their Newton steps on the square Jacobian."""
         X, mu = Z[:, :n], Z[:, n:]
-        P, G, H = cb.evaluate(X, k + 1, hess=True)
-        Jk, gk1 = G[:, :k, :], G[:, k, :]
-        Hl = H[:, k] - np.einsum("bj,bjpq->bpq", mu, H[:, :k])
-        R1 = P[:, :k] - m
-        R2 = gk1 - np.einsum("bj,bjn->bn", mu, Jk)
-        R = np.concatenate([R1, R2], axis=1)
-        if float(np.max(np.abs(R), initial=0.0)) <= NEWTON_TOL * scale:
-            break
-        B = len(Z)
-        jac = np.zeros((B, n + k, n + k))
+        P, G, *H = cb.evaluate(X, k + 1, hess=with_step)
+        Jk = G[:, :k, :]
+        R = np.concatenate([P[:, :k] - m, G[:, k, :] - np.einsum("bj,bjn->bn", mu, Jk)], axis=1)
+        if not with_step:
+            return R
+        jac = np.zeros((len(Z), n + k, n + k))
         jac[:, :k, :n] = Jk
-        jac[:, k:, :n] = Hl
+        jac[:, k:, :n] = H[0][:, k] - np.einsum("bj,bjpq->bpq", mu, H[0][:, :k])
         jac[:, k:, n:] = -np.swapaxes(Jk, 1, 2)
-        step = _solve(jac, R[..., None])[..., 0]
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
-        cap = 0.5 * s + 0.5
-        step = np.where(norms > cap, step * cap / np.maximum(norms, 1e-300), step)
-        Z = Z - step
-        finite = np.all(np.isfinite(Z), axis=1) & (
-            np.linalg.norm(Z[:, :n], axis=1) < 50 * s + 50
-        )
-        Z = Z[finite]
-        if len(Z) == 0:
-            return []
-    else:
-        X, mu = Z[:, :n], Z[:, n:]
-        P, G = cb.evaluate(X, k + 1)
-    # after a break, P and G are those of the converged batch itself
-    R1 = P[:, :k] - m
-    R2 = G[:, k, :] - np.einsum("bj,bjn->bn", mu, G[:, :k, :])
-    resid = np.maximum(np.max(np.abs(R1), axis=1), np.max(np.abs(R2), axis=1))
-    good = resid <= CRITICAL_RESIDUAL_TOL * scale
-    X, mu = X[good], mu[good]
+        return R, _solve(jac, R[..., None])[..., 0]
+
+    scale = 1.0 + float(np.max(np.abs(m)))
+    Z, good = _newton(
+        lagrange, np.concatenate([X, mu], axis=1), NEWTON_TOL * scale, 80,
+        cap=lambda Za: 0.5 * s + 0.5,
+        runaway=lambda Za: np.linalg.norm(Za[:, :n], axis=1) >= 50 * s + 50,
+    )
+    rest = np.flatnonzero(~good)
+    if len(rest):
+        R = lagrange(Z[rest], with_step=False)
+        good[rest] = np.max(np.abs(R), axis=1) <= CRITICAL_RESIDUAL_TOL * scale
+    X, mu = Z[good, :n], Z[good, n:]
     if len(X) == 0:
         return []
     X = rs.to_chamber(X)

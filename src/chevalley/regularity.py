@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -522,13 +522,21 @@ def _empty_interior_cells(counts: np.ndarray) -> int:
     return int(np.sum(~pop & below & above))
 
 
+def _face_evaluate(cb, k, omega, T):
+    """(P, J) of the first k invariants in the face coordinates T of
+    x = Omega t: P(T Omega^T) and J(T Omega^T) Omega."""
+    P, J = cb.evaluate(T @ omega.T, k)
+    return P, np.einsum("bkn,nj->bkj", J, omega)
+
+
 def envelope_at(basis: InvariantBasis, rs: RootSystem, k: int, m):
     """Solver-exact envelope values at one target: p_{k+1} on each
     dimension-k stratum, at the solutions of P_k = m on its face.
 
-    Newton runs in the face coordinates t of x = Omega_F t, from 16 starts
-    t = c (1 + 0.3 z), z standard normal, with |Omega_F c 1| the fiber scale;
-    it keeps the solutions whose simple coordinates are >= -1e-9 max(scale, 1).
+    The fiber projection runs in the face coordinates t of x = Omega_F t,
+    from 16 starts t = c (1 + 0.3 z), z standard normal, with |Omega_F c 1|
+    the fiber scale; it keeps the solutions whose simple coordinates are
+    >= -1e-9 max(scale, 1).
     The boundary of the image over the base is carried by these stratum
     graphs, so their min/max are the envelope values at m.  Strata whose
     graph does not reach m are skipped.  Returns (lo, hi, per-stratum dict).
@@ -544,7 +552,7 @@ def envelope_at(basis: InvariantBasis, rs: RootSystem, k: int, m):
         omega = s.coweights
         c = scale / np.linalg.norm(omega.sum(axis=1))
         T0 = c * (1.0 + 0.3 * rng.normal(size=(16, k)))
-        T, ok = _project_batch(cb.restrict(omega), k, m, T0, max_iter=80)
+        T, ok = _project_batch(partial(_face_evaluate, cb, k, omega), m, T0, max_iter=80)
         n_simple = len(rs.simple_f) - len(s.walls)  # the A family's pad coordinate is free
         T = T[ok & np.all(T[:, :n_simple] >= -1e-9 * max(scale, 1.0), axis=1)]
         if len(T):

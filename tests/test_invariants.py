@@ -22,7 +22,6 @@ from chevalley.invariants import (
     InvariantBasis,
     basic_invariants,
     basis_content_hash,
-    chevalley_eval,
     load_basis,
     numeric_jacobian_rank,
     save_basis,
@@ -59,6 +58,9 @@ def test_b2_closed_form(basis_cache):
     assert b.polys[0] == x1sq_x2sq
     assert b.polys[1] == SparsePoly(2, {(2, 2): ONE})
     assert b.degrees == (2, 4)
+    P = b.compiled.P
+    assert np.array_equal(P(np.array([[1.0, 1.0], [0.0, 0.0]])), [[2.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(P(np.array([[1.0, 1.0]]), 1), [[2.0]])
 
 
 def test_g2_closed_form(basis_cache):
@@ -111,15 +113,6 @@ def test_perturbed_basis_is_not_invariant(basis_cache, rs_cache):
         b.ctype, [b.polys[0], b.polys[1] + x1 * x1 * x1 * x1], "test"
     )
     assert not verify_invariance(broken, rs_cache("B2").simple_reflections)
-
-
-def test_chevalley_eval_examples(basis_cache):
-    b = basis_cache("B2")
-    assert np.allclose(chevalley_eval(b, [1.0, 1.0]), [2.0, 1.0])
-    assert np.allclose(chevalley_eval(b, [0.0, 0.0]), [0.0, 0.0])
-    assert np.allclose(chevalley_eval(b, [1.0, 1.0], k=1), [2.0])
-    with pytest.raises(UsageError):
-        chevalley_eval(b, [1.0, 1.0], k=3)
 
 
 def test_orbit_collapse(basis_cache, rs_cache, rng):
@@ -440,17 +433,3 @@ def test_evaluate_rejects_bad_shapes(basis_cache):
         cb.evaluate(np.zeros((2, 4)))
     with pytest.raises(UsageError):
         cb.evaluate(np.zeros((2, 3)), 4)
-
-
-@pytest.mark.parametrize("name", ["B3", "H3", "A4"])
-def test_restricted_basis_pulls_back(name, basis_cache, strata_cache, rng):
-    cb = basis_cache(name).compiled
-    for s in strata_cache(name):
-        B = s.basis
-        Y = rng.normal(size=(33, B.shape[1]))
-        rb = cb.restrict(B)
-        for k in range(1, cb.k + 1):
-            P, J = rb.evaluate(Y, k)
-            assert np.array_equal(P, cb.P(Y @ B.T, k))
-            assert np.array_equal(P, rb.P(Y, k))
-            assert np.array_equal(J, np.einsum("bkn,nj->bkj", cb.J(Y @ B.T, k), B))

@@ -1,5 +1,8 @@
 """Fiber sampling, connectivity, value intervals, Lagrange critical points."""
 
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from chevalley.errors import UsageError
-from chevalley.invariants import RestrictedBasis
 from chevalley.probe import (
     FiberSample,
     _project_batch,
@@ -22,7 +24,8 @@ from chevalley.probe import (
 
 def _fiber_point(b, rs, k, m, x0):
     """One Newton projection onto P_k = m from x0, reflected into the chamber."""
-    X, ok = _project_batch(b.compiled, k, m, np.asarray(x0, dtype=float)[None, :])
+    X, ok = _project_batch(partial(b.compiled.evaluate, k=k), m,
+                           np.asarray(x0, dtype=float)[None, :])
     assert ok[0]
     return rs.to_chamber(X[0])
 
@@ -48,7 +51,8 @@ def test_project_batch_norm_constraint(basis_cache, rs_cache, rng):
 
 def test_project_batch_unreachable_target_not_ok(basis_cache):
     """|x|^2 = -1 has no real solution: the convergence mask is False."""
-    _, ok = _project_batch(basis_cache("B2").compiled, 1, [-1.0], np.array([[0.5, 0.1]]))
+    cb = basis_cache("B2").compiled
+    _, ok = _project_batch(partial(cb.evaluate, k=1), [-1.0], np.array([[0.5, 0.1]]))
     assert ok.tolist() == [False]
 
 
@@ -340,6 +344,37 @@ def test_critical_points_survive_singular_multiplier_solve(
             assert np.allclose(g.x, w.x, atol=1e-9) and abs(g.value - w.value) < 1e-9
 
 
+@pytest.mark.parametrize("name,k", [("B3", 2), ("F4", 2), ("A4", 3), ("H3", 2), ("D5", 2)])
+def test_critical_points_do_not_depend_on_their_batch(name, k, basis_cache, rs_cache,
+                                                      strata_cache):
+    """Each Newton row stops on its own residual, so a point found from the
+    first j starts is found bit for bit by the run with 96 starts, whose
+    Philox draw begins with those j starts (the `morse` seed-1 targets)."""
+    b, rs, strata = basis_cache(name), rs_cache(name), strata_cache(name)
+    m, _ = random_regular_target(b, rs, k, 1 + 17 * k)
+
+    def points(j):
+        cps = critical_points(b, rs, k, m, multistarts=j, seed=1, strata=strata)
+        return [(cp.x.tobytes(), cp.multipliers.tobytes(), cp.value) for cp in cps]
+
+    full = set(points(96))
+    for j in (1, 2, 3, 4, 8):
+        found = points(j)
+        assert found and set(found) <= full, j
+
+
+def test_critical_points_infinite_step_raises_no_warning(basis_cache, rs_cache, strata_cache):
+    """D5 k=2 at seed 3 (`chevalley morse --type D5 --seed 3`) meets a Newton
+    step of infinite length; that row stops as failed before the step cap
+    would divide by the length."""
+    b, rs = basis_cache("D5"), rs_cache("D5")
+    m, _ = random_regular_target(b, rs, 2, 37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cps = critical_points(b, rs, 2, m, seed=3, strata=strata_cache("D5"))
+    assert cps
+
+
 # -- the solver loops against the per-call loops they replaced ----------------
 # Reference copies of the Newton projection, the tangent projection and the
 # extreme-point polish as they were when each of P, J and the Hessians was its
@@ -469,15 +504,15 @@ def test_project_batch_matches_reference_loop(name, basis_cache, rs_cache):
             X0 = _starts(b, m, 48, rng)
             # 3 iterations leave rows active; 60 converge almost all of them
             for max_iter in (3, 25, 60):
-                got = _project_batch(cb, k, m, X0, max_iter=max_iter)
+                got = _project_batch(partial(cb.evaluate, k=k), m, X0, max_iter=max_iter)
                 want = _project_batch_reference(cb, k, m, X0, max_iter=max_iter)
                 assert np.array_equal(got[0], want[0], equal_nan=True)
                 assert np.array_equal(got[1], want[1])
                 paths.add((max_iter, bool(np.all(got[1]))))
             # a batch that converges on every row skips the closing check
-            X1, ok = _project_batch(cb, k, m, X0)
+            X1, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
             X1 = X1[ok] + 1e-3 * rng.normal(size=X1[ok].shape)
-            got = _project_batch(cb, k, m, X1)
+            got = _project_batch(partial(cb.evaluate, k=k), m, X1)
             want = _project_batch_reference(cb, k, m, X1)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             paths.add(("converged", bool(np.all(got[1]))))
@@ -505,11 +540,11 @@ def test_project_batch_far_starts_match_reference(basis_cache, rs_cache):
     ]
     for X0 in batches:
         for max_iter in (1, 60):
-            got = _project_batch(cb, 1, m, X0, max_iter=max_iter)
+            got = _project_batch(partial(cb.evaluate, k=1), m, X0, max_iter=max_iter)
             want = _project_batch_reference(cb, 1, m, X0, max_iter=max_iter)
             assert np.array_equal(got[0], want[0], equal_nan=True)
             assert np.array_equal(got[1], want[1])
-    X, ok = _project_batch(cb, 1, m, np.stack([far, x0]))
+    X, ok = _project_batch(partial(cb.evaluate, k=1), m, np.stack([far, x0]))
     assert ok.tolist() == [True, True] and np.array_equal(X[0], far)
 
 
@@ -525,28 +560,61 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache):
             s = _fiber_scale(b, m, hint)
             cap = 2.5 * float(np.linalg.norm(hint))
             rng = np.random.default_rng(seed)
-            pts, ok = _project_batch(cb, k, m, hint + 0.1 * s * rng.normal(size=(40, b.nvars)))
+            X0 = hint + 0.1 * s * rng.normal(size=(40, b.nvars))
+            pts, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
             pts = pts[ok]
             got = _extend_extremes(cb, k, m, pts, s, cap)
             want = _extend_extremes_reference(cb, k, m, pts, s, cap)
             assert np.array_equal(got, want)
 
 
+class _FaceBasisReference:
+    """The per-call evaluators pulled back to face coordinates t, x = B t:
+    P(t) = P(t B^T) and J(t) = J(t B^T) B."""
+
+    def __init__(self, cb, B):
+        self.cb, self.B = cb, B
+
+    def P(self, T, k):
+        return self.cb.P(T @ self.B.T, k)
+
+    def J(self, T, k):
+        return np.einsum("bkn,nj->bkj", self.cb.J(T @ self.B.T, k), self.B)
+
+
+def _envelope_at_reference(b, rs, k, m):
+    from chevalley.coxeter import enumerate_strata
+    from chevalley.probe import _fiber_scale
+    from chevalley.regularity import ENVELOPE_SEED
+
+    rng = np.random.Generator(np.random.Philox(key=ENVELOPE_SEED))
+    scale = _fiber_scale(b, m, None)
+    per = {}
+    for s in enumerate_strata(rs):
+        if s.dim != k:
+            continue
+        omega = s.coweights
+        c = scale / np.linalg.norm(omega.sum(axis=1))
+        T0 = c * (1.0 + 0.3 * rng.normal(size=(16, k)))
+        face = _FaceBasisReference(b.compiled, omega)
+        T, ok = _project_batch_reference(face, k, m, T0, max_iter=80)
+        n_simple = len(rs.simple_f) - len(s.walls)
+        T = T[ok & np.all(T[:, :n_simple] >= -1e-9 * max(scale, 1.0), axis=1)]
+        if len(T):
+            vals = b.compiled.P(T @ omega.T, k + 1)[:, k]
+            per[s.stratum_id] = [float(np.min(vals)), float(np.max(vals))]
+    return min(v[0] for v in per.values()), max(v[1] for v in per.values()), per
+
+
 @pytest.mark.parametrize("name,k", [("B3", 1), ("B3", 2), ("H3", 1), ("H3", 2)])
-def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache, monkeypatch):
-    """`envelope_at` on restricted bases gives the floats of the per-call
-    projection on the face coordinates."""
-    import chevalley.regularity as regularity
+def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache):
+    """`envelope_at`'s Newton on face coordinates gives the floats of the
+    per-call projection on the pulled-back evaluators."""
+    from chevalley.regularity import envelope_at
 
     b, rs = basis_cache(name), rs_cache(name)
     m = random_regular_target(b, rs, k, 17)[0]
-    got = regularity.envelope_at(b, rs, k, m)
-    monkeypatch.setattr(regularity, "_project_batch", _project_batch_reference)
-    # the per-call reference takes J on the face coordinates, J(Y B^T) B
-    monkeypatch.setattr(RestrictedBasis, "J", lambda rb, Y, k=None: np.einsum(
-        "bkn,nj->bkj", rb.base.J(Y @ rb.B.T, k), rb.B), raising=False)
-    want = regularity.envelope_at(b, rs, k, m)
-    assert got == want
+    assert envelope_at(b, rs, k, m) == _envelope_at_reference(b, rs, k, m)
 
 
 # -- connectivity against the full r-graph --------------------------------------
