@@ -58,9 +58,6 @@ def test_b2_closed_form(basis_cache):
     assert b.polys[0] == x1sq_x2sq
     assert b.polys[1] == SparsePoly(2, {(2, 2): ONE})
     assert b.degrees == (2, 4)
-    P = b.compiled.P
-    assert np.array_equal(P(np.array([[1.0, 1.0], [0.0, 0.0]])), [[2.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(P(np.array([[1.0, 1.0]]), 1), [[2.0]])
 
 
 def test_g2_closed_form(basis_cache):
@@ -113,6 +110,17 @@ def test_perturbed_basis_is_not_invariant(basis_cache, rs_cache):
         b.ctype, [b.polys[0], b.polys[1] + x1 * x1 * x1 * x1], "test"
     )
     assert not verify_invariance(broken, rs_cache("B2").simple_reflections)
+
+
+def test_chevalley_eval_examples(basis_cache):
+    cb = basis_cache("B2").compiled
+    X = np.array([[1.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(cb.P(X), [[2.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(cb.P(X[:1], 1), [[2.0]])
+    P, _ = cb.evaluate(X[:1], 1)
+    assert np.array_equal(P, [[2.0]])
+    with pytest.raises(UsageError):
+        cb.evaluate(X, 3)
 
 
 def test_orbit_collapse(basis_cache, rs_cache, rng):
