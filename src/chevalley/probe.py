@@ -8,7 +8,9 @@ samplers work in the whole space and reduce at the end.
 All heavy paths are batched over numpy arrays: the Newton re-projection,
 the tangential random walk and the Lagrange solves all advance hundreds of
 points per step, through one Newton loop (`_newton`) in which each row
-stops on its own residual, so a solution depends on its start alone.
+stops on its own residual, so a solution depends on its start alone; so
+the extremes polish projects a batch of halved steps, bit for bit its
+serial search.
 Randomness comes from a counter-based Philox stream keyed by the caller's
 seed, so every output is reproducible byte for byte.
 """
@@ -16,7 +18,7 @@ seed, so every output is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -58,10 +60,15 @@ def _solve(A, b):
         return np.array([_solve(a, r) for a, r in zip(A, b)])
 
 
+@lru_cache(maxsize=None)
+def _tiny_diagonal(k):
+    return np.broadcast_to(1e-300 * np.eye(k), (k, k))    # read-only, so shared
+
+
 def _gram_solve(J, rhs):
     """(J J^T + 1e-300 I)^-1 rhs per sample, as a (B, k, 1) array.  For
     k = 1 it is one division, which is what LAPACK's 1x1 solve computes."""
-    A = J @ np.swapaxes(J, 1, 2) + 1e-300 * np.eye(J.shape[1])
+    A = J @ np.swapaxes(J, 1, 2) + _tiny_diagonal(J.shape[1])
     if J.shape[1] == 1:
         return rhs[..., None] / A
     return _solve(A, rhs[..., None])
@@ -73,28 +80,31 @@ def _newton(system, Z, tol, max_iter, cap, runaway):
     system(Za) gives the residuals R and Newton steps of the active rows Za,
     cap(Za) their largest step lengths and runaway(Za) the rows that ran
     away.  A row stops as converged once max|R| <= tol, and as failed when
-    R or its step length is not finite or it ran away; it is not moved
-    again.  Every other row takes its step, shortened to the cap.  Returns
-    (Z, converged); callers close with their own test on the other rows.
+    R or its step length is not finite (a step too long to square counts as
+    infinite, silently) or it ran away; it is not moved again.  Every other
+    row takes its step, shortened to the cap.  Returns (Z, converged);
+    callers close with their own test on the other rows.
     """
     Z = np.array(Z, dtype=float)
-    active = np.ones(len(Z), dtype=bool)
     converged = np.zeros(len(Z), dtype=bool)
+    idx = np.arange(len(Z))
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
         if not len(idx):
             break
-        Za = Z[idx]
+        Za = Z if len(idx) == len(Z) else Z[idx]
         R, step = system(Za)
-        norms = np.linalg.norm(step, axis=1, keepdims=True)
-        bad = ~np.all(np.isfinite(R), axis=1) | ~np.isfinite(norms[:, 0]) | runaway(Za)
-        done = np.max(np.abs(R), axis=1) <= tol
+        # the max is NaN when any entry is, so it alone tests finiteness
+        r = np.max(np.abs(R), axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
+        bad = ~(np.isfinite(r) & np.isfinite(norms[:, 0])) | runaway(Za)
+        done = r <= tol
         move = ~(done | bad)
+        converged[idx[done & ~bad]] = True
         step, norms, limit = step[move], norms[move], cap(Za[move])
         Z[idx[move]] = Za[move] - np.where(
             norms > limit, step * limit / np.maximum(norms, 1e-300), step)
-        active[idx[done | bad]] = False
-        converged[idx[done & ~bad]] = True
+        idx = idx[move]
     return Z, converged
 
 
@@ -128,6 +138,16 @@ def _project_batch(evaluate, m, X, max_iter=60):
             np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
         )
     return X, converged
+
+
+def _first_rows(quant):
+    """Sorted indices of each distinct row's first occurrence in the integer
+    grid quant, as np.unique(axis=0, return_index=True); lexsort is stable."""
+    order = np.lexsort(quant.T[::-1])
+    q = quant[order]
+    first = np.ones(len(q), dtype=bool)
+    first[1:] = np.any(q[1:] != q[:-1], axis=1)
+    return np.sort(order[first])
 
 
 def _tangent_directions(J, G):
@@ -253,8 +273,7 @@ def sample_fiber(
     if len(pts) == 0:
         return FiberSample(basis.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
     quant = np.round(pts / (1e-6 * max(s, 1e-6))).astype(np.int64)
-    _, uniq = np.unique(quant, axis=0, return_index=True)
-    pts = pts[np.sort(uniq)]
+    pts = pts[_first_rows(quant)]
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]
     if len(pts) > n_points:
@@ -269,6 +288,10 @@ def _extend_extremes(cb, k, m, pts, s, cap):
 
     Projected-gradient polish so that sampled value intervals reach the
     endpoint critical values (inside the radius cap); returns extra points.
+
+    A candidate depends only on its chain's point and the step, so when a
+    chain moves, its candidates at the step and its next 7 halvings are
+    projected in one batch, which the serial acceptance then reads in turn.
     """
     if k >= cb.k or len(pts) == 0:
         return np.zeros((0, pts.shape[1]))
@@ -276,19 +299,33 @@ def _extend_extremes(cb, k, m, pts, s, cap):
     chosen = pts[[int(np.argmin(vals)), int(np.argmax(vals))]].copy()
     P, J = cb.evaluate(chosen, k + 1)
     signs = np.array([-1.0, 1.0])
+    halvings = 0.5 ** np.arange(8)
+    rows = np.arange(2 * len(halvings)).reshape(2, -1)    # each chain's candidates
+    tried = np.full(2, len(halvings))                      # and its place in them
     out = [chosen.copy()]
     step = 0.2 * s
     for _ in range(40):
-        T = _tangent_directions(np.ascontiguousarray(J[:, :k]), J[:, k, :] * signs[:, None])
-        cand = chosen + step * T
-        cand, ok = _project_batch(partial(cb.evaluate, k=k), m, cand, max_iter=25)
-        P_new, J_new = cb.evaluate(cand, k + 1)
+        fresh = np.flatnonzero(tried == len(halvings))
+        if len(fresh):
+            T = _tangent_directions(np.ascontiguousarray(J[fresh, :k]),
+                                    J[fresh, k, :] * signs[fresh, None])
+            cand = chosen[fresh, None] + (step * halvings)[:, None] * T[:, None]
+            cand, ok = _project_batch(partial(cb.evaluate, k=k), m,
+                                      cand.reshape(-1, pts.shape[1]), max_iter=25)
+            found = (cand, ok, *cb.evaluate(cand, k + 1))
+            store = found if len(fresh) == 2 else store    # both, on the first pass
+            for a, f in zip(store, found):
+                a[rows[fresh].ravel()] = f
+            tried[fresh] = 0
+        cand, ok, P_new, J_new = (a[rows[[0, 1], tried]] for a in store)
         better = ok & (signs * (P_new[:, k] - P[:, k]) > 0)
         better &= np.linalg.norm(cand, axis=1) <= cap
         chosen[better] = cand[better]
         P[better], J[better] = P_new[better], J_new[better]
+        tried[better] = len(halvings)
         if not np.any(better):
             step *= 0.5
+            tried += 1
             if step < 1e-9 * s:
                 break
         out.append(chosen.copy())
@@ -473,8 +510,8 @@ def critical_points(
 
     # deduplicate on a relative grid
     quant = np.round(X / (1e-6 * max(s, 1e-6))).astype(np.int64)
-    _, uniq = np.unique(quant, axis=0, return_index=True)
-    X, mu = X[np.sort(uniq)], mu[np.sort(uniq)]
+    first = _first_rows(quant)
+    X, mu = X[first], mu[first]
 
     P, G, H = cb.evaluate(X, k + 1, hess=True)
     border = _minor_table(G, [range(k + 1)])[:, 0]

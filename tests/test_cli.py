@@ -10,6 +10,7 @@ import math
 import os
 import re
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -415,6 +416,7 @@ def _argv_float(v: float) -> str:
     return repr(v) if not math.isfinite(v) else np.format_float_positional(v, trim="0")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from([["morse"], ["fiber", "--n", "50"]]),
@@ -437,6 +439,17 @@ def test_k_and_target_exit_codes_property(command, k, m):
     assert isinstance(code, int) and 0 <= code <= 4
     if code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def test_huge_newton_step_raises_no_warning():
+    """B2 k=1 at m = -4.4e151: the Newton steps are too long to square, so
+    their rows stop as failed without an overflow warning, and the run
+    exits 1 as it does with warnings shown."""
+    argv = ["morse", "--type", "B2", "--k", "1", "--m=-4.429815943521092e+151"]
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        assert main(argv) == 1
 
 
 _SUPPORTED_TYPES = (["A1"] + [f"A{n}" for n in range(2, 7)]

@@ -492,6 +492,25 @@ def test_singular_matrix_leaves_the_other_rows_alone():
     assert np.array_equal(got[rest], np.linalg.solve(A[rest], b[rest]))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_rows_match_unique(n):
+    """The lexsort dedup keeps the first occurrence of each grid row, in
+    index order, as sorting np.unique's first indices does."""
+    from chevalley.probe import _first_rows
+
+    rng = np.random.default_rng(n)
+    grids = [
+        rng.integers(-2, 3, size=(500, n)),                   # many repeats
+        rng.integers(-2**62, 2**62, size=(500, n)),           # none
+        rng.integers(-5, 5, size=(1, n)),
+        np.zeros((0, n), dtype=np.int64),
+    ]
+    grids.append(grids[1][rng.integers(0, 500, size=800)])    # repeats far apart
+    for q in grids:
+        want = np.sort(np.unique(q, axis=0, return_index=True)[1])
+        assert np.array_equal(_first_rows(q), want)
+
+
 @pytest.mark.parametrize("name", REFERENCE_TYPES)
 def test_project_batch_matches_reference_loop(name, basis_cache, rs_cache):
     b, rs = basis_cache(name), rs_cache(name)
@@ -548,24 +567,59 @@ def test_project_batch_far_starts_match_reference(basis_cache, rs_cache):
     assert ok.tolist() == [True, True] and np.array_equal(X[0], far)
 
 
-@pytest.mark.parametrize("name", REFERENCE_TYPES)
-def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache):
+@pytest.mark.parametrize("name", REFERENCE_TYPES + ["D4", "F4"])
+def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache, monkeypatch):
+    """The polish projects each chain's candidates at a step and its next 7
+    halvings in one batch; it must give the serial loop's rows.  Three
+    cases per fiber: the sampler's cap, a cap so tiny that every candidate
+    is rejected by it until the step falls below 1e-9 s, and a first step
+    300 times the sampler's, whose projections can fail."""
     from chevalley.probe import _extend_extremes, _fiber_scale
 
     b, rs = basis_cache(name), rs_cache(name)
     cb = b.compiled
+    signs = np.array([-1.0, 1.0])
+    tried = []
+
+    def spy(*args, project=_project_batch_reference, **kwargs):
+        tried.append(project(*args, **kwargs))
+        return tried[-1]
+
+    monkeypatch.setitem(globals(), "_project_batch_reference", spy)
+    paths = set()
     for k in range(1, b.nvars):
         for seed in (4, 5):
             m, hint = random_regular_target(b, rs, k, 60 + 11 * seed + k)
             s = _fiber_scale(b, m, hint)
-            cap = 2.5 * float(np.linalg.norm(hint))
             rng = np.random.default_rng(seed)
             X0 = hint + 0.1 * s * rng.normal(size=(40, b.nvars))
             pts, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
             pts = pts[ok]
-            got = _extend_extremes(cb, k, m, pts, s, cap)
-            want = _extend_extremes_reference(cb, k, m, pts, s, cap)
-            assert np.array_equal(got, want)
+            for cap, scale in ((2.5, s), (1e-3, s), (2.5, 300 * s)):
+                cap *= float(np.linalg.norm(hint))
+                tried.clear()
+                got = _extend_extremes(cb, k, m, pts, scale, cap)
+                want = _extend_extremes_reference(cb, k, m, pts, scale, cap)
+                assert np.array_equal(got, want)
+                # replay the serial steps: the candidates each one read, and
+                # the rows it kept
+                rows = got.reshape(-1, 2, b.nvars)
+                unmoved = np.zeros(2, dtype=int)    # halvings since a chain moved
+                for (cand, ok), (old, new) in zip(tried, zip(rows, rows[1:])):
+                    moved = np.any(old != new, axis=1)
+                    gain = signs * (cb.P(cand, k + 1)[:, k] - cb.P(old, k + 1)[:, k]) > 0
+                    paths.add(("failed projection", bool(np.any(~ok))))
+                    paths.add(("cap rejection", bool(np.any(
+                        ok & gain & (np.linalg.norm(cand, axis=1) > cap)))))
+                    paths.add(("both improve", bool(np.all(moved))))
+                    unmoved = np.where(moved, 0, unmoved + (not np.any(moved)))
+                    paths.add(("8 candidates read", bool(np.any(unmoved == 8))))
+                paths.add(("floor", len(rows) < 41))
+    wanted = {"cap rejection", "both improve", "8 candidates read", "floor"}
+    # on B2, A4 and H3 the Newton projection of every long step converges
+    if name not in ("B2", "A4", "H3"):
+        wanted.add("failed projection")
+    assert {(path, True) for path in wanted} <= paths
 
 
 class _FaceBasisReference:
