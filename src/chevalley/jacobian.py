@@ -208,9 +208,9 @@ def _minor_table(J: np.ndarray, row_sets) -> np.ndarray:
     if not rows:
         return out.T
     plan, member = _laplace_plan(r, n, rows)
-    # a level's gathered entries and minors and the previous level, at most
-    # CHUNK_VALUES values together
-    step = max(1, CHUNK_VALUES // (3 * max(level[0].size for level in plan)))
+    # a level's gathered entries, its gathered minors and the previous level
+    # hold at most CHUNK_VALUES values each
+    step = max(1, CHUNK_VALUES // max(level[0].size for level in plan))
     for lo in range(0, S, step):
         Jc = J[lo:lo + step].reshape(-1, r * n).T
         signed = np.concatenate([Jc, -Jc])

@@ -34,7 +34,10 @@ from .field import ONE, Scalar, ZERO
 
 Exponent = tuple[int, ...]
 
-CHUNK_VALUES = 1 << 20  # monomial values per chunk of rows in CompiledPoly
+# float64 values in one temporary array of a batched kernel (2 MiB): the
+# monomials of a CompiledPoly chunk, a gathered level of the minor table, a
+# block of Dijkstra distances.  Chunking never changes a value.
+CHUNK_VALUES = 1 << 18
 
 
 class SparsePoly:
@@ -392,7 +395,8 @@ class CompiledPoly:
     The union of the monomials is numbered in order of first appearance
     (each polynomial's terms in graded-lex order), so the first `count`
     polynomials use only a prefix of the table.  A batch is evaluated in
-    chunks of rows, for memory: the monomials, rows of an (M, rows) array,
+    chunks of rows, so that the (M, rows) array of monomials holds at most
+    CHUNK_VALUES values (one row per chunk if M exceeds it): the monomials
     are products of power-table entries in variable order, and one product
     with the CSR coefficients (count, M) sums each value left to right over
     its own terms.  So a row's bits depend on that row alone, not on its
@@ -453,6 +457,6 @@ class CompiledPoly:
         return out
 
     def chunk_rows(self, count: int) -> int:
-        """Rows per chunk when evaluating the first `count` polynomials:
-        about CHUNK_VALUES monomial values."""
+        """Rows per chunk when evaluating the first `count` polynomials: the
+        most whose monomial values fit CHUNK_VALUES, and at least one."""
         return max(1, CHUNK_VALUES // max(self.ends[count], 1))

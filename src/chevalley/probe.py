@@ -128,7 +128,7 @@ def _project_batch(evaluate, m, X, max_iter=60):
     # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
     X, converged = _newton(
         gauss_newton, X, NEWTON_TOL * scale, max_iter,
-        cap=lambda Xa: 0.5 * (1.0 + np.linalg.norm(Xa, axis=1, keepdims=True)),
+        cap=lambda Xa: 0.5 * (1.0 + np.sqrt(np.add.reduce(Xa * Xa, axis=1, keepdims=True))),
         runaway=lambda Xa: np.max(np.abs(Xa), axis=1) > 1e8,
     )
     rest = np.flatnonzero(~converged)

@@ -34,6 +34,7 @@ from scipy.spatial import cKDTree
 from .coxeter import RootSystem, Stratum, enumerate_strata, sample_stratum
 from .errors import CapabilityError, ConvergenceError, UsageError
 from .invariants import InvariantBasis
+from .poly import CHUNK_VALUES
 from .probe import _fiber_scale, _project_batch, _rng
 
 MESH_POINT_BUDGET = 8_000_000   # points of the bounding cube
@@ -219,7 +220,7 @@ def _draw_pairs(g: ImageGraph, pairs: int, seed: int):
 
 
 # sweeps of at least this many (distinct sources x stored edges) are split:
-# they take 0.2 s or more, a fork of a ~120 MB process 10-30 ms
+# they take 0.2 s or more, a fork of a ~90 MB process 10-30 ms
 FORK_MIN_WORK = 10_000_000
 
 _worker_shares = []   # filled in each sweep worker by the pool's initializer
@@ -227,11 +228,14 @@ _worker_shares = []   # filled in each sweep worker by the pool's initializer
 
 def _sweep(graph: csr_matrix, sources, src, tgt) -> np.ndarray:
     """Graph distance sources[src[i]] -> tgt[i] for every pair: one directed
-    search per source (the CSR is symmetric), 128 sources per scipy call."""
+    search per source (the CSR is symmetric), in blocks of sources whose
+    (sources, V) distance array holds at most CHUNK_VALUES values (at least
+    one source per block)."""
     out = np.empty(len(src))
-    for lo in range(0, len(sources), 128):
-        dist = dijkstra(graph, directed=True, indices=sources[lo:lo + 128])
-        sel = (src >= lo) & (src < lo + 128)
+    step = max(1, CHUNK_VALUES // graph.shape[0])
+    for lo in range(0, len(sources), step):
+        dist = dijkstra(graph, directed=True, indices=sources[lo:lo + step])
+        sel = (src >= lo) & (src < lo + step)
         out[sel] = dist[src[sel] - lo, tgt[sel]]
     return out
 

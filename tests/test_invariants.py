@@ -332,6 +332,25 @@ def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng)
         assert np.array_equal(H1, H)
 
 
+def test_compiled_j_memory(basis_cache, rng):
+    """H4's J at 2180 rows, the batch of the certify benchmark's H4
+    calibration, traces ~6 MiB in chunks of CHUNK_VALUES = 2^18 monomial
+    values, and ~18 MiB in chunks of 2^20."""
+    import tracemalloc
+
+    cb = basis_cache("H4").compiled
+    X = rng.normal(size=(2180, 4))
+    cb.J(X[:1])   # the coefficient matrix is built once, on first use
+    tracemalloc.start()
+    try:
+        J = cb.J(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J.shape == (2180, 4, 4) and np.isfinite(J).all()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("name", ["H4", "D6", "A4"])
 def test_compiled_basis_prefixes_and_symmetry(name, basis_cache, rng):
     b = basis_cache(name)

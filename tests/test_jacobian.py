@@ -207,7 +207,7 @@ def test_minor_table_depends_only_on_its_sample(rng, monkeypatch):
         assert np.array_equal(whole, alone)
         assert np.array_equal(_minor_table(J[order], rows), whole[order])
         with monkeypatch.context() as mp:
-            # from one sample per chunk up to 2, 3 and 13 for sizes 2, 3, 4
+            # from one sample per chunk up to 6, 10 and 41 (all 11) for sizes 2, 3, 4
             for chunk in (1, 100, 500):
                 mp.setattr(jacobian, "CHUNK_VALUES", chunk)
                 assert np.array_equal(_minor_table(J, rows), whole)

@@ -498,13 +498,17 @@ def _rowwise_ratios(g, src_idx, tgt_idx, mask):
     return stats, table
 
 
+SWEEP_BLOCK = 24   # sources per Dijkstra call in the sweep tests below
+
+
 @pytest.fixture(scope="module", params=[("B2", 0.05), ("G2", 0.05), ("B3", 0.08)],
                 ids=lambda p: p[0])
 def pair_case(request, basis_cache, rs_cache):
     """The type name, an image graph and vertex-index pair rows of five
     targets each, with duplicate sources, source rows without an admitted
-    target, and more than 128 distinct admitted sources on B2 and B3 (so the
-    Dijkstra chunks split)."""
+    target, and 90 to 239 distinct admitted sources: more than two Dijkstra
+    blocks of SWEEP_BLOCK sources each, so a sweep split over up to three
+    CPUs still makes several calls."""
     name, h = request.param
     rs = rs_cache(name)
     g = build_image_graph(basis_cache(name), rs, build_chamber_mesh(rs, 1.0, h))
@@ -527,12 +531,12 @@ def test_resolution_of_odd_even_and_empty_rows():
 
 
 def test_admit_pairs_matches_rowwise(pair_case):
-    name, g, si, ti = pair_case
+    _, g, si, ti = pair_case
     mask = _admit_pairs(g, si, ti)
     assert np.array_equal(mask, _rowwise_admit(g, si, ti, RESOLUTION_FLOOR_FACTOR))
     assert len(np.unique(si)) < len(si)       # duplicate sources
     assert not np.all(mask.any(axis=1))       # rows without an admitted target
-    assert name == "G2" or len(np.unique(si[mask.any(axis=1)])) > 128
+    assert len(np.unique(si[mask.any(axis=1)])) > 2 * SWEEP_BLOCK
 
 
 def _split_sweeps(monkeypatch, cpus):
@@ -546,8 +550,20 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _check_ratio_stats_match_rowwise(pair_case):
+def _check_ratio_stats_match_rowwise(pair_case, monkeypatch, calls):
+    """Sweep in blocks of SWEEP_BLOCK sources and compare with the rowwise
+    reference; every `dijkstra` call, forked workers' included, appends its
+    process id to the file `calls`.  Returns the process ids."""
     _, g, si, ti = pair_case
+    search = regularity.dijkstra
+
+    def spy(*args, **kwargs):
+        with open(calls, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(regularity, "CHUNK_VALUES", SWEEP_BLOCK * g.size)
+    monkeypatch.setattr(regularity, "dijkstra", spy)
     mask = _admit_pairs(g, si, ti)
     table = []
     rep = _ratio_stats(g, *_admitted(g, si, ti), table=table)
@@ -555,9 +571,12 @@ def _check_ratio_stats_match_rowwise(pair_case):
     assert (rep.n_pairs, rep.max_ratio, rep.p99_ratio, rep.min_ratio) == stats
     assert table == ref_table
     assert [type(v) for v in table[0]] == [int, int, float, float, float]
+    pids = calls.read_text().split()
+    assert len(pids) >= 3
+    return pids
 
 
-def test_ratio_stats_match_rowwise(pair_case, monkeypatch):
+def test_ratio_stats_match_rowwise(pair_case, monkeypatch, tmp_path):
     """The in-process sweep: with one usable CPU nothing is forked, even
     above the split threshold."""
     _split_sweeps(monkeypatch, 1)
@@ -566,14 +585,16 @@ def test_ratio_stats_match_rowwise(pair_case, monkeypatch):
         raise AssertionError("forked with one usable CPU")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    _check_ratio_stats_match_rowwise(pair_case)
+    pids = _check_ratio_stats_match_rowwise(pair_case, monkeypatch, tmp_path / "calls")
+    assert set(pids) == {str(os.getpid())}
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_ratio_stats_match_rowwise_split(pair_case, monkeypatch, cpus):
+def test_ratio_stats_match_rowwise_split(pair_case, monkeypatch, tmp_path, cpus):
     """Split over forked workers, the distances are bit-identical."""
     _split_sweeps(monkeypatch, cpus)
-    _check_ratio_stats_match_rowwise(pair_case)
+    pids = _check_ratio_stats_match_rowwise(pair_case, monkeypatch, tmp_path / "calls")
+    assert len(set(pids)) > 1   # the parent's share and at least one worker's
     _assert_no_child_left()
 
 
@@ -620,6 +641,27 @@ def test_failed_sweep_raises_and_reaps_every_child(pair_case, monkeypatch, faili
         _ratio_stats(g, *_admitted(g, si, ti))
     assert time.monotonic() - start < 10
     _assert_no_child_left()
+
+
+def test_sweep_memory(graph_cache):
+    """The whitney benchmark's B3 fine sweep: 221 snapped sources on the
+    7801-vertex graph trace ~4 MiB in blocks that fit CHUNK_VALUES, and
+    ~13 MiB in blocks of 128 sources (8 MiB of distances each)."""
+    import tracemalloc
+
+    g, g2 = graph_cache("B3", 0.05), graph_cache("B3", 0.025)
+    s, t = _draw_pairs(g, 5000, 7)
+    s, t = (g2.mesh.tree.query(g.mesh.vertices[v])[1] for v in (s, t))
+    sources, which = np.unique(s, return_inverse=True)
+    tracemalloc.start()
+    try:
+        geo = regularity._sweep(g2.graph, sources, which, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g2.size == 7801 and len(sources) == 221
+    assert np.isfinite(geo).all()
+    assert peak < 6 * 2**20
 
 
 @pytest.fixture(scope="module")
