@@ -34,9 +34,10 @@ from .field import ONE, Scalar, ZERO
 
 Exponent = tuple[int, ...]
 
-# float64 values in one temporary array of a batched kernel (2 MiB): the
-# monomials of a CompiledPoly chunk, a gathered level of the minor table, a
-# block of Dijkstra distances.  Chunking never changes a value.
+# float64 values held by one batched kernel's temporaries (2 MiB, one core's
+# L2): the monomials of a CompiledPoly chunk together with the gathered
+# factor multiplied into them, a gathered level of the minor table, a block
+# of Dijkstra distances.  Chunking never changes a value.
 CHUNK_VALUES = 1 << 18
 
 
@@ -395,12 +396,13 @@ class CompiledPoly:
     The union of the monomials is numbered in order of first appearance
     (each polynomial's terms in graded-lex order), so the first `count`
     polynomials use only a prefix of the table.  A batch is evaluated in
-    chunks of rows, so that the (M, rows) array of monomials holds at most
-    CHUNK_VALUES values (one row per chunk if M exceeds it): the monomials
-    are products of power-table entries in variable order, and one product
-    with the CSR coefficients (count, M) sums each value left to right over
-    its own terms.  So a row's bits depend on that row alone, not on its
-    batch, chunk or neighbours, nor on the BLAS thread count.
+    chunks of rows, so that the two (M, rows) arrays of a chunk, its
+    monomials and the factor being gathered into them, hold at most
+    CHUNK_VALUES values together (one row per chunk if 2M exceeds it): the
+    monomials are products of power-table entries in variable order, and
+    one product with the CSR coefficients (count, M) sums each value left
+    to right over its own terms.  So a row's bits depend on that row alone,
+    not on its batch, chunk or neighbours, nor on the BLAS thread count.
     """
 
     __slots__ = ("nvars", "expo", "ends", "degrees", "_csr", "_coef")
@@ -458,5 +460,6 @@ class CompiledPoly:
 
     def chunk_rows(self, count: int) -> int:
         """Rows per chunk when evaluating the first `count` polynomials: the
-        most whose monomial values fit CHUNK_VALUES, and at least one."""
-        return max(1, CHUNK_VALUES // max(self.ends[count], 1))
+        most whose monomials and gathered factor, two (M, rows) arrays, fit
+        CHUNK_VALUES together, and at least one."""
+        return max(1, CHUNK_VALUES // max(2 * self.ends[count], 1))

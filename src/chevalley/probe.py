@@ -77,13 +77,15 @@ def _gram_solve(J, rhs):
 def _newton(system, Z, tol, max_iter, cap, runaway):
     """Batched Newton in which each row stops on its own residual.
 
-    system(Za) gives the residuals R and Newton steps of the active rows Za,
+    system(Za) gives the residuals R of the active rows Za and a function
+    steps(rows) that gives the Newton steps of those rows of Za only,
     cap(Za) their largest step lengths and runaway(Za) the rows that ran
     away.  A row stops as converged once max|R| <= tol, and as failed when
-    R or its step length is not finite (a step too long to square counts as
-    infinite, silently) or it ran away; it is not moved again.  Every other
-    row takes its step, shortened to the cap.  Returns (Z, converged);
-    callers close with their own test on the other rows.
+    R is not finite or it ran away, both with no step asked for it, or
+    when its step length is not finite (a step too long to square counts
+    as infinite, silently); it is not moved again.  Every other row takes
+    its step, shortened to the cap.  Returns (Z, converged); callers close
+    with their own test on the other rows.
     """
     Z = np.array(Z, dtype=float)
     converged = np.zeros(len(Z), dtype=bool)
@@ -92,16 +94,21 @@ def _newton(system, Z, tol, max_iter, cap, runaway):
         if not len(idx):
             break
         Za = Z if len(idx) == len(Z) else Z[idx]
-        R, step = system(Za)
+        R, steps = system(Za)
         # the max is NaN when any entry is, so it alone tests finiteness
         r = np.max(np.abs(R), axis=1)
+        bad = ~np.isfinite(r) | runaway(Za)
+        done = r <= tol
+        converged[idx[done & ~bad]] = True
+        move = np.flatnonzero(~(done | bad))
+        if not len(move):
+            break
+        step = steps(move)
         with np.errstate(over="ignore"):
             norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
-        bad = ~(np.isfinite(r) & np.isfinite(norms[:, 0])) | runaway(Za)
-        done = r <= tol
-        move = ~(done | bad)
-        converged[idx[done & ~bad]] = True
-        step, norms, limit = step[move], norms[move], cap(Za[move])
+        finite = np.isfinite(norms[:, 0])
+        move, step, norms = move[finite], step[finite], norms[finite]
+        limit = cap(Za[move])
         Z[idx[move]] = Za[move] - np.where(
             norms > limit, step * limit / np.maximum(norms, 1e-300), step)
         idx = idx[move]
@@ -123,7 +130,8 @@ def _project_batch(evaluate, m, X, max_iter=60):
     def gauss_newton(Xa):
         P, J = evaluate(Xa)
         R = P - m
-        return R, np.squeeze(np.swapaxes(J, 1, 2) @ _gram_solve(J, R), axis=-1)
+        return R, lambda rows: np.squeeze(
+            np.swapaxes(J[rows], 1, 2) @ _gram_solve(J[rows], R[rows]), axis=-1)
 
     # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
     X, converged = _newton(
@@ -480,7 +488,7 @@ def critical_points(
 
     def lagrange(Z, with_step=True):
         """Residuals of the Lagrange system at the rows Z = (x, mu), and
-        their Newton steps on the square Jacobian."""
+        steps(rows), their Newton steps on the square Jacobian."""
         X, mu = Z[:, :n], Z[:, n:]
         P, G, *H = cb.evaluate(X, k + 1, hess=with_step)
         Jk = G[:, :k, :]
@@ -491,7 +499,7 @@ def critical_points(
         jac[:, :k, :n] = Jk
         jac[:, k:, :n] = H[0][:, k] - np.einsum("bj,bjpq->bpq", mu, H[0][:, :k])
         jac[:, k:, n:] = -np.swapaxes(Jk, 1, 2)
-        return R, _solve(jac, R[..., None])[..., 0]
+        return R, lambda rows: _solve(jac[rows], R[rows, :, None])[..., 0]
 
     scale = 1.0 + float(np.max(np.abs(m)))
     Z, good = _newton(

@@ -334,8 +334,9 @@ def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng)
 
 def test_compiled_j_memory(basis_cache, rng):
     """H4's J at 2180 rows, the batch of the certify benchmark's H4
-    calibration, traces ~6 MiB in chunks of CHUNK_VALUES = 2^18 monomial
-    values, and ~18 MiB in chunks of 2^20."""
+    calibration, traces ~3.9 MiB in chunks whose monomials and gathered
+    factor hold CHUNK_VALUES = 2^18 values together, ~5.9 MiB when the
+    monomials alone fill 2^18 and ~18 MiB when they fill 2^20."""
     import tracemalloc
 
     cb = basis_cache("H4").compiled
@@ -348,7 +349,19 @@ def test_compiled_j_memory(basis_cache, rng):
     finally:
         tracemalloc.stop()
     assert J.shape == (2180, 4, 4) and np.isfinite(J).all()
-    assert peak < 8 * 2**20
+    assert peak < 5 * 2**20
+
+
+def test_h4_face_batch_does_not_depend_on_its_chunks(basis_cache, rng, monkeypatch):
+    """H4's J on a face batch of 100 rows runs in three chunks and gives
+    the bits of one-row chunks and of a single chunk."""
+    cb = basis_cache("H4").compiled
+    X = rng.normal(size=(100, 4))
+    J = cb.J(X)
+    assert -(-100 // cb._g.chunk_rows(16)) == 3
+    for chunk_values in (1, 2 * 100 * cb._g.ends[16]):
+        monkeypatch.setattr(poly, "CHUNK_VALUES", chunk_values)
+        assert np.array_equal(cb.J(X), J)
 
 
 @pytest.mark.parametrize("name", ["H4", "D6", "A4"])
@@ -370,6 +383,19 @@ EVERY_TYPE = ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4",
 
 
 @pytest.mark.parametrize("name", EVERY_TYPE)
+def test_chunk_rows_fit_the_budget(name, basis_cache):
+    """A chunk's two (M, rows) arrays, its monomials and the factor being
+    gathered into them, hold at most CHUNK_VALUES values together, with as
+    many rows as fit, or the chunk is one row."""
+    cb = basis_cache(name).compiled
+    for table in (cb._p, cb._g, cb._hess):
+        for count, ends in enumerate(table.ends):
+            rows = table.chunk_rows(count)
+            assert rows == 1 or 2 * ends * rows <= poly.CHUNK_VALUES
+            assert ends == 0 or 2 * ends * (rows + 1) > poly.CHUNK_VALUES
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
 def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
     """One power table per batch reproduces P, J and the Hessians bit for
     bit, with each table cut into chunks at its own row boundaries."""
@@ -377,7 +403,7 @@ def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
     cb = b.compiled
     X = rng.normal(size=(200, b.nvars))
     # default chunks; one-row chunks for every table; 128-row chunks for P
-    for chunk_values in (poly.CHUNK_VALUES, 1, 128 * cb._p.ends[-1]):
+    for chunk_values in (poly.CHUNK_VALUES, 1, 2 * 128 * cb._p.ends[-1]):
         monkeypatch.setattr(poly, "CHUNK_VALUES", chunk_values)
         for size in (0, 1, 2, 65, 200):
             Xs = X[:size]

@@ -375,6 +375,61 @@ def test_critical_points_infinite_step_raises_no_warning(basis_cache, rs_cache, 
     assert cps
 
 
+def test_newton_steps_only_rows_that_move():
+    """Rows are z -> 0 with residual z: a row that passes stops converged
+    with no step asked, even where its step would be NaN; a row with a
+    non-finite residual, one that runs away and one whose step is NaN stop
+    as failed; the row at 1 takes one step and converges."""
+    import chevalley.probe as probe
+
+    asked = []
+
+    def system(Za):
+        def steps(rows):
+            asked.extend(Za[rows, 0].tolist())
+            return np.where((Za[rows] == 0) | (Za[rows] == 2), np.nan, Za[rows])
+        return Za.copy(), steps
+
+    Z, ok = probe._newton(system, [[0.0], [1.0], [np.inf], [1e3], [2.0]], 1e-12, 10,
+                          cap=lambda Za: 1e9, runaway=lambda Za: np.abs(Za[:, 0]) > 100)
+    assert ok.tolist() == [True, True, False, False, False]
+    assert Z[:, 0].tolist() == [0.0, 0.0, np.inf, 1e3, 2.0]
+    assert sorted(asked) == [1.0, 2.0]
+
+
+def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_cache,
+                                                  monkeypatch):
+    """A spy on every system of the fiber walk, the Lagrange solve and the
+    face envelopes: each row handed to the steps has a finite residual above
+    tol and has not run away, and rows that pass are never handed over."""
+    import chevalley.probe as probe
+    from chevalley.regularity import envelope_at
+
+    newton, handed, active = probe._newton, [0], [0]
+
+    def spy(system, Z, tol, max_iter, cap, runaway):
+        def spied(Za):
+            R, steps = system(Za)
+            active[0] += len(Za)
+
+            def spied_steps(rows):
+                r = np.max(np.abs(R[rows]), axis=1)
+                assert np.all(np.isfinite(r) & (r > tol)) and not np.any(runaway(Za[rows]))
+                handed[0] += len(rows)
+                return steps(rows)
+            return R, spied_steps
+        return newton(spied, Z, tol, max_iter, cap, runaway)
+
+    monkeypatch.setattr(probe, "_newton", spy)
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    for k in (1, 2):
+        m, _ = random_regular_target(b, rs, k, 11)
+        sample_fiber(b, rs, k, m, n_points=200, seed=2)
+        critical_points(b, rs, k, m, seed=2, strata=strata_cache("B3"))
+        envelope_at(b, rs, k, m)
+    assert 0 < handed[0] < active[0]
+
+
 # -- the solver loops against the per-call loops they replaced ----------------
 # Reference copies of the Newton projection, the tangent projection and the
 # extreme-point polish as they were when each of P, J and the Hessians was its
