@@ -318,16 +318,13 @@ def verify_invariance(basis: InvariantBasis, generators) -> bool:
     return True
 
 
-def numeric_jacobian_rank(basis: InvariantBasis, x=None, seed: int = 5) -> int:
+def numeric_jacobian_rank(basis: InvariantBasis, seed: int = 5) -> int:
     """Rank of the Jacobian at a generic unit-sphere point.
 
     The system is homogeneous, so the rank is scale-invariant; evaluating on
     the sphere keeps rows of very different degrees comparable."""
-    if x is None:
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=basis.nvars) + 0.1
-    x = np.asarray(x, dtype=float)
-    x = x / max(np.linalg.norm(x), 1e-300)
+    x = np.random.default_rng(seed).normal(size=basis.nvars) + 0.1
+    x = x / np.linalg.norm(x)
     return int(numeric_rank(basis.compiled.J(x[None, :]))[0])
 
 

@@ -18,7 +18,7 @@ seed, so every output is reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,6 +36,7 @@ CRITICAL_RESIDUAL_TOL = 1e-9
 HESSIAN_EIG_FLOOR = 1e-6
 FIBER_MULTISTARTS = 128      # Newton starts seeding each fiber sample
 TARGET_CANDIDATES = 500      # draws before random_regular_target gives up
+TARGET_MARGIN = 0.05         # random_regular_target's wall distance over |x*|
 _NEAREST = 8                 # neighbours per point in the connectivity subgraph
 
 
@@ -115,9 +116,9 @@ def _newton(system, Z, tol, max_iter, cap, runaway):
     return Z, converged
 
 
-def _project_batch(evaluate, m, X, max_iter=60):
-    """Least-squares Newton for P(x) = m on a batch of points, where
-    evaluate(X) gives (P, J) at X.  Returns (X, ok): updated points and a
+def _project_batch(cb, k, m, X, max_iter=60):
+    """Least-squares Newton for P_k(x) = m on a batch of points, on the
+    compiled basis cb.  Returns (X, ok): updated points and a
     convergence mask.  Rows beyond |x_i| > 1e8 are marked failed.
 
     A row that converged in the loop passed a test ten times tighter than
@@ -128,7 +129,7 @@ def _project_batch(evaluate, m, X, max_iter=60):
     scale = 1.0 + float(np.max(np.abs(m)))
 
     def gauss_newton(Xa):
-        P, J = evaluate(Xa)
+        P, J = cb.evaluate(Xa, k)
         R = P - m
         return R, lambda rows: np.squeeze(
             np.swapaxes(J[rows], 1, 2) @ _gram_solve(J[rows], R[rows]), axis=-1)
@@ -141,7 +142,7 @@ def _project_batch(evaluate, m, X, max_iter=60):
     )
     rest = np.flatnonzero(~converged)
     if len(rest):
-        R = evaluate(X[rest])[0] - m
+        R = cb.evaluate(X[rest], k)[0] - m
         converged[rest] = np.all(np.isfinite(R), axis=1) & (
             np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
         )
@@ -242,8 +243,7 @@ def sample_fiber(
     X0 = rng.normal(size=(FIBER_MULTISTARTS, n)) * s
     if x_hint is not None:
         X0[0] = np.asarray(x_hint, dtype=float)
-    fiber = partial(cb.evaluate, k=k)
-    X0, ok = _project_batch(fiber, m, X0)
+    X0, ok = _project_batch(cb, k, m, X0)
     seeds = X0[ok]
     if len(seeds) == 0:
         return FiberSample(basis.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
@@ -261,7 +261,7 @@ def sample_fiber(
     for _ in range(steps):
         T = _tangent_directions(cb.J(X, k), rng.normal(size=(walkers, n)))
         X = X + step_len * T
-        X, ok = _project_batch(fiber, m, X, max_iter=25)
+        X, ok = _project_batch(cb, k, m, X, max_iter=25)
         runaway = np.linalg.norm(X, axis=1) > cap
         bad = ~ok | runaway
         if np.any(bad):
@@ -318,8 +318,7 @@ def _extend_extremes(cb, k, m, pts, s, cap):
             T = _tangent_directions(np.ascontiguousarray(J[fresh, :k]),
                                     J[fresh, k, :] * signs[fresh, None])
             cand = chosen[fresh, None] + (step * halvings)[:, None] * T[:, None]
-            cand, ok = _project_batch(partial(cb.evaluate, k=k), m,
-                                      cand.reshape(-1, pts.shape[1]), max_iter=25)
+            cand, ok = _project_batch(cb, k, m, cand.reshape(-1, pts.shape[1]), max_iter=25)
             found = (cand, ok, *cb.evaluate(cand, k + 1))
             store = found if len(fresh) == 2 else store    # both, on the first pass
             for a, f in zip(store, found):
@@ -374,6 +373,8 @@ def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
 
 def fiber_value_interval(fs: FiberSample, basis: InvariantBasis, k: int):
     """(lo, hi, largest relative gap) of p_{k+1} over the sample."""
+    if not 1 <= k < len(basis.polys):
+        raise UsageError("the value interval of p_{k+1} needs 1 <= k < n")
     if fs.empty:
         raise UsageError("value interval of an empty sample is undefined")
     vals = np.sort(basis.compiled.P(fs.points, k + 1)[:, k])
@@ -384,25 +385,22 @@ def fiber_value_interval(fs: FiberSample, basis: InvariantBasis, k: int):
     return lo, hi, gap
 
 
-def random_regular_target(
-    basis: InvariantBasis, rs: RootSystem, k: int, seed: int,
-    radius: float = 1.0, margin: float = 0.05,
-):
-    """Target m = P_k(x*) for x* sampled in the chamber interior with a
-    uniform margin from every wall (generic regular values).
+def random_regular_target(basis: InvariantBasis, rs: RootSystem, k: int, seed: int):
+    """Target m = P_k(x*) for x* sampled in the chamber interior of the unit
+    ball with a uniform margin from every wall (generic regular values).
 
-    The margin is relative to |x*| and is clamped to half the chamber's
-    inradius on the unit sphere, 1/|sum_j |a_j| w_j| (coweights w_j), so
-    that narrow chambers (H4: 0.039) still admit targets.
+    The margin, TARGET_MARGIN, is relative to |x*| and is clamped to half the
+    chamber's inradius on the unit sphere, 1/|sum_j |a_j| w_j| (coweights
+    w_j), so that narrow chambers (H4: 0.039) still admit targets.
     """
     norms = np.linalg.norm(rs.simple_f, axis=1)
     inradius = 1.0 / np.linalg.norm(rs.coweights_f[:, :len(norms)] @ norms)
-    margin = min(margin, 0.5 * inradius)
+    margin = min(TARGET_MARGIN, 0.5 * inradius)
     mirrors = rs.positive_f / np.linalg.norm(rs.positive_f, axis=1, keepdims=True)
     rng = _rng(seed)
     for _ in range(TARGET_CANDIDATES):
         x = rng.normal(size=basis.nvars)
-        x = x / np.linalg.norm(x) * radius * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
+        x = x / np.linalg.norm(x) * rng.uniform(0.4, 1.0) ** (1.0 / basis.nvars)
         # reflections keep the distance to the nearest mirror, the least wall
         # distance in the chamber: reduce only what may pass, up to 1e-9 |x|
         if np.min(np.abs(mirrors @ x)) >= (margin - 1e-9) * np.linalg.norm(x):
@@ -477,7 +475,7 @@ def critical_points(
     s = _fiber_scale(basis, m, None)
 
     X0 = rng.normal(size=(multistarts, n)) * s
-    X0, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
+    X0, ok = _project_batch(cb, k, m, X0)
     X = X0[ok]
     if len(X) == 0:
         return []

@@ -14,8 +14,9 @@ ru_maxrss, and a trace of `dijkstra` here sees only the parent's share.
 
 The module also computes the lift derivatives d p_{k+1} / d p_j on strata
 (bounded, with continuous extension toward the origin) and the min/max
-envelope graphs over the base image, both as binned tables from mesh data
-and as solver-exact values at matched targets.
+envelope graphs over the base image as binned tables from mesh data; the
+exact envelope values at one target are the k-face critical values of
+`probe.critical_points`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from multiprocessing import get_context
 
 import numpy as np
@@ -35,7 +36,7 @@ from .coxeter import RootSystem, Stratum, enumerate_strata, sample_stratum
 from .errors import CapabilityError, ConvergenceError, UsageError
 from .invariants import InvariantBasis
 from .poly import CHUNK_VALUES
-from .probe import _fiber_scale, _project_batch, _rng
+from .probe import _first_rows, _rng
 
 MESH_POINT_BUDGET = 8_000_000   # points of the bounding cube
 _MESH_BLOCK = 1 << 16            # cube points enumerated at a time
@@ -110,8 +111,7 @@ def build_chamber_mesh(rs: RootSystem, a: float, h: float) -> ChamberMesh:
     keep &= np.linalg.norm(cand, axis=1) <= a + 1e-12
     cand = cand[keep]
     quant = np.round(cand / (1e-9 * max(a, 1.0))).astype(np.int64)
-    _, uniq = np.unique(quant, axis=0, return_index=True)
-    verts = cand[np.sort(uniq)]
+    verts = cand[_first_rows(quant)]
     order = np.lexsort(verts.T[::-1])
     verts = verts[order]
 
@@ -421,7 +421,6 @@ def lift_derivatives(
 
 
 ENVELOPE_STRATUM_SAMPLES = 4000
-ENVELOPE_SEED = 5        # Philox key of the Newton starts in `envelope_at`
 
 
 @dataclass
@@ -462,8 +461,8 @@ def envelope_functions(
     ENVELOPE_STRATUM_SAMPLES samples of each k-dim stratum (whose images
     carry the envelope graphs).
     """
-    if k >= len(basis.polys):
-        raise UsageError("envelopes need k < n")
+    if not 1 <= k < len(basis.polys):
+        raise UsageError("envelopes need 1 <= k < n")
     pts = [build_chamber_mesh(rs, a, h if h is not None else a / 24).vertices]
     for s in enumerate_strata(rs):
         if s.dim == k:
@@ -524,46 +523,3 @@ def _empty_interior_cells(counts: np.ndarray) -> int:
     below = np.cumsum(pop, axis=0) > 0            # a populated cell at or before
     above = np.cumsum(pop[::-1], axis=0)[::-1] > 0   # ... and one at or after
     return int(np.sum(~pop & below & above))
-
-
-def _face_evaluate(cb, k, omega, T):
-    """(P, J) of the first k invariants in the face coordinates T of
-    x = Omega t: P(T Omega^T) and J(T Omega^T) Omega."""
-    P, J = cb.evaluate(T @ omega.T, k)
-    return P, np.einsum("bkn,nj->bkj", J, omega)
-
-
-def envelope_at(basis: InvariantBasis, rs: RootSystem, k: int, m):
-    """Solver-exact envelope values at one target: p_{k+1} on each
-    dimension-k stratum, at the solutions of P_k = m on its face.
-
-    The fiber projection runs in the face coordinates t of x = Omega_F t,
-    from 16 starts t = c (1 + 0.3 z), z standard normal, with |Omega_F c 1|
-    the fiber scale; it keeps the solutions whose simple coordinates are
-    >= -1e-9 max(scale, 1).
-    The boundary of the image over the base is carried by these stratum
-    graphs, so their min/max are the envelope values at m.  Strata whose
-    graph does not reach m are skipped.  Returns (lo, hi, per-stratum dict).
-    """
-    m = np.asarray(m, dtype=float)
-    cb = basis.compiled
-    rng = _rng(ENVELOPE_SEED)
-    scale = _fiber_scale(basis, m, None)
-    per = {}
-    for s in enumerate_strata(rs):
-        if s.dim != k:
-            continue
-        omega = s.coweights
-        c = scale / np.linalg.norm(omega.sum(axis=1))
-        T0 = c * (1.0 + 0.3 * rng.normal(size=(16, k)))
-        T, ok = _project_batch(partial(_face_evaluate, cb, k, omega), m, T0, max_iter=80)
-        n_simple = len(rs.simple_f) - len(s.walls)  # the A family's pad coordinate is free
-        T = T[ok & np.all(T[:, :n_simple] >= -1e-9 * max(scale, 1.0), axis=1)]
-        if len(T):
-            vals = cb.P(T @ omega.T, k + 1)[:, k]
-            per[s.stratum_id] = [float(np.min(vals)), float(np.max(vals))]
-    if not per:
-        raise ConvergenceError("no stratum graph reaches this target")
-    lo = min(v[0] for v in per.values())
-    hi = max(v[1] for v in per.values())
-    return lo, hi, per

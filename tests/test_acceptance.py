@@ -24,7 +24,6 @@ from chevalley.probe import (
 from chevalley.regularity import (
     build_chamber_mesh,
     build_image_graph,
-    envelope_at,
     envelope_functions,
     image_pair_ratio,
     lift_derivatives,
@@ -246,7 +245,7 @@ def test_criterion_7_lift_derivatives(basis_cache, rs_cache, strata_cache):
 # -- 8: envelopes and prism containment --------------------------------------------
 
 
-def test_criterion_8_envelopes(basis_cache, rs_cache):
+def test_criterion_8_envelopes(basis_cache, rs_cache, strata_cache):
     violations = 0
     matches = []
     for name, ks in (("B2", (1,)), ("B3", (1, 2))):
@@ -255,7 +254,10 @@ def test_criterion_8_envelopes(basis_cache, rs_cache):
             env = envelope_functions(b, rs, k, a=1.2, h=0.06, cells=24)
             violations += env.containment_violations
             m, hint = random_regular_target(b, rs, k, seed=4242 + k)
-            lo_e, hi_e, _ = envelope_at(b, rs, k, m)
+            # the envelope values at m: critical values of p_{k+1} on k-faces
+            vals = [cp.value for cp in critical_points(b, rs, k, m, strata=strata_cache(name))
+                    if not cp.anomaly and cp.stratum_dim == k]
+            lo_e, hi_e = min(vals), max(vals)
             fs = sample_fiber(b, rs, k, m, n_points=2000, seed=5, x_hint=hint)
             lo_f, hi_f, _ = fiber_value_interval(fs, b, k)
             rng_v = max(hi_f - lo_f, 1e-30)

@@ -1,7 +1,6 @@
 """Fiber sampling, connectivity, value intervals, Lagrange critical points."""
 
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,8 +23,7 @@ from chevalley.probe import (
 
 def _fiber_point(b, rs, k, m, x0):
     """One Newton projection onto P_k = m from x0, reflected into the chamber."""
-    X, ok = _project_batch(partial(b.compiled.evaluate, k=k), m,
-                           np.asarray(x0, dtype=float)[None, :])
+    X, ok = _project_batch(b.compiled, k, m, np.asarray(x0, dtype=float)[None, :])
     assert ok[0]
     return rs.to_chamber(X[0])
 
@@ -52,7 +50,7 @@ def test_project_batch_norm_constraint(basis_cache, rs_cache, rng):
 def test_project_batch_unreachable_target_not_ok(basis_cache):
     """|x|^2 = -1 has no real solution: the convergence mask is False."""
     cb = basis_cache("B2").compiled
-    _, ok = _project_batch(partial(cb.evaluate, k=1), [-1.0], np.array([[0.5, 0.1]]))
+    _, ok = _project_batch(cb, 1, [-1.0], np.array([[0.5, 0.1]]))
     assert ok.tolist() == [False]
 
 
@@ -283,11 +281,14 @@ def test_critical_values_bracket_fiber_interval(name, k, m, basis_cache, rs_cach
     assert abs(hi - max(values)) < 1e-6
 
 
-def test_regular_target_is_first_passing_draw(basis_cache, rs_cache):
+def test_regular_target_is_first_passing_draw(basis_cache, rs_cache, monkeypatch):
     """Drawing in blocks gives the target of drawing all 500 candidates up
-    front (the interleaved normal/uniform order), bit for bit.  Margin 1.0
-    is clamped to half the inradius; at these seeds the first block of 16
-    has no passing candidate (D6 seed 0: the first two blocks)."""
+    front (the interleaved normal/uniform order), bit for bit.  A margin of
+    1.0, set on the module, is clamped to half the inradius; at these seeds
+    the first block of 16 has no passing candidate (D6 seed 0: the first
+    two blocks)."""
+    import chevalley.probe as probe
+
     cases = [("B3", 2, 0, 0.05), ("B3", 2, 19, 1.0), ("A4", 3, 3, 1.0),
              ("H3", 1, 4, 0.05), ("F4", 2, 3, 1.0), ("H4", 3, 14, 1.0),
              ("D6", 2, 0, 1.0)]
@@ -306,7 +307,8 @@ def test_regular_target_is_first_passing_draw(basis_cache, rs_cache):
                    if np.min(rs.wall_distances(x)) >= margin_eff * np.linalg.norm(x)]
         assert margin == 0.05 or passing[0] >= 16
         want = rs.to_chamber(X)[passing[0]]
-        m, x = random_regular_target(b, rs, k, seed, margin=margin)
+        monkeypatch.setattr(probe, "TARGET_MARGIN", margin)
+        m, x = random_regular_target(b, rs, k, seed)
         assert np.array_equal(x, want)
         assert np.array_equal(m, b.compiled.P(want[None, :], k)[0])
 
@@ -399,11 +401,10 @@ def test_newton_steps_only_rows_that_move():
 
 def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_cache,
                                                   monkeypatch):
-    """A spy on every system of the fiber walk, the Lagrange solve and the
-    face envelopes: each row handed to the steps has a finite residual above
-    tol and has not run away, and rows that pass are never handed over."""
+    """A spy on every system of the fiber walk and the Lagrange solve: each
+    row handed to the steps has a finite residual above tol and has not run
+    away, and rows that pass are never handed over."""
     import chevalley.probe as probe
-    from chevalley.regularity import envelope_at
 
     newton, handed, active = probe._newton, [0], [0]
 
@@ -426,7 +427,6 @@ def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_
         m, _ = random_regular_target(b, rs, k, 11)
         sample_fiber(b, rs, k, m, n_points=200, seed=2)
         critical_points(b, rs, k, m, seed=2, strata=strata_cache("B3"))
-        envelope_at(b, rs, k, m)
     assert 0 < handed[0] < active[0]
 
 
@@ -578,15 +578,15 @@ def test_project_batch_matches_reference_loop(name, basis_cache, rs_cache):
             X0 = _starts(b, m, 48, rng)
             # 3 iterations leave rows active; 60 converge almost all of them
             for max_iter in (3, 25, 60):
-                got = _project_batch(partial(cb.evaluate, k=k), m, X0, max_iter=max_iter)
+                got = _project_batch(cb, k, m, X0, max_iter=max_iter)
                 want = _project_batch_reference(cb, k, m, X0, max_iter=max_iter)
                 assert np.array_equal(got[0], want[0], equal_nan=True)
                 assert np.array_equal(got[1], want[1])
                 paths.add((max_iter, bool(np.all(got[1]))))
             # a batch that converges on every row skips the closing check
-            X1, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
+            X1, ok = _project_batch(cb, k, m, X0)
             X1 = X1[ok] + 1e-3 * rng.normal(size=X1[ok].shape)
-            got = _project_batch(partial(cb.evaluate, k=k), m, X1)
+            got = _project_batch(cb, k, m, X1)
             want = _project_batch_reference(cb, k, m, X1)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             paths.add(("converged", bool(np.all(got[1]))))
@@ -614,11 +614,11 @@ def test_project_batch_far_starts_match_reference(basis_cache, rs_cache):
     ]
     for X0 in batches:
         for max_iter in (1, 60):
-            got = _project_batch(partial(cb.evaluate, k=1), m, X0, max_iter=max_iter)
+            got = _project_batch(cb, 1, m, X0, max_iter=max_iter)
             want = _project_batch_reference(cb, 1, m, X0, max_iter=max_iter)
             assert np.array_equal(got[0], want[0], equal_nan=True)
             assert np.array_equal(got[1], want[1])
-    X, ok = _project_batch(partial(cb.evaluate, k=1), m, np.stack([far, x0]))
+    X, ok = _project_batch(cb, 1, m, np.stack([far, x0]))
     assert ok.tolist() == [True, True] and np.array_equal(X[0], far)
 
 
@@ -648,7 +648,7 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache, mon
             s = _fiber_scale(b, m, hint)
             rng = np.random.default_rng(seed)
             X0 = hint + 0.1 * s * rng.normal(size=(40, b.nvars))
-            pts, ok = _project_batch(partial(cb.evaluate, k=k), m, X0)
+            pts, ok = _project_batch(cb, k, m, X0)
             pts = pts[ok]
             for cap, scale in ((2.5, s), (1e-3, s), (2.5, 300 * s)):
                 cap *= float(np.linalg.norm(hint))
@@ -675,55 +675,6 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache, mon
     if name not in ("B2", "A4", "H3"):
         wanted.add("failed projection")
     assert {(path, True) for path in wanted} <= paths
-
-
-class _FaceBasisReference:
-    """The per-call evaluators pulled back to face coordinates t, x = B t:
-    P(t) = P(t B^T) and J(t) = J(t B^T) B."""
-
-    def __init__(self, cb, B):
-        self.cb, self.B = cb, B
-
-    def P(self, T, k):
-        return self.cb.P(T @ self.B.T, k)
-
-    def J(self, T, k):
-        return np.einsum("bkn,nj->bkj", self.cb.J(T @ self.B.T, k), self.B)
-
-
-def _envelope_at_reference(b, rs, k, m):
-    from chevalley.coxeter import enumerate_strata
-    from chevalley.probe import _fiber_scale
-    from chevalley.regularity import ENVELOPE_SEED
-
-    rng = np.random.Generator(np.random.Philox(key=ENVELOPE_SEED))
-    scale = _fiber_scale(b, m, None)
-    per = {}
-    for s in enumerate_strata(rs):
-        if s.dim != k:
-            continue
-        omega = s.coweights
-        c = scale / np.linalg.norm(omega.sum(axis=1))
-        T0 = c * (1.0 + 0.3 * rng.normal(size=(16, k)))
-        face = _FaceBasisReference(b.compiled, omega)
-        T, ok = _project_batch_reference(face, k, m, T0, max_iter=80)
-        n_simple = len(rs.simple_f) - len(s.walls)
-        T = T[ok & np.all(T[:, :n_simple] >= -1e-9 * max(scale, 1.0), axis=1)]
-        if len(T):
-            vals = b.compiled.P(T @ omega.T, k + 1)[:, k]
-            per[s.stratum_id] = [float(np.min(vals)), float(np.max(vals))]
-    return min(v[0] for v in per.values()), max(v[1] for v in per.values()), per
-
-
-@pytest.mark.parametrize("name,k", [("B3", 1), ("B3", 2), ("H3", 1), ("H3", 2)])
-def test_envelope_at_matches_reference_loop(name, k, basis_cache, rs_cache):
-    """`envelope_at`'s Newton on face coordinates gives the floats of the
-    per-call projection on the pulled-back evaluators."""
-    from chevalley.regularity import envelope_at
-
-    b, rs = basis_cache(name), rs_cache(name)
-    m = random_regular_target(b, rs, k, 17)[0]
-    assert envelope_at(b, rs, k, m) == _envelope_at_reference(b, rs, k, m)
 
 
 # -- connectivity against the full r-graph --------------------------------------

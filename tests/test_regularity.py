@@ -14,7 +14,13 @@ from scipy.spatial import cKDTree
 
 from chevalley import regularity
 from chevalley.errors import ConvergenceError, UsageError
-from chevalley.probe import _rng, fiber_value_interval, random_regular_target, sample_fiber
+from chevalley.probe import (
+    _rng,
+    critical_points,
+    fiber_value_interval,
+    random_regular_target,
+    sample_fiber,
+)
 from chevalley.coxeter import enumerate_strata, sample_stratum
 from chevalley.regularity import (
     ENVELOPE_STRATUM_SAMPLES,
@@ -30,7 +36,6 @@ from chevalley.regularity import (
     _ratio_stats,
     build_chamber_mesh,
     build_image_graph,
-    envelope_at,
     envelope_functions,
     image_pair_ratio,
     lift_derivatives,
@@ -141,8 +146,9 @@ def _mesh_reference(rs, a, h):
     ("A4", 1.0, 0.1), ("F4", 1.0, 0.1),
 ])
 def test_chamber_mesh_matches_full_cube(name, a, h, rs_cache):
-    """Enumerating the cube in blocks of slabs gives the vertices and edges
-    of the whole-cube construction byte for byte."""
+    """Enumerating the cube in blocks of slabs and deduplicating with
+    `_first_rows` gives the vertices and edges of the whole-cube
+    construction, deduplicated by np.unique, byte for byte."""
     rs = rs_cache(name)
     mesh = build_chamber_mesh(rs, a, h)
     verts, edges = _mesh_reference(rs, a, h)
@@ -341,10 +347,20 @@ def test_envelopes_b2_closed_form(basis_cache, rs_cache):
     assert env.lipschitz_min < 0.01
 
 
-def test_envelope_at_matches_fiber_interval(basis_cache, rs_cache):
+def _face_extremes(b, rs, k, m, strata, seed=0):
+    """The envelope values at m from the Lagrange solve: the min and max of
+    p_{k+1} over the critical points on k-faces that are not anomalies, and
+    the face of each end."""
+    cps = [cp for cp in critical_points(b, rs, k, m, seed=seed, strata=strata)
+           if not cp.anomaly and cp.stratum_dim == k]
+    lo, hi = min(cps, key=lambda cp: cp.value), max(cps, key=lambda cp: cp.value)
+    return lo.value, hi.value, {lo.stratum_id, hi.stratum_id}
+
+
+def test_critical_face_values_match_fiber_interval(basis_cache, rs_cache, strata_cache):
     for name, k, m in (("B2", 1, [1.0]), ("B3", 1, [1.0]), ("B3", 2, [1.0, 0.25])):
         b, rs = basis_cache(name), rs_cache(name)
-        lo_e, hi_e, per = envelope_at(b, rs, k, m)
+        lo_e, hi_e, _ = _face_extremes(b, rs, k, m, strata_cache(name))
         fs = sample_fiber(b, rs, k, m, n_points=1500, seed=6)
         lo_f, hi_f, _ = fiber_value_interval(fs, b, k)
         rng_v = hi_f - lo_f
@@ -352,19 +368,47 @@ def test_envelope_at_matches_fiber_interval(basis_cache, rs_cache):
         assert abs(hi_e - hi_f) <= 1e-3 * rng_v
 
 
-@pytest.mark.parametrize("seed", [17, 4246])
-def test_envelope_at_reaches_both_ends_on_d5(seed, basis_cache, rs_cache):
-    """D5, k = 4: the fiber is a curve, and the range of p_5 over it has one
-    end on the face d4:w2 and the other on d4:w3; `envelope_at` must find
-    both, so that its (lo, hi) is the fiber's value interval."""
-    b, rs = basis_cache("D5"), rs_cache("D5")
-    m, hint = random_regular_target(b, rs, 4, seed)
-    lo_e, hi_e, per = envelope_at(b, rs, 4, m)
-    assert set(per) == {"d4:w2", "d4:w3"}
+@pytest.mark.parametrize("name,k", [("H3", 1), ("H3", 2), ("F4", 2), ("F4", 3), ("D4", 3)])
+def test_critical_face_extremes_match_fiber_interval(name, k, basis_cache, rs_cache,
+                                                     strata_cache):
+    """At the criterion-8 targets of the rank-3 and rank-4 types, the k-face
+    extremes of `critical_points` are the ends of the sampled fiber interval."""
+    b, rs = basis_cache(name), rs_cache(name)
+    m, hint = random_regular_target(b, rs, k, 4242 + k)
+    lo_e, hi_e, _ = _face_extremes(b, rs, k, m, strata_cache(name))
     lo_f, hi_f, _ = fiber_value_interval(
-        sample_fiber(b, rs, 4, m, n_points=1500, seed=6, x_hint=hint), b, 4)
+        sample_fiber(b, rs, k, m, n_points=1500, seed=6, x_hint=hint), b, k)
     assert abs(lo_e - lo_f) <= 1e-3 * (hi_f - lo_f)
     assert abs(hi_e - hi_f) <= 1e-3 * (hi_f - lo_f)
+
+
+@pytest.mark.parametrize("seed", [17, 4246])
+def test_critical_points_reach_both_ends_on_d5(seed, basis_cache, rs_cache, strata_cache):
+    """D5, k = 4: the fiber is a curve, and the range of p_5 over it has one
+    end on the face d4:w2 and the other on d4:w3; `critical_points` must
+    find both from each of its seeds 0, 1 and 2, so that its k-face
+    extremes are the fiber's value interval."""
+    b, rs = basis_cache("D5"), rs_cache("D5")
+    m, hint = random_regular_target(b, rs, 4, seed)
+    lo_f, hi_f, _ = fiber_value_interval(
+        sample_fiber(b, rs, 4, m, n_points=1500, seed=6, x_hint=hint), b, 4)
+    for cp_seed in (0, 1, 2):
+        lo_e, hi_e, ends = _face_extremes(b, rs, 4, m, strata_cache("D5"), seed=cp_seed)
+        assert ends == {"d4:w2", "d4:w3"}
+        assert abs(lo_e - lo_f) <= 1e-3 * (hi_f - lo_f)
+        assert abs(hi_e - hi_f) <= 1e-3 * (hi_f - lo_f)
+
+
+@pytest.mark.parametrize("call,k", [("envelope", 0), ("envelope", -1), ("envelope", 2),
+                                    ("interval", 0), ("interval", 2)])
+def test_bad_k_is_a_usage_error(call, k, basis_cache, rs_cache):
+    """On B2 (n = 2) the envelopes and the value interval need 1 <= k < n."""
+    b, rs = basis_cache("B2"), rs_cache("B2")
+    with pytest.raises(UsageError, match="needs? 1 <= k < n"):
+        if call == "envelope":
+            envelope_functions(b, rs, k, a=1.0, h=0.25)
+        else:
+            fiber_value_interval(sample_fiber(b, rs, 1, [1.0], n_points=50), b, k)
 
 
 def test_envelope_prism_containment(basis_cache, rs_cache):
