@@ -31,11 +31,6 @@ from .invariants import EXACT_COXETER_LIMIT, InvariantBasis, numeric_rank
 from .poly import CHUNK_VALUES, CompiledPoly, PolyMatrix, SparsePoly, product
 
 
-def jacobian_matrix(basis: InvariantBasis) -> PolyMatrix:
-    """Entry (i, j) = d p_i / d x_j, exact."""
-    return PolyMatrix(basis.gradients)
-
-
 def wall_form_product(rs: RootSystem) -> SparsePoly:
     """Exact product of the positive-root linear forms.
 
@@ -110,7 +105,7 @@ def verify_det_factorization(
             "exact interpolation at rational points, which is not implemented"
         )
     d_expected = ct.n_positive_roots
-    det = jacobian_matrix(basis).det()
+    det = PolyMatrix(basis.gradients).det()
     if det.is_zero():
         raise CheckFailure(f"{ct.name}: Jacobian determinant is zero")
     if det.degree() != d_expected:

@@ -298,17 +298,6 @@ def _ratio_stats(g: ImageGraph, s: np.ndarray, t: np.ndarray,
     )
 
 
-def whitney_ratio(g: ImageGraph, pairs: int = 5000, seed: int = 0) -> RatioReport:
-    """Geodesic-to-Euclidean ratio statistics over random vertex pairs.
-
-    Half of the pairs have both endpoints within two pitches of a chamber
-    wall, where 1-regularity is actually at stake.  Pairs are grouped by source so one
-    Dijkstra sweep serves many targets; pairs below the graph's image
-    resolution are excluded (see _admit_pairs).
-    """
-    return _ratio_stats(g, *_draw_pairs(g, pairs, seed))
-
-
 def whitney_study(
     basis: InvariantBasis,
     rs: RootSystem,
@@ -320,13 +309,15 @@ def whitney_study(
 ) -> RatioReport:
     """Ratio statistics at pitch h and h/2 on one fixed pair set.
 
-    The coarse stage is `whitney_ratio` on the pitch-h image graph.  Its
-    vertex pairs are drawn and admitted once; the refinement stage snaps
-    their endpoints to the nearest vertices of the pitch-h/2 graph (grid
-    points of the coarse lattice are grid points of the fine one), so the
-    stability delta compares like with like rather than chasing newly
-    resolvable pairs.  When `pair_table` is given, the coarse stage appends
-    one (source, target, euclid, geodesic, ratio) row per pair to it.
+    The coarse stage takes the ratios on the pitch-h image graph over the
+    pairs `_draw_pairs` draws, half of them near a chamber wall, where
+    1-regularity is at stake.  They are drawn and admitted once; the
+    refinement stage snaps their endpoints to the nearest vertices of the
+    pitch-h/2 graph (grid points of the coarse lattice are grid points of
+    the fine one), so the stability delta compares like with like rather
+    than chasing newly resolvable pairs.  When `pair_table` is given, the
+    coarse stage appends one (source, target, euclid, geodesic, ratio) row
+    per pair to it.
     """
     # the fine mesh first: it is the one that can exceed the point budget
     g2 = build_image_graph(basis, rs, build_chamber_mesh(rs, a, h / 2))

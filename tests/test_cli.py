@@ -656,12 +656,16 @@ def test_all_report_property(spec, seed):
 @pytest.mark.parametrize("spec", ["A1", "B1"])
 def test_rank_one_morse_is_unsupported(spec, capsys):
     """morse needs 1 <= k < n, so on rank 1 it is a capability error; under
-    `all` it is recorded as unsupported while fiber checks its one fiber."""
+    `all` it is recorded as unsupported while fiber checks its one fiber, as
+    fiber does on its own."""
     assert main(["morse", "--type", spec]) == 2
     assert "rank 1" in capsys.readouterr().err
     assert main(["all", "--type", spec]) == 2
     statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert statuses["morse"] == "unsupported" and statuses["fiber:k=1"] == "pass"
+    assert main(["fiber", "--type", spec]) == 0
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert statuses["fiber:k=1"] == "pass"
 
 
 def test_console_script_resolves_to_cli_main():

@@ -14,7 +14,6 @@ from chevalley.jacobian import (
     _minor_table,
     calibration_passed,
     det_vanishing_calibration,
-    jacobian_matrix,
     numeric_rank,
     verify_det_factorization,
     verify_stratum_rank,
@@ -24,7 +23,7 @@ from chevalley.poly import PolyMatrix, SparsePoly
 
 
 def test_b2_jacobian_closed_form(basis_cache):
-    jm = jacobian_matrix(basis_cache("B2"))
+    jm = PolyMatrix(basis_cache("B2").gradients)
     assert jm[0, 0] == SparsePoly(2, {(1, 0): Scalar(2)})
     assert jm[0, 1] == SparsePoly(2, {(0, 1): Scalar(2)})
     assert jm[1, 0] == SparsePoly(2, {(1, 2): Scalar(2)})
@@ -32,7 +31,7 @@ def test_b2_jacobian_closed_form(basis_cache):
 
 
 def test_newton_jacobian_rows(basis_cache):
-    jm = jacobian_matrix(basis_cache("A3"))
+    jm = PolyMatrix(basis_cache("A3").gradients)
     assert jm[0, 0] == SparsePoly.const(3, 1)
     assert jm[1, 1] == SparsePoly(3, {(0, 1, 0): Scalar(2)})
     assert jm[2, 2] == SparsePoly(3, {(0, 0, 2): Scalar(3)})
@@ -40,7 +39,7 @@ def test_newton_jacobian_rows(basis_cache):
 
 def test_row_degrees_follow_homogeneity(basis_cache):
     b = basis_cache("F4")
-    jm = jacobian_matrix(b)
+    jm = PolyMatrix(b.gradients)
     for i, k in enumerate(b.degrees):
         for j in range(b.nvars):
             e = jm[i, j]
@@ -72,7 +71,7 @@ def test_gradients_are_differentiated_once(rs_cache, monkeypatch):
     b, rs = basic_invariants("B3"), rs_cache("B3")
     for _ in range(2):
         b.compiled.hessians(np.ones((2, 3)))
-        jacobian_matrix(b)
+        PolyMatrix(b.gradients)
         verify_det_factorization(b, rs)
         verify_det_factorization(b, rs)
         assert len(calls) == 3 + 3 * 3  # the invariants, then their gradient rows
@@ -111,7 +110,7 @@ def test_dihedral_wall_product_matches_float_roots(rs_cache, rng):
 
 def test_jacobian_minor_examples(basis_cache):
     b = basis_cache("B2")
-    jm = jacobian_matrix(b)
+    jm = PolyMatrix(b.gradients)
     one, zero = Scalar(1), Scalar(0)
     assert jm[0, 0].eval_exact([one, zero]) == Scalar(2)
     # the full minor vanishes on the diagonal wall, exactly and in floats
@@ -344,7 +343,7 @@ def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strat
     from chevalley.coxeter import sample_stratum
 
     b, rs = basis_cache("B3"), rs_cache("B3")
-    jm = jacobian_matrix(b)
+    jm = PolyMatrix(b.gradients)
     s = next(t for t in strata_cache("B3") if t.dim == 1)
     x = sample_stratum(s, 1, 1.0, 5, rs)[0]
     assert _minor_table(b.compiled.J(x[None, :]), [[0, 1]])[0, 0] <= 1e-10

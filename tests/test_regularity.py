@@ -39,7 +39,6 @@ from chevalley.regularity import (
     envelope_functions,
     image_pair_ratio,
     lift_derivatives,
-    whitney_ratio,
     whitney_study,
 )
 
@@ -187,7 +186,7 @@ def test_a1_ratio_is_one(basis_cache, rs_cache):
     b, rs = basis_cache("A1"), rs_cache("A1")
     mesh = build_chamber_mesh(rs, 1.0, 0.02)
     g = build_image_graph(b, rs, mesh)
-    rep = whitney_ratio(g, pairs=500, seed=2)
+    rep = _ratio_stats(g, *_draw_pairs(g, 500, 2))
     assert abs(rep.max_ratio - 1.0) <= 1e-3
     assert rep.min_ratio >= 1.0 - 1e-6
 
@@ -224,7 +223,7 @@ def test_ratios_at_least_one(basis_cache, rs_cache):
         b, rs = basis_cache(name), rs_cache(name)
         mesh = build_chamber_mesh(rs, 1.0, 0.04)
         g = build_image_graph(b, rs, mesh)
-        rep = whitney_ratio(g, pairs=1500, seed=8)
+        rep = _ratio_stats(g, *_draw_pairs(g, 1500, 8))
         assert rep.min_ratio >= 1.0 - 1e-6
 
 

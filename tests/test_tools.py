@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from chevalley.cli import _build_parser
+from chevalley.coxeter import coxeter_type
+
 TOOLS = Path(__file__).parent.parent / "tools"
 DATA_DIR = Path(__file__).parent.parent / "src" / "chevalley" / "data"
 
@@ -48,3 +51,28 @@ def test_averaged_data_files_rebuild_byte_identical(tmp_path):
         )
         for name in ("H3", "F4"):
             assert (out / f"{name}.json").read_bytes() == (DATA_DIR / f"{name}.json").read_bytes()
+
+
+def test_report_table_parses():
+    """Every row of the report table is a command line the CLI accepts, on a
+    type it supports, with no run."""
+    reports = _load(TOOLS / "reports.py")
+    assert len({name for name, _, _ in reports.REPORTS}) == len(reports.REPORTS)
+    for name, argv, expect in reports.REPORTS:
+        args = _build_parser().parse_args([*argv, "--format", "csv"])
+        coxeter_type(args.type_spec)
+        assert expect in range(5), name
+
+
+@pytest.mark.parametrize("expect", [0, 1])
+def test_report_table_run(expect, monkeypatch, capsys):
+    """One row runs under both thread counts: a listing line on stdout, and
+    exit 1 naming the row when its exit code is not the table's."""
+    reports = _load(TOOLS / "reports.py")
+    monkeypatch.setattr(reports, "REPORTS", [("inv", ["invariants", "--type", "B2"], expect)])
+    assert reports.main() == expect
+    out, err = capsys.readouterr()
+    name, code, digest = out.split()
+    assert (name, code, len(digest)) == ("inv", "0", 64)
+    assert err.count("threads=") == 2
+    assert ("MISMATCH inv:" in err) == (expect == 1)
