@@ -66,9 +66,10 @@ EXPLAIN = {
                        "of all reflection hyperplanes, and vanishes exactly on "
                        "their union.",
     "verify-statement": "On every dimension-k face of the fundamental chamber "
-                        "the invariant map has rank exactly k: some k x k minor "
-                        "of the first k rows survives while every (k+1) x (k+1) "
-                        "minor vanishes.",
+                        "the invariant map has rank exactly k. At sampled points "
+                        "some k x k minor of the first k rows survives and every "
+                        "bordering (k+1) x (k+1) minor vanishes; rank <= k on "
+                        "the whole face follows from invariance.",
     "morse": "On a generic fiber of the first k invariants, the next invariant "
              "is a Morse function: its constrained critical points lie on "
              "dimension-k faces, satisfy the multiplier equations, and have a "

@@ -18,7 +18,7 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -27,7 +27,7 @@ import numpy as np
 from .coxeter import RootSystem, Stratum, sample_stratum
 from .errors import CapabilityError, CheckFailure, UsageError
 from .field import Scalar
-from .invariants import EXACT_COXETER_LIMIT, InvariantBasis, numeric_rank
+from .invariants import EXACT_COXETER_LIMIT, InvariantBasis
 from .poly import CHUNK_VALUES, CompiledPoly, PolyMatrix, SparsePoly, product
 
 
@@ -232,11 +232,9 @@ class StratumRankReport:
     k: int
     min_leading_minor: float      # min over samples of max normalized k-minor
     max_bordering_minor: float    # max normalized (k+1)-minor, first k+1 degrees
-    max_any_minor: float          # same but over every row subset of size k+1
     leading_degenerate: bool      # every admissible leading block has an
                                   # identically-zero row on this stratum
     degenerate_rows: list[int]
-    ranks: list[int] = field(default_factory=list)
     passed: bool = False
     witness: list[float] | None = None
 
@@ -247,10 +245,8 @@ class StratumRankReport:
             "k": self.k,
             "min_leading_minor": self.min_leading_minor,
             "max_bordering_minor": self.max_bordering_minor,
-            "max_any_minor": self.max_any_minor,
             "leading_degenerate": self.leading_degenerate,
             "degenerate_rows": self.degenerate_rows,
-            "rank_counts": {str(r): self.ranks.count(r) for r in sorted(set(self.ranks))},
             "pass": self.passed,
             **({"witness": self.witness} if self.witness else {}),
         }
@@ -284,14 +280,16 @@ def verify_stratum_rank(
 
       (a) some k x k minor of a leading block (first k degrees, tied rows
           interchangeable) exceeds tol;
-      (b) every (k+1) x (k+1) minor over the first k+1 degrees is below tol;
-      (c) the singular-value rank of the full Jacobian is exactly k;
-      (d) in fact every (k+1)-row minor, any rows and columns, is below tol.
+      (b) every (k+1) x (k+1) minor over the first k+1 degrees is below tol.
+
+    Rank <= k needs no further samples: a point x of the open face is fixed
+    by the face's isotropy group, every p_i is W-invariant, so each gradient
+    is fixed by that group and lies in span F, of dimension k (Steinberg,
+    Trans. AMS 1964; Humphreys, Reflection Groups and Coxeter Groups, 1.12).
 
     The minors come from one Laplace-expansion table (`_minor_table`) on
-    the live leading row sets and every (k+1)-row set: the k-minors are read
-    off level k of the (k+1)-row expansion, and (b) reads the admissible
-    row sets among the (k+1)-minors.
+    the live leading row sets and the degree-admissible (k+1)-row sets
+    (none when k = n).
 
     When the first k degrees force a row that vanishes identically on the
     stratum (the D(2m) product invariant on faces where two coordinates are
@@ -314,20 +312,14 @@ def verify_stratum_rank(
     live = [rows for rows in _degree_row_options(basis.degrees, k)
             if not any(r in dead_rows for r in rows)]
     degenerate = not live
-    # every (k+1)-row minor (none when k = n); the bordering minors are those
-    # on the degree-admissible row sets
-    all_rows = list(combinations(range(J.shape[1]), k + 1))
-    admissible = set(_degree_row_options(basis.degrees, k + 1))
+    bordering = list(_degree_row_options(basis.degrees, k + 1))
     scale = np.concatenate([np.prod(scales[np.array(sets, dtype=int).reshape(-1, size)], axis=1)
-                            for sets, size in ((live, k), (all_rows, k + 1))])
-    table = _minor_table(J, live + all_rows) / scale
+                            for sets, size in ((live, k), (bordering, k + 1))])
+    table = _minor_table(J, live + bordering) / scale
     lead = table[:, :len(live)].max(axis=1, initial=0.0)
-    rest = table[:, len(live):]
-    any_minor = rest.max(axis=1, initial=0.0)
-    border = rest[:, [rows in admissible for rows in all_rows]].max(axis=1, initial=0.0)
-    ranks = numeric_rank(J)
+    border = table[:, len(live):].max(axis=1, initial=0.0)
 
-    checks = (border <= tol) & (ranks == k) & (any_minor <= tol)
+    checks = border <= tol
     if not degenerate:
         checks &= lead > tol
     passed = bool(np.all(checks))
@@ -341,10 +333,8 @@ def verify_stratum_rank(
         k=k,
         min_leading_minor=float(np.min(lead)),
         max_bordering_minor=float(np.max(border)),
-        max_any_minor=float(np.max(any_minor)),
         leading_degenerate=degenerate,
         degenerate_rows=dead_rows,
-        ranks=[int(r) for r in ranks],
         passed=passed,
         witness=witness,
     )

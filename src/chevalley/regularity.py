@@ -339,16 +339,6 @@ def whitney_study(
     return out
 
 
-def image_pair_ratio(g: ImageGraph, x_from, x_to) -> float:
-    """Geodesic/Euclidean ratio between the image points of two chamber
-    points, snapped to their nearest mesh vertices."""
-    _, (i, j) = g.mesh.tree.query(np.array([x_from, x_to], dtype=float))
-    eu = float(np.linalg.norm(g.image[i] - g.image[j]))
-    if eu == 0:
-        raise UsageError("image points coincide")
-    return float(_pair_geodesics(g.graph, np.array([i]), np.array([j]))[0]) / eu
-
-
 # ---------------------------------------------------------------------------
 # lift derivatives on strata
 # ---------------------------------------------------------------------------

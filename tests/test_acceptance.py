@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from chevalley import jacobian
 from chevalley.coxeter import build_root_system, coxeter_type, generate_group
+from chevalley.field import Scalar
+from chevalley.invariants import InvariantBasis
 from chevalley.jacobian import verify_det_factorization, verify_stratum_rank
+from chevalley.poly import SparsePoly
 from chevalley.probe import (
     critical_points,
     fiber_connectivity,
@@ -23,11 +27,11 @@ from chevalley.probe import (
 )
 from chevalley.regularity import (
     _draw_pairs,
+    _pair_geodesics,
     _ratio_stats,
     build_chamber_mesh,
     build_image_graph,
     envelope_functions,
-    image_pair_ratio,
     lift_derivatives,
     whitney_study,
 )
@@ -105,6 +109,39 @@ def test_criterion_3_stratum_rank(basis_cache, rs_cache, strata_cache):
           and degenerate.get("D6") == ["d4:w4,5"] and elapsed <= 5)
     conclude(3, "rank-k minors on every stratum of H3, D6, F4", ok,
              f"violations={len(violations)} degenerate={degenerate} {elapsed:.0f}s")
+
+
+def test_criterion_3_rejects_a_sample_on_a_zero_line(basis_cache, rs_cache, strata_cache,
+                                                     monkeypatch):
+    """D5's face d2:w0,1,2 holds the line x = (1, 1, 1, 1, 0), where the
+    gradients 2x and 4x^3 of the first two invariants are parallel and every
+    leading 2-minor is exactly 0: sampled there, the face must fail on (a)."""
+    b, rs = basis_cache("D5"), rs_cache("D5")
+    s = next(t for t in strata_cache("D5") if t.stratum_id == "d2:w0,1,2")
+    monkeypatch.setattr(jacobian, "sample_stratum",
+                        lambda s, count, radius, seed, rs: np.tile([1.0, 1, 1, 1, 0], (count, 1)))
+    rep = verify_stratum_rank(b, rs, s, samples=100, seed=11, tol=1e-9)
+    assert not rep.passed and not rep.leading_degenerate
+    assert rep.min_leading_minor == 0.0
+    assert rep.witness == [0.5, 0.5, 0.5, 0.5, 0.0]
+
+
+def test_criterion_3_rejects_a_non_invariant_basis(basis_cache, rs_cache, strata_cache):
+    """B3 with p2 + x0^3 x1 in place of p2: the gradient of the new term
+    leaves the span of the faces on walls 0 or 1, so rank <= k is false
+    there and those five faces must fail on (b), their bordering minor."""
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    p1, p2, p3 = b.polys
+    planted = InvariantBasis(b.ctype, [p1, p2 + SparsePoly(3, {(3, 1, 0): Scalar(1)}), p3],
+                             "planted")
+    failed = {}
+    for s in strata_cache("B3"):
+        if s.dim >= 1:
+            rep = verify_stratum_rank(planted, rs, s, samples=100, seed=11, tol=1e-9)
+            if not rep.passed:
+                failed[rep.stratum_id] = rep.max_bordering_minor
+    assert sorted(failed) == ["d1:w0,1", "d1:w0,2", "d1:w1,2", "d2:w0", "d2:w1"]
+    assert min(failed.values()) > 1e-3
 
 
 # -- 4: Morse/Lagrange structure ----------------------------------------------
@@ -197,7 +234,9 @@ def test_criterion_6_whitney(basis_cache, rs_cache):
     # B2 boundary pair: arc length along p2 = p1^2 / 4 by quadrature
     b2, r2 = basis_cache("B2"), rs_cache("B2")
     g2 = build_image_graph(b2, r2, build_chamber_mesh(r2, 1.5, 0.02))
-    got = image_pair_ratio(g2, [0.0, 0.0], [1.0, 1.0])
+    _, (i, j) = g2.mesh.tree.query([[0.0, 0.0], [1.0, 1.0]])  # snap to mesh vertices
+    got = (float(_pair_geodesics(g2.graph, np.array([i]), np.array([j]))[0])
+           / float(np.linalg.norm(g2.image[i] - g2.image[j])))
     arc, _ = quad(lambda p: math.sqrt(1 + p * p / 4), 0.0, 2.0)
     expected = arc / math.sqrt(5.0)
     ok_pair = abs(got - expected) <= 0.01 and abs(expected - 1.0266) < 1e-3

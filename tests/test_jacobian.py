@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from chevalley.errors import CheckFailure, UsageError
-from chevalley.field import ONE, Scalar
+from chevalley.field import ONE, ZERO, Scalar, vec_dot
 from chevalley import jacobian
-from chevalley.invariants import CompiledBasis, InvariantBasis, basic_invariants
+from chevalley.invariants import (
+    EXACT_COXETER_LIMIT,
+    CompiledBasis,
+    InvariantBasis,
+    basic_invariants,
+    numeric_rank,
+)
 from chevalley.jacobian import (
     _minor_table,
     calibration_passed,
     det_vanishing_calibration,
-    numeric_rank,
     verify_det_factorization,
     verify_stratum_rank,
     wall_form_product,
@@ -262,24 +267,36 @@ def test_minor_table_nan_for_non_finite_entries(basis_cache, rs_cache, strata_ca
 @pytest.mark.parametrize("name", ["B3", "H3", "A4", "D4", "F4", "H4", "D6"])
 def test_stratum_rank_verdicts_match_loop_kernel(name, basis_cache, rs_cache,
                                                   strata_cache, monkeypatch):
-    """Every face verdict, row list, rank count and witness is the same with
-    the reference loop in place of the Laplace table; the minima and maxima
+    """Every face verdict, row list and witness is the same with the
+    reference loop in place of the Laplace table; the minima and maxima
     agree to rounding.  Both kernels round to about eps in normalized units,
     so a leading minimum far below 1 (D6 faces: 1e-7 to 1e-5) is held to
-    1e-15 absolute rather than 1e-12 relative."""
+    1e-15 absolute rather than 1e-12 relative.
+
+    Rank <= k holds by invariance, so the verdict reads no SVD rank and no
+    minor off the degree-admissible rows: with those checks added back (the
+    SVD rank is k, every (k+1)-row minor is below tol) no verdict moves."""
+    from chevalley.coxeter import sample_stratum
+
     b, rs = basis_cache(name), rs_cache(name)
     faces = [s for s in strata_cache(name) if s.dim >= 1]
+    scales = b.compiled.gradient_scales
     for seed in (7, 1234):
         new = [verify_stratum_rank(b, rs, s, seed=seed) for s in faces]
         with monkeypatch.context() as mp:
             mp.setattr(jacobian, "_minor_table", _minor_loop)
             ref = [verify_stratum_rank(b, rs, s, seed=seed) for s in faces]
-        for x, y in zip(new, ref):
-            for f in ("passed", "leading_degenerate", "degenerate_rows", "ranks", "witness"):
+        for s, x, y in zip(faces, new, ref):
+            for f in ("passed", "leading_degenerate", "degenerate_rows", "witness"):
                 assert getattr(x, f) == getattr(y, f), (x.stratum_id, f)
             assert x.min_leading_minor == pytest.approx(y.min_leading_minor, rel=1e-12, abs=1e-15)
             assert abs(x.max_bordering_minor - y.max_bordering_minor) <= 1e-14
-            assert abs(x.max_any_minor - y.max_any_minor) <= 1e-14
+            X = sample_stratum(s, 100, 1.0, seed, rs)
+            J = b.compiled.J(X / np.linalg.norm(X, axis=1, keepdims=True))
+            rows = _all_row_sets(rs.n, s.dim + 1)
+            any_minor = _minor_loop(J, rows) / np.array([np.prod(scales[r]) for r in rows])
+            old_verdict = x.passed and np.all(numeric_rank(J) == s.dim) and np.all(any_minor <= 1e-9)
+            assert x.passed == old_verdict, x.stratum_id
 
 
 def test_stratum_rank_makes_one_minor_pass_per_face(basis_cache, rs_cache, strata_cache,
@@ -298,13 +315,13 @@ def test_stratum_rank_makes_one_minor_pass_per_face(basis_cache, rs_cache, strat
 
 def test_minor_table_without_row_sets(basis_cache, rs_cache, strata_cache):
     """k = n: no (k+1)-row set exists, so the table is empty and the
-    bordering and any-row maxima stay 0."""
+    bordering maximum stays 0."""
     J = np.ones((3, 2, 2))
     assert _minor_table(J, _all_row_sets(2, 3)).shape == (3, 0)
     b, rs = basis_cache("B3"), rs_cache("B3")
     s = next(t for t in strata_cache("B3") if t.dim == 3)
     rep = verify_stratum_rank(b, rs, s, samples=10)
-    assert rep.passed and rep.max_bordering_minor == 0.0 and rep.max_any_minor == 0.0
+    assert rep.passed and rep.max_bordering_minor == 0.0
 
 
 def test_gradient_scales_cached_once_per_basis(basis_cache, rs_cache, strata_cache, monkeypatch):
@@ -357,12 +374,48 @@ def test_b3_bordering_minor_vanishes_on_one_stratum(basis_cache, rs_cache, strat
         assert (v[0][0] * v[1][1] - v[0][1] * v[1][0]).is_zero()
 
 
+SUPPORTED_TYPES = (["A1"] + [f"A{n}" for n in range(2, 7)] + [f"B{n}" for n in range(1, 5)]
+                   + [f"D{n}" for n in range(2, 7)] + [f"I2:{p}" for p in range(3, 13)]
+                   + ["G2", "H3", "F4", "H4"])
+
+
+@pytest.mark.parametrize("name", SUPPORTED_TYPES)
+def test_gradients_are_orthogonal_to_face_isotropy_roots(name, basis_cache, rs_cache,
+                                                        strata_cache):
+    """The hinge of rank <= k on a k-face F: each p_i is W-invariant, so its
+    gradient at a point of the open face is fixed by F's isotropy group and
+    <grad p_i(x), a> = 0 for every isotropy root a.  Checked exactly at
+    x = Omega_F (1, ..., k) on the exact types up to EXACT_COXETER_LIMIT;
+    on H4 and the float I2(p), in floats at sampled unit points, against
+    unit roots and the gradient scales."""
+    from chevalley.coxeter import sample_stratum
+
+    b, rs = basis_cache(name), rs_cache(name)
+    faces = [s for s in strata_cache(name) if s.dim >= 1 and s.isotropy]
+    if rs.exact and rs.ctype.coxeter_number <= EXACT_COXETER_LIMIT:
+        for s in faces:
+            free = [i for i in range(rs.n) if i not in s.walls]
+            x = [sum((Scalar(t) * rs.coweights[j][c] for t, j in enumerate(free, 1)), ZERO)
+                 for c in range(rs.n)]
+            grads = [[g.eval_exact(x) for g in row] for row in b.gradients]
+            for a in s.isotropy:
+                for row in grads:
+                    assert vec_dot(row, rs.positive[a]).is_zero(), (s.stratum_id, a)
+        return
+    for s in faces:
+        X = sample_stratum(s, 100, 1.0, 7, rs)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        roots = rs.positive_f[list(s.isotropy)]
+        roots /= np.linalg.norm(roots, axis=1, keepdims=True)
+        dots = b.compiled.J(X) @ roots.T / b.compiled.gradient_scales[:, None]
+        assert np.max(np.abs(dots)) <= 1e-12, s.stratum_id
+
+
 def test_b2_wall_stratum_rank_closed_form(basis_cache, rs_cache, strata_cache):
     b, rs = basis_cache("B2"), rs_cache("B2")
     s = next(t for t in strata_cache("B2") if t.dim == 1 and 1 in t.walls)
     rep = verify_stratum_rank(b, rs, s, samples=50, seed=2, tol=1e-9)
     assert rep.passed
-    assert all(r == 1 for r in rep.ranks)
     # on that wall x2=0 the 1x1 minor is 2*x1 = 2 at unit samples, which the
     # gradient scale (also 2) normalizes to exactly 1
     assert abs(rep.min_leading_minor - 1.0) < 1e-9

@@ -37,7 +37,6 @@ from chevalley.regularity import (
     build_chamber_mesh,
     build_image_graph,
     envelope_functions,
-    image_pair_ratio,
     lift_derivatives,
     whitney_study,
 )
@@ -197,7 +196,9 @@ def test_b2_boundary_pair_arc_length(basis_cache, rs_cache):
     b, rs = basis_cache("B2"), rs_cache("B2")
     mesh = build_chamber_mesh(rs, 1.5, 0.02)
     g = build_image_graph(b, rs, mesh)
-    ratio = image_pair_ratio(g, [0.0, 0.0], [1.0, 1.0])
+    _, (i, j) = g.mesh.tree.query([[0.0, 0.0], [1.0, 1.0]])  # snap to mesh vertices
+    ratio = (float(regularity._pair_geodesics(g.graph, np.array([i]), np.array([j]))[0])
+             / float(np.linalg.norm(g.image[i] - g.image[j])))
     arc, _ = quad(lambda p: math.sqrt(1 + p * p / 4), 0.0, 2.0)
     expected = arc / math.sqrt(5.0)
     assert abs(expected - 1.0266) < 1e-3  # the closed form itself
@@ -205,16 +206,18 @@ def test_b2_boundary_pair_arc_length(basis_cache, rs_cache):
 
 
 @pytest.mark.parametrize("name,a,h", [("B2", 1.5, 0.02), ("B3", 1.0, 0.08), ("H3", 1.0, 0.08)])
-def test_image_pair_ratio_matches_undirected_search(name, a, h, basis_cache, rs_cache):
-    """The directed search on the symmetric CSR gives the undirected distance."""
+def test_pair_geodesics_matches_undirected_search(name, a, h, basis_cache, rs_cache):
+    """The directed search on the symmetric CSR gives the undirected distance,
+    between mesh vertices that snap to themselves."""
     b, rs = basis_cache(name), rs_cache(name)
     g = build_image_graph(b, rs, build_chamber_mesh(rs, a, h))
     rng = np.random.default_rng(5)
     for _ in range(6):
         i, j = rng.choice(g.size, size=2, replace=False)
         geo = dijkstra(g.graph, directed=False, indices=[i])[0, j]
-        want = float(geo) / float(np.linalg.norm(g.image[i] - g.image[j]))
-        assert image_pair_ratio(g, g.mesh.vertices[i], g.mesh.vertices[j]) == want
+        _, snapped = g.mesh.tree.query(g.mesh.vertices[[i, j]])
+        assert snapped.tolist() == [i, j]
+        assert regularity._pair_geodesics(g.graph, snapped[:1], snapped[1:])[0] == geo
 
 
 def test_ratios_at_least_one(basis_cache, rs_cache):

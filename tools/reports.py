@@ -41,6 +41,8 @@ REPORTS = [
     ("verify-statement:D6", ["verify-statement", "--type", "D6", "--seed", "1"], 0),
     # a face's batch of 100 samples spans three evaluator chunks of H4's J
     ("verify-statement:H4", ["verify-statement", "--type", "H4", "--seed", "1"], 0),
+    # a false anomaly of check (a), ROADMAP item 6: d5:w0's leading minor reads 3.99e-10
+    ("verify-statement:D6:seed28", ["verify-statement", "--type", "D6", "--seed", "28"], 1),
     ("fiber:A4", ["fiber", "--type", "A4", "--seed", "1"], 0),  # polish batches of 16 rows
     ("fiber:A1", ["fiber", "--type", "A1"], 0),  # the rank-1 fiber runs its check
 ]
