@@ -30,19 +30,19 @@ import numpy as np
 from .coxeter import CoxeterType, coxeter_type
 from .errors import CapabilityError, CheckFailure, IntegrityError, UsageError
 from .field import ONE, Scalar
-from .poly import CompiledPoly, SparsePoly, power_table
+from .poly import CompiledPoly, PolyMatrix, SparsePoly, power_table
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
-# exact generator substitution and the symbolic Jacobian determinant run up
-# to this Coxeter number, the top degree.  The cap refuses H4 (30), though
-# the integer kernel computes its determinant in seconds and its exact
-# substitution invariance in about half a minute; ROADMAP item 10 chooses
-# the method for it
+# exact generator substitution runs up to this Coxeter number, the top
+# degree.  On H4 (30) it takes about 22 s, so H4's invariance is checked in
+# floats at seeded points; ROADMAP item 10 chooses an exact method for it
 EXACT_COXETER_LIMIT = 12
-NUMERIC_RANK_REL_TOL = 1e-8  # singular values below this fraction of the top one
+# an integer point off every reflecting wall of every supported type; the
+# point (1, ..., n) lies on a wall of F4 and of H4
+JACOBIAN_POINT = (3, -5, 11, 2, -13, 17)
 
 
 class InvariantBasis:
@@ -318,18 +318,15 @@ def verify_invariance(basis: InvariantBasis, generators) -> bool:
     return True
 
 
-def numeric_jacobian_rank(basis: InvariantBasis, seed: int = 5) -> int:
-    """Rank of the Jacobian at a generic unit-sphere point.
+def jacobian_det_at_point(basis: InvariantBasis) -> tuple[tuple[int, ...], Scalar]:
+    """The point JACOBIAN_POINT[:n] and det J there, exactly.
 
-    The system is homogeneous, so the rank is scale-invariant; evaluating on
-    the sphere keeps rows of very different degrees comparable."""
-    x = np.random.default_rng(seed).normal(size=basis.nvars) + 0.1
-    x = x / np.linalg.norm(x)
-    return int(numeric_rank(basis.compiled.J(x[None, :]))[0])
-
-
-def numeric_rank(J: np.ndarray) -> np.ndarray:
-    """Singular-value rank per sample with a scale-free threshold."""
-    sv = np.linalg.svd(J, compute_uv=False)
-    top = np.maximum(sv[..., 0], 1e-300)
-    return np.sum(sv > NUMERIC_RANK_REL_TOL * top[..., None], axis=-1)
+    det J = c * prod(wall forms) (Steinberg 1960; Humphreys, Reflection
+    Groups and Coxeter Groups, 3.13), so a nonzero value proves c != 0, the
+    Jacobian criterion for algebraic independence, with no tolerance."""
+    n = basis.nvars
+    x = JACOBIAN_POINT[:n]
+    xs = [Scalar(v) for v in x]
+    J = PolyMatrix([[SparsePoly.const(n, g.eval_exact(xs)) for g in row]
+                    for row in basis.gradients])
+    return x, J.det().eval_exact(xs)

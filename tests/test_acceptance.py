@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from chevalley import jacobian
+from chevalley import cli, jacobian
+from chevalley.cli import RunConfig, SuiteReport
 from chevalley.coxeter import build_root_system, coxeter_type, generate_group
+from chevalley.errors import CheckFailure
 from chevalley.field import Scalar
 from chevalley.invariants import InvariantBasis
 from chevalley.jacobian import verify_det_factorization, verify_stratum_rank
@@ -32,9 +34,10 @@ from chevalley.regularity import (
     build_chamber_mesh,
     build_image_graph,
     envelope_functions,
-    lift_derivatives,
     whitney_study,
 )
+
+from lift import lift_derivatives
 
 
 def conclude(num, name, ok, detail=""):
@@ -60,6 +63,31 @@ def test_criterion_1_exact_factorization(basis_cache, rs_cache):
              f"c(S3)={constants['A3']} c(B2)={constants['B2']} all exact, {elapsed:.1f}s")
 
 
+def _invariants_checks(basis, rs):
+    """The `invariants` suite's checks on a hand-built basis, by name: the
+    code path of `chevalley invariants`."""
+    cfg = RunConfig(type_spec=rs.ctype.name, command="invariants")
+    rep = SuiteReport(cfg)
+    cli._suite_invariants(cfg, rep, {"basis": basis, "rs": rs})
+    return {c["name"]: c for c in rep.checks}
+
+
+def test_criterion_1_rejects_a_dependent_basis(basis_cache, rs_cache):
+    """B3 with p1^3 in place of p3: invariant, of the right degrees, but
+    algebraically dependent, so det J vanishes identically.  `jacobian-rank`
+    must fail with an exact zero at x0, and the factorization must raise."""
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    p1, p2, _ = b.polys
+    planted = InvariantBasis(b.ctype, [p1, p2, p1 ** 3], "planted")
+    checks = _invariants_checks(planted, rs)
+    assert {name: c["status"] for name, c in checks.items()} == {
+        "degree-table": "pass", "root-count": "pass", "invariance": "pass",
+        "jacobian-rank": "fail"}
+    assert checks["jacobian-rank"]["metrics"] == {"point": [3, -5, 11], "det_at_point": 0.0}
+    with pytest.raises(CheckFailure, match="zero"):
+        verify_det_factorization(planted, rs)
+
+
 # -- 2: combinatorial consistency for every supported type --------------------
 
 
@@ -81,6 +109,18 @@ def test_criterion_2_roots_and_orders():
     elapsed = time.monotonic() - t0
     conclude(2, "root counts and group orders for every supported type",
              elapsed <= 15, f"{len(names)} types, {elapsed:.1f}s")
+
+
+def test_criterion_2_rejects_a_non_invariant_basis(basis_cache, rs_cache):
+    """B3 with p2 + x0 in place of p2 (its degree is still 4): the basis is
+    not invariant, and exact substitution under the generators must say so."""
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    p1, p2, p3 = b.polys
+    planted = InvariantBasis(b.ctype, [p1, p2 + SparsePoly.variable(3, 0), p3], "planted")
+    checks = _invariants_checks(planted, rs)
+    assert checks["invariance"] == {"name": "invariance", "status": "fail",
+                                    "metrics": {"exact": True}}
+    assert checks["jacobian-rank"]["status"] == "pass"
 
 
 # -- 3: rank on strata for H3, D6, F4 -----------------------------------------

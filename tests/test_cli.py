@@ -9,7 +9,6 @@ import json
 import math
 import os
 import re
-import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -192,32 +191,35 @@ def test_morse_needs_both_extremes_on_a_compact_fiber(capsys):
     assert check["status"] == "fail" and check["metrics"]["n_critical"] < 2
 
 
-def test_h4_jacobian_determinant_is_a_capability_error(capsys):
-    """The exact degree-30 determinant is out of reach: exit 2, promptly."""
-    t0 = time.monotonic()
-    assert main(["verify-jacobian", "--type", "H4"]) == 2
-    assert time.monotonic() - t0 < 20
-    err = capsys.readouterr().err
-    assert "Coxeter number" in err and len(err.strip().splitlines()) == 1
+def test_h4_jacobian_determinant_is_exact(capsys):
+    """H4's degree-60 determinant is one exact identity, as on every other
+    type: c = -65641892906161668096000000 sqrt5.  The run exits 1 only
+    because det-vanishing-locus reads float noise on H4 (ROADMAP item 6)."""
+    assert main(["verify-jacobian", "--type", "H4"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    fac = checks["det-factorization"]
+    assert fac["status"] == "pass"
+    assert fac["metrics"]["c_exact"] == {"a": "0/1", "b": "-65641892906161668096000000/1"}
+    assert fac["metrics"]["det_degree"] == 60
+    assert checks["det-vanishing-locus"]["status"] == "fail"
 
 
 def test_all_records_unsupported_suites_and_exits_2(capsys):
     """Under `all` a capability gap of one suite is one `unsupported` check;
     every other suite still runs and reports what it reports on its own."""
-    assert main(["all", "--type", "H4"]) == 2
+    assert main(["all", "--type", "F4"]) == 2
     checks = json.loads(capsys.readouterr().out)["checks"]
     unsupported = {c["name"]: c["metrics"]["message"]
                    for c in checks if c["status"] == "unsupported"}
-    assert sorted(unsupported) == ["verify-jacobian", "whitney"]
-    assert "Coxeter number" in unsupported["verify-jacobian"]
+    assert sorted(unsupported) == ["whitney"]
     assert "point budget" in unsupported["whitney"]
     single = []
-    for command in ("invariants", "verify-statement", "morse", "fiber"):
-        rep = run_suite(RunConfig(type_spec="H4", command=command))
+    for command in ("invariants", "verify-jacobian", "verify-statement", "morse", "fiber"):
+        rep = run_suite(RunConfig(type_spec="F4", command=command))
         single += json.loads(emit_report(rep))["checks"]
     assert [c for c in checks if c["status"] != "unsupported"] == single
     # a single-suite command keeps its one-line capability error
-    assert main(["whitney", "--type", "H4"]) == 2
+    assert main(["whitney", "--type", "F4"]) == 2
     err = capsys.readouterr().err
     assert "point budget" in err and len(err.strip().splitlines()) == 1
 

@@ -19,11 +19,12 @@ from chevalley.errors import CapabilityError, IntegrityError, UsageError
 from chevalley.field import ONE, Scalar
 from chevalley.invariants import (
     _PACKAGE_DATA,
+    JACOBIAN_POINT,
     InvariantBasis,
     basic_invariants,
     basis_content_hash,
+    jacobian_det_at_point,
     load_basis,
-    numeric_jacobian_rank,
     save_basis,
     verify_invariance,
 )
@@ -148,10 +149,17 @@ def test_chamber_injectivity(basis_cache, rs_cache, rng):
             assert np.linalg.norm(px - py) > 1e-9
 
 
-def test_numeric_jacobian_rank_full(basis_cache):
-    for name in ("B2", "A3", "D4", "G2", "H3", "F4", "H4", "I2:7"):
+def test_jacobian_det_at_point_is_exactly_nonzero(basis_cache):
+    """The `jacobian-rank` check: det J at the integer point x0 is an exact
+    nonzero scalar on every supported type, so x0 lies on no wall."""
+    names = (["A1"] + [f"A{n}" for n in range(2, 7)] + [f"B{n}" for n in range(1, 5)]
+             + [f"D{n}" for n in range(2, 7)] + [f"I2:{p}" for p in range(3, 13)]
+             + ["G2", "H3", "H4", "F4"])
+    for name in names:
         b = basis_cache(name)
-        assert numeric_jacobian_rank(b) == b.nvars
+        point, det = jacobian_det_at_point(b)
+        assert point == JACOBIAN_POINT[:b.nvars]
+        assert isinstance(det, Scalar) and not det.is_zero(), name
 
 
 def test_dihedral_average_numeric_invariance(rs_cache, rng):
@@ -214,7 +222,6 @@ def test_h4_loads_from_package_data():
     b = basic_invariants("H4")
     assert b.degrees == (2, 12, 20, 30)
     assert b.provenance.startswith("file:")
-    assert numeric_jacobian_rank(b) == 4
 
 
 @pytest.mark.parametrize("name", ["H3", "F4", "H4"])

@@ -37,9 +37,10 @@ from chevalley.regularity import (
     build_chamber_mesh,
     build_image_graph,
     envelope_functions,
-    lift_derivatives,
     whitney_study,
 )
+
+from lift import lift_derivatives
 
 
 def test_mesh_vertices_respect_chamber_and_ball(rs_cache):
