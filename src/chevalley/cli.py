@@ -8,9 +8,10 @@ byte for byte (the wall-clock runtime field aside).
 
 Exit codes: 0 all checks passed; 1 a check failed or an anomaly was found;
 2 usage or capability error; 3 cache integrity error; 4 convergence error.
-Under `all` a suite the type does not support is recorded as one
-`unsupported` check named after its subcommand and the other suites still
-run; such a run exits 2 unless some check failed or found an anomaly.
+Under `all` a suite the type does not support is one `unsupported` check
+named after its subcommand, one that raises CheckFailure one `fail` check
+(message and witness), and the other suites still run; such a run exits 1
+if some check failed or found an anomaly, else 2 if one is unsupported.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import numpy as np
 
 from . import __version__
 from .coxeter import build_root_system, coxeter_type, enumerate_strata
-from .errors import CapabilityError, ChevalleyError, UsageError
+from .errors import CapabilityError, CheckFailure, ChevalleyError, UsageError
 from .invariants import (
-    EXACT_COXETER_LIMIT,
     basic_invariants,
     jacobian_det_at_point,
     save_basis,
@@ -57,10 +57,10 @@ from .regularity import envelope_functions, whitney_study
 SCHEMA_VERSION = 1
 
 EXPLAIN = {
-    "invariants": "Constructs a basic invariant system for the group: correct "
-                  "degree table, exact invariance under the generators, and a "
-                  "Jacobian determinant that is exactly nonzero at a fixed integer "
-                  "point (algebraic independence). Basic invariants separate "
+    "invariants": "Constructs a basic invariant system: correct degree table, "
+                  "exact invariance under the generators (float, at seeded points, on "
+                  "I2(p), p != 4), and a Jacobian determinant exactly nonzero at a fixed "
+                  "integer point (algebraic independence). Basic invariants separate "
                   "orbits, so the map is injective on the closed chamber.",
     "verify-jacobian": "The Jacobian determinant of the invariant map equals a "
                        "nonzero constant times the product of the linear forms "
@@ -215,12 +215,9 @@ def _suite_invariants(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     ok = len(rs.positive_f) == ct.n_positive_roots
     rep.add("root-count", "pass" if ok else "fail",
             roots=len(rs.positive_f), expected=ct.n_positive_roots)
-    # the degree-30 H4 system is checked numerically, matching how its data
-    # file is verified
-    exact_ok = rs.exact and ct.coxeter_number <= EXACT_COXETER_LIMIT
-    gens = rs.simple_reflections if exact_ok else list(rs.simple_reflections_f)
+    gens = rs.simple_reflections if rs.exact else list(rs.simple_reflections_f)
     inv_ok = verify_invariance(basis, gens)
-    rep.add("invariance", "pass" if inv_ok else "fail", exact=exact_ok)
+    rep.add("invariance", "pass" if inv_ok else "fail", exact=rs.exact)
     point, det = jacobian_det_at_point(basis)
     rep.add("jacobian-rank", "fail" if det.is_zero() else "pass",
             point=list(point), det_at_point=float(det))
@@ -374,10 +371,12 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     for name in _SUITES if cfg.command == "all" else [cfg.command]:
         try:
             _SUITES[name](cfg, rep, ctx)
-        except CapabilityError as exc:
+        except (CapabilityError, CheckFailure) as exc:
             if cfg.command != "all":
                 raise
-            rep.add(name, "unsupported", message=str(exc))
+            witness = getattr(exc, "witness", None)
+            rep.add(name, "fail" if isinstance(exc, CheckFailure) else "unsupported",
+                    message=str(exc), **({} if witness is None else {"witness": witness}))
     rep.runtime_s = time.monotonic() - t0
     return rep
 

@@ -36,10 +36,6 @@ SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
 _PACKAGE_DATA = Path(__file__).parent / "data"
 
-# exact generator substitution runs up to this Coxeter number, the top
-# degree.  On H4 (30) it takes about 22 s, so H4's invariance is checked in
-# floats at seeded points; ROADMAP item 10 chooses an exact method for it
-EXACT_COXETER_LIMIT = 12
 # an integer point off every reflecting wall of every supported type; the
 # point (1, ..., n) lies on a wall of F4 and of H4
 JACOBIAN_POINT = (3, -5, 11, 2, -13, 17)
@@ -298,24 +294,17 @@ def basic_invariants(
 
 
 def verify_invariance(basis: InvariantBasis, generators) -> bool:
-    """Exact invariance p o w == p for exact generator matrices; float
-    generators are checked numerically at seeded random points."""
+    """Invariance p o w == p by exact substitution for exact generator
+    matrices (every type with exact root data), so True is a proof; the
+    float generators of I2(p), p != 4, are checked at seeded points."""
     if not generators:
         raise UsageError("no generators given")
     if isinstance(generators[0], np.ndarray):
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(24, basis.nvars))
-        vals = basis.compiled.P(pts)
-        for w in generators:
-            moved = basis.compiled.P(pts @ np.asarray(w).T)
-            if not np.allclose(moved, vals, rtol=1e-9, atol=1e-9):
-                return False
-        return True
-    for w in generators:
-        for p in basis.polys:
-            if p.substitute_linear(w) != p:
-                return False
-    return True
+        pts = np.random.default_rng(7).normal(size=(24, basis.nvars))
+        P, vals = basis.compiled.P, basis.compiled.P(pts)
+        return all(np.allclose(P(pts @ np.asarray(w).T), vals, rtol=1e-9, atol=1e-9)
+                   for w in generators)
+    return all(p.substitute_linear(w) == p for w in generators for p in basis.polys)
 
 
 def jacobian_det_at_point(basis: InvariantBasis) -> tuple[tuple[int, ...], Scalar]:

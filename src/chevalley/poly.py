@@ -199,7 +199,8 @@ class SparsePoly:
     # -- composition with a linear map -------------------------------------------
 
     def substitute_linear(self, m: Sequence[Sequence[Scalar]]) -> "SparsePoly":
-        """Exact composition p(M x): variable i is replaced by sum_j M[i][j] x_j."""
+        """Exact composition p(M x), variable i replaced by sum_j M[i][j] x_j
+        by `_horner`; so `p.substitute_linear(w) == p` proves invariance under w."""
         n = self.nvars
         if len(m) != n or any(len(row) != n for row in m):
             raise UsageError("substitution matrix must be square of size nvars")
@@ -209,19 +210,9 @@ class SparsePoly:
         # over d^(k+1) and is lifted to d^(top+1)
         d, (f, *rows) = _forms(self, *rows)
         top = max(self.degree(), 0)
-        pows = [[_ONE] for _ in range(n)]
-        for i in range(n):
-            for _ in range(max((e[i] for e in self.terms), default=0)):
-                pows[i].append(_mul_into({}, pows[i][-1], rows[i]))
-        out: dict[int, tuple[int, int]] = {}
-        for e, (a, b) in zip(self.terms, f.values()):
-            s = d ** (top - sum(e))
-            term = {0: (a * s, b * s)}
-            factors = [pows[i][p] for i, p in enumerate(e) if p] or [_ONE]
-            for g in factors[:-1]:
-                term = _mul_into({}, term, g)
-            _mul_into(out, term, factors[-1])
-        return _poly(n, out, d ** (top + 1))
+        lift = [d ** (top - sum(e)) for e in self.terms]
+        f = {k: (a * s, b * s) for s, (k, (a, b)) in zip(lift, f.items())}
+        return _poly(n, _horner(f, [[_ONE, r] for r in rows], 0), d ** (top + 1))
 
     # -- serialization ------------------------------------------------------------
 
@@ -305,6 +296,38 @@ def _mul_into(out: dict, f: dict, g: dict, sign: int = 1) -> dict:
             x, y = get(e, (0, 0))
             out[e] = (x + a1 * a2 + 5 * b1 * b2, y + a1 * b2 + b1 * a2)
     return out
+
+
+def _horner(f: dict, pows: list[list[dict]], i: int) -> dict:
+    """f(L) for a form f in the variables i.. and linear forms L_k, pows[k] =
+    [1, L_k, ...]: one term c x^e is c prod L_k^e_k, else Horner in x_i over
+    f = sum_j x_i^j q_j, each q_j(L) by the same rule on x_(i+1).  A form
+    returned is always new, so q_j(L) can take the sum."""
+    if len(f) <= 1:
+        for k, c in f.items():
+            f, k = {0: c}, k >> FIELD_BITS * i
+            while k:
+                if k & MAX_DEGREE:
+                    f = _mul_into({}, f, _power(pows[i], k & MAX_DEGREE))
+                k, i = k >> FIELD_BITS, i + 1
+        return f
+    shift = FIELD_BITS * i
+    parts: dict[int, dict] = {}
+    for k, v in f.items():
+        j = k >> shift & MAX_DEGREE
+        parts.setdefault(j, {})[k - (j << shift)] = v
+    js = sorted(parts, reverse=True)
+    acc = _horner(parts[js[0]], pows, i + 1)
+    for hi, j in zip(js, js[1:]):
+        acc = _mul_into(_horner(parts[j], pows, i + 1), acc, _power(pows[i], hi - j))
+    return _mul_into({}, acc, _power(pows[i], js[-1])) if js[-1] else acc
+
+
+def _power(pows: list[dict], p: int) -> dict:
+    """L^p from pows = [1, L, L^2, ...], extended as far as p."""
+    while len(pows) <= p:
+        pows.append(_mul_into({}, pows[-1], pows[1]))
+    return pows[p]
 
 
 def product(nvars: int, polys: Sequence[SparsePoly]) -> SparsePoly:

@@ -7,6 +7,7 @@ oracle inside the test or is a combinatorial fact of the degree tables.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ def test_criterion_2_rejects_a_non_invariant_basis(basis_cache, rs_cache):
     b, rs = basis_cache("B3"), rs_cache("B3")
     p1, p2, p3 = b.polys
     planted = InvariantBasis(b.ctype, [p1, p2 + SparsePoly.variable(3, 0), p3], "planted")
+    checks = _invariants_checks(planted, rs)
+    assert checks["invariance"] == {"name": "invariance", "status": "fail",
+                                    "metrics": {"exact": True}}
+    assert checks["jacobian-rank"]["status"] == "pass"
+
+
+def test_criterion_2_rejects_a_nearly_invariant_h4_basis(basis_cache, rs_cache):
+    """H4 with p30 + 2^-40 x0^30 in place of p30: of the right degrees and
+    independent, but not invariant.  The bump sits far below a 1e-9 float
+    tolerance, so a float check at sample points passes this basis; exact
+    substitution under the simple reflections must reject it."""
+    b, rs = basis_cache("H4"), rs_cache("H4")
+    *rest, p30 = b.polys
+    bump = (SparsePoly.variable(4, 0) ** 30).scale(Scalar(Fraction(1, 2 ** 40)))
+    planted = InvariantBasis(b.ctype, [*rest, p30 + bump], "planted")
     checks = _invariants_checks(planted, rs)
     assert checks["invariance"] == {"name": "invariance", "status": "fail",
                                     "metrics": {"exact": True}}

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chevalley import regularity
+from chevalley import cli, regularity
 from chevalley.coxeter import coxeter_type
 from chevalley.cli import (
     EXPLAIN,
@@ -28,7 +28,7 @@ from chevalley.cli import (
     main,
     run_suite,
 )
-from chevalley.errors import UsageError
+from chevalley.errors import CheckFailure, UsageError
 
 FAST_B2 = dict(type_spec="B2", seed=1, samples=40, pairs=400, n_points=300,
                radius=1.0, pitch=0.05)
@@ -199,9 +199,20 @@ def test_h4_jacobian_determinant_is_exact(capsys):
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     fac = checks["det-factorization"]
     assert fac["status"] == "pass"
+    assert fac["metrics"]["exact"] and fac["metrics"]["residual"] == 0.0
     assert fac["metrics"]["c_exact"] == {"a": "0/1", "b": "-65641892906161668096000000/1"}
-    assert fac["metrics"]["det_degree"] == 60
+    # deg det J equals the reflection count
+    assert fac["metrics"]["det_degree"] == sum(d - 1 for d in coxeter_type("H4").degrees) == 60
     assert checks["det-vanishing-locus"]["status"] == "fail"
+
+
+def test_h4_invariance_is_exact(capsys):
+    """H4's degree-30 invariants are proved invariant by exact substitution
+    under the simple reflections, as on every type with exact root data."""
+    assert main(["invariants", "--type", "H4"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["invariance"] == {"name": "invariance", "status": "pass",
+                                    "metrics": {"exact": True}}
 
 
 def test_all_records_unsupported_suites_and_exits_2(capsys):
@@ -222,6 +233,30 @@ def test_all_records_unsupported_suites_and_exits_2(capsys):
     assert main(["whitney", "--type", "F4"]) == 2
     err = capsys.readouterr().err
     assert "point budget" in err and len(err.strip().splitlines()) == 1
+
+
+def test_all_records_a_check_failure_as_one_fail_check(capsys, monkeypatch):
+    """Under `all` a suite that raises CheckFailure is one `fail` check named
+    after it, with the message and the witness; every other suite still
+    runs and reports what it reports in a plain run."""
+    assert main(["all", "--type", "B2"]) == 0
+    plain = json.loads(capsys.readouterr().out)["checks"]
+
+    def planted(basis, rs, seed=3):
+        raise CheckFailure("B2: Jacobian determinant is zero", witness=[1.0, 0.0])
+
+    monkeypatch.setattr(cli, "verify_det_factorization", planted)
+    assert main(["all", "--type", "B2"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    at = [c["name"] for c in plain].index("det-factorization")
+    assert checks[at] == {"name": "verify-jacobian", "status": "fail", "metrics": {
+        "message": "B2: Jacobian determinant is zero", "witness": [1.0, 0.0]}}
+    assert checks[:at] + checks[at + 1:] == [
+        c for c in plain if c["name"] not in ("det-factorization", "det-vanishing-locus")]
+    # a single-suite command keeps its one-line error
+    assert main(["verify-jacobian", "--type", "B2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: B2: Jacobian determinant is zero\n"
 
 
 def test_exit_code_ranks_failures_over_unsupported():

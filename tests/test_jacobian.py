@@ -10,7 +10,6 @@ from chevalley.errors import CheckFailure, UsageError
 from chevalley.field import ONE, ZERO, Scalar, vec_dot
 from chevalley import jacobian
 from chevalley.invariants import (
-    EXACT_COXETER_LIMIT,
     CompiledBasis,
     InvariantBasis,
     basic_invariants,
@@ -70,7 +69,8 @@ def test_pinned_factorization_constants(name, c_expected, basis_cache, rs_cache)
     assert rep.c_exact == c_expected and rep.c == float(c_expected)
 
 
-@pytest.mark.parametrize("name", ["A3", "A4", "A5", "A6", "B2", "B3", "B4", "D4", "D5", "D6", "G2", "I2:5", "H3", "F4", "H4"])
+# H4 is checked by the CLI test test_h4_jacobian_determinant_is_exact
+@pytest.mark.parametrize("name", ["A3", "A4", "A5", "A6", "B2", "B3", "B4", "D4", "D5", "D6", "G2", "I2:5", "H3", "F4"])
 def test_factorization_exact_everywhere(name, basis_cache, rs_cache):
     rep = verify_det_factorization(basis_cache(name), rs_cache(name))
     assert rep.exact and rep.residual == 0.0 and rep.c != 0.0
@@ -399,14 +399,14 @@ def test_gradients_are_orthogonal_to_face_isotropy_roots(name, basis_cache, rs_c
     """The hinge of rank <= k on a k-face F: each p_i is W-invariant, so its
     gradient at a point of the open face is fixed by F's isotropy group and
     <grad p_i(x), a> = 0 for every isotropy root a.  Checked exactly at
-    x = Omega_F (1, ..., k) on the exact types up to EXACT_COXETER_LIMIT;
-    on H4 and the float I2(p), in floats at sampled unit points, against
-    unit roots and the gradient scales."""
+    x = Omega_F (1, ..., k) on every type with exact root data; on the
+    float I2(p), in floats at sampled unit points, against unit roots and
+    the gradient scales."""
     from chevalley.coxeter import sample_stratum
 
     b, rs = basis_cache(name), rs_cache(name)
     faces = [s for s in strata_cache(name) if s.dim >= 1 and s.isotropy]
-    if rs.exact and rs.ctype.coxeter_number <= EXACT_COXETER_LIMIT:
+    if rs.exact:
         for s in faces:
             free = [i for i in range(rs.n) if i not in s.walls]
             x = [sum((Scalar(t) * rs.coweights[j][c] for t, j in enumerate(free, 1)), ZERO)

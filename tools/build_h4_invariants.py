@@ -15,10 +15,10 @@ raises the rank of the Jacobian, rescaled by an exact power of two.
 
 The construction lives here and nowhere else: the package only loads,
 hash-checks and evaluates the files this job writes (with a content hash)
-to src/chevalley/data/.  H4 has degrees 2, 12, 20 and 30; its degree-30
-expansion is too slow for the test suite, so the H4 result is further
-verified (degrees, numeric invariance under the simple reflections,
-numeric Jacobian rank 4, exact independence via a nonvanishing minor).
+to src/chevalley/data/.  H4 has degrees 2, 12, 20 and 30, and the H4
+result is verified once more, exactly: its degrees, invariance by exact
+substitution under the simple reflections, and independence by a nonzero
+Jacobian determinant at an integer point.
 
 Run from the repository root:
 
@@ -195,29 +195,17 @@ def build_h4() -> InvariantBasis:
     return basis
 
 
-def verify_h4(basis: InvariantBasis, full_exact_check: bool = True) -> None:
+def verify_h4(basis: InvariantBasis) -> None:
     rs = build_root_system("H4")
     print("  degrees:", basis.degrees)
     assert basis.degrees == (2, 12, 20, 30)
     point, det = jacobian_det_at_point(basis)
     print(f"  exact det J at {point}: {float(det):.6g}")
     assert not det.is_zero(), "H4 candidate invariants are algebraically dependent"
-    # numeric invariance under the simple reflections at random points
-    ok = verify_invariance(basis, [np.array(m, dtype=float) for m in rs.simple_reflections_f])
-    print("  numeric invariance:", ok)
-    assert ok
-    # spot exact invariance of the degree-12 invariant under one reflection
-    p12 = basis.polys[1]
-    w = rs.simple_reflections[0]
-    assert p12.substitute_linear(w) == p12, "degree-12 invariant failed exact invariance"
-    print("  exact invariance spot check (degree 12): True")
-    if full_exact_check:
-        # the builder already certified exact independence degree by degree;
-        # re-run the final full-determinant step here as a belt-and-braces
-        # certificate on the shipped polynomials
-        t0 = time.time()
-        assert _exact_rank_advances(basis.polys[:3], basis.polys[3])
-        print(f"  exact independence certificate in {time.time() - t0:.0f}s")
+    t0 = time.time()
+    ok = verify_invariance(basis, rs.simple_reflections)
+    print(f"  exact invariance under the simple reflections: {ok} ({time.time() - t0:.1f}s)")
+    assert ok, "H4 candidate invariants are not invariant"
 
 
 def main() -> int:

@@ -35,7 +35,8 @@ REPORTS = [
     ("whitney:G2", ["whitney", "--type", "G2", "--seed", "1"], 0),
     ("whitney:I2:7", ["whitney", "--type", "I2:7", "--seed", "1"], 0),
     ("verify-jacobian:F4", ["verify-jacobian", "--type", "F4"], 0),  # an exceptional det
-    ("invariants:H4", ["invariants", "--type", "H4"], 0),  # the degree-30 data file
+    # the degree-30 data file, invariant by exact substitution
+    ("invariants:H4", ["invariants", "--type", "H4"], 0),
     ("invariants:D6", ["invariants", "--type", "D6"], 0),  # the largest classical closures
     ("invariants:A6", ["invariants", "--type", "A6"], 0),
     # the largest face set, tied degrees and one degenerate face
