@@ -91,7 +91,6 @@ class RunConfig:
     type_spec: str = "B2"
     command: str = "all"
     seed: int = 1
-    tol_zero: float = 1e-9
     radius: float = 1.0
     pitch: float = 0.05
     samples: int = 100
@@ -106,7 +105,7 @@ class RunConfig:
     dump_samples: bool = False
 
     def validate(self):
-        for name in ("tol_zero", "radius", "pitch"):
+        for name in ("radius", "pitch"):
             if not 0 < getattr(self, name) < float("inf"):
                 raise UsageError(f"config field {name} must be positive and finite")
         for name in ("samples", "pairs", "n_points"):
@@ -240,8 +239,7 @@ def _suite_statement(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     worst = None
     all_ok = True
     for s in strata:
-        r = verify_stratum_rank(basis, rs, s, samples=cfg.samples,
-                                seed=cfg.seed, tol=cfg.tol_zero)
+        r = verify_stratum_rank(basis, rs, s, samples=cfg.samples, seed=cfg.seed)
         status = "pass" if r.passed else "anomaly"
         all_ok &= r.passed
         if worst is None or r.max_bordering_minor > worst:
@@ -414,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=float, nargs="+", dest="target")
         p.add_argument("--a", type=float, dest="radius")
         p.add_argument("--h", type=float, dest="pitch")
-        p.add_argument("--tol", type=float, dest="tol_zero")
         p.add_argument("--cache-dir", dest="cache_dir")
         p.add_argument("--out", help="write the report (or cache) here")
         p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))

@@ -53,6 +53,7 @@ M_ONE = -ONE
 _FAMILY_BOUNDS = {"A": (2, 6), "B": (1, 4), "D": (2, 6)}
 _I2_BOUNDS = (3, 12)
 STRATUM_REL_TOL = 1e-7   # wall form of a point, relative to its norm, read as zero
+STRATUM_MARGIN = 0.02    # sample_stratum's least unit wall form off the isotropy
 
 
 @dataclass(frozen=True)
@@ -527,12 +528,11 @@ def sample_stratum(
     radius: float,
     seed: int,
     rs: RootSystem,
-    margin: float = 0.02,
 ) -> np.ndarray:
     """Points in the relative interior of s intersected with the radius ball.
 
     All isotropy forms vanish to float precision (points are built inside the
-    span) and every non-isotropy wall form stays at or above `margin` per unit
+    span) and every non-isotropy wall form is at least STRATUM_MARGIN per unit
     norm.  Each sample retries i.i.d. normal jitter around the anchor (0.45,
     times 0.7 per margin failure, at most 60 attempts); its norm is radius *
     U**(1/dim), U uniform on [0.15, 1].  Attempts run in batched rounds, one
@@ -556,7 +556,7 @@ def sample_stratum(
         nx = np.sqrt(np.einsum("ij,ij->i", X, X))
         ok = nx >= 1e-12
         X /= np.where(ok, nx, 1.0)[:, None]
-        low = ok & ((X @ a_others.T).min(axis=1, initial=np.inf) < margin)
+        low = ok & ((X @ a_others.T).min(axis=1, initial=np.inf) < STRATUM_MARGIN)
         jitter[pending[low]] *= 0.7
         unit[pending[ok & ~low]] = X[ok & ~low]
         pending = pending[low | ~ok]

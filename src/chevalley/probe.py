@@ -25,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .coxeter import RootSystem, Stratum, enumerate_strata, stratum_of_point
+from .coxeter import RootSystem, Stratum, stratum_of_point
 from .errors import ConvergenceError, UsageError
 from .invariants import InvariantBasis
 from .jacobian import _minor_table
@@ -35,6 +35,7 @@ NEWTON_TOL = 1e-12
 CRITICAL_RESIDUAL_TOL = 1e-9
 HESSIAN_EIG_FLOOR = 1e-6
 FIBER_MULTISTARTS = 128      # Newton starts seeding each fiber sample
+CRITICAL_MULTISTARTS = 96    # Newton starts of each critical-point solve
 TARGET_CANDIDATES = 500      # draws before random_regular_target gives up
 TARGET_MARGIN = 0.05         # random_regular_target's wall distance over |x*|
 _NEAREST = 8                 # neighbours per point in the connectivity subgraph
@@ -448,13 +449,14 @@ def critical_points(
     rs: RootSystem,
     k: int,
     m,
-    multistarts: int = 96,
     seed: int = 0,
-    strata: list[Stratum] | None = None,
+    *,
+    strata: list[Stratum],
 ) -> list[CriticalPoint]:
     """Solve the square Lagrange system {P_k = m} + {grad p_{k+1} = sum mu_j
-    grad p_j} by batched Newton multistart.  Each start is solved on its
-    own, so fewer starts find a subset of the points, bit for bit.
+    grad p_j} by batched Newton multistart from CRITICAL_MULTISTARTS starts.
+    Each start is solved on its own, so fewer starts find a subset of the
+    points, bit for bit.  `strata` is `enumerate_strata(rs)`.
 
     Each converged solution is reflected into the chamber (the multipliers
     are reflection-invariant), deduplicated, and classified: the stratum it
@@ -469,12 +471,10 @@ def critical_points(
         raise UsageError("critical points need 1 <= k < n")
     if len(m) != k:
         raise UsageError("target length must equal k")
-    if strata is None:
-        strata = enumerate_strata(rs)
     rng = _rng(seed)
     s = _fiber_scale(basis, m, None)
 
-    X0 = rng.normal(size=(multistarts, n)) * s
+    X0 = rng.normal(size=(CRITICAL_MULTISTARTS, n)) * s
     X0, ok = _project_batch(cb, k, m, X0)
     X = X0[ok]
     if len(X) == 0:

@@ -45,7 +45,6 @@ class ChamberMesh:
     vertices: np.ndarray        # (V, n), all in the chamber and the radius ball
     edges: np.ndarray           # (E, 2) int
     pitch: float
-    radius: float
     tree: cKDTree               # over `vertices`: the one nearest-vertex index
 
     @property
@@ -114,7 +113,7 @@ def build_chamber_mesh(rs: RootSystem, a: float, h: float) -> ChamberMesh:
 
     tree = cKDTree(verts)
     edges = tree.query_pairs(np.sqrt(n) * h * (1 + 1e-9), output_type="ndarray")
-    return ChamberMesh(verts, edges, h, a, tree)
+    return ChamberMesh(verts, edges, h, tree)
 
 
 @dataclass
@@ -373,18 +372,18 @@ def envelope_functions(
     rs: RootSystem,
     k: int,
     a: float,
-    h: float | None = None,
+    h: float,
     cells: int = 40,
     seed: int = 31,
 ) -> EnvelopeTable:
     """Min/max of p_{k+1} per cell of a grid over the image of the ball
-    under P_k, from the points of a pitch-h chamber mesh (default a/24) plus
+    under P_k, from the points of a pitch-h chamber mesh plus
     ENVELOPE_STRATUM_SAMPLES samples of each k-dim stratum (whose images
     carry the envelope graphs).
     """
     if not 1 <= k < len(basis.polys):
         raise UsageError("envelopes need 1 <= k < n")
-    pts = [build_chamber_mesh(rs, a, h if h is not None else a / 24).vertices]
+    pts = [build_chamber_mesh(rs, a, h).vertices]
     for s in enumerate_strata(rs):
         if s.dim == k:
             pts.append(sample_stratum(s, ENVELOPE_STRATUM_SAMPLES, a, seed, rs))

@@ -5,6 +5,7 @@ criterion.  Every expected value is either derived from an independent
 oracle inside the test or is a combinatorial fact of the degree tables.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -22,6 +23,7 @@ from chevalley.invariants import InvariantBasis
 from chevalley.jacobian import verify_det_factorization, verify_stratum_rank
 from chevalley.poly import SparsePoly
 from chevalley.probe import (
+    HESSIAN_EIG_FLOOR,
     critical_points,
     fiber_connectivity,
     fiber_value_interval,
@@ -233,6 +235,37 @@ def test_criterion_4_morse(basis_cache, rs_cache, strata_cache):
              detail + f"; {fibers} random fibers, anomalies={anomalies}")
 
 
+def _suite_check(suite, cfg, basis, rs, strata):
+    """The one check a single-k `morse` or `fiber` suite writes for a given
+    basis: the code path of `chevalley morse` / `fiber`."""
+    rep = SuiteReport(cfg)
+    suite(cfg, rep, {"basis": basis, "rs": rs, "strata": strata})
+    (check,) = rep.checks
+    return check
+
+
+def test_criterion_4_rejects_a_degenerate_basis(basis_cache, rs_cache, strata_cache):
+    """B2 with p2^2 in place of p2 (degrees (2, 8)): on the fiber |x|^2 = 1
+    the points where p2 = 0 are degenerate critical points of p2^2, with a
+    zero projected Hessian.  `morse` must flag them.  The degenerate solve
+    stops just off the wall, so the stratum test raises the flag before the
+    eigenvalue floor; the d1:w0 maximum, value 1/16, stays a Morse point."""
+    b, rs = basis_cache("B2"), rs_cache("B2")
+    p1, p2 = b.polys
+    planted = InvariantBasis(dataclasses.replace(b.ctype, degrees=(2, 8)), [p1, p2 ** 2],
+                             "planted")
+    cfg = RunConfig(type_spec="B2", command="morse", seed=5, k=1, target=[1.0])
+    check = _suite_check(cli._suite_morse, cfg, planted, rs, strata_cache("B2"))
+    assert check["name"] == "morse:k=1" and check["status"] == "anomaly"
+    anomalies = check["metrics"]["anomalies"]
+    assert len(anomalies) == 2 and check["metrics"]["n_critical"] == 3
+    for cp in anomalies:
+        assert cp["value"] < 1e-20
+        assert cp["anomaly_reason"] == "critical point on a stratum of dimension 2 != k=1"
+        assert max(abs(e) for e in cp["hessian_eigs"]) < HESSIAN_EIG_FLOOR
+    assert abs(max(check["metrics"]["values"]) - 1 / 16) < 1e-12
+
+
 # -- 5: fiber connectivity and interval fibers ---------------------------------
 
 
@@ -274,6 +307,31 @@ def test_criterion_5_fiber_connectivity(basis_cache, rs_cache):
              f"connected {total['connected']}/{total['nonempty']} "
              f"max_gap={worst_gap:.4f} median gap {med_n:.4f}->{med_2n:.4f} "
              f"({elapsed:.0f}s)")
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_criterion_5_rejects_a_two_sheet_d4_fiber(basis_cache, rs_cache, strata_cache, seed):
+    """The D4 k=2 fiber at m = (0.74121475, 0.18542784) has two components
+    in the chamber (ROADMAP item 21): `fiber` must count both."""
+    b, rs = basis_cache("D4"), rs_cache("D4")
+    cfg = RunConfig(type_spec="D4", command="fiber", seed=seed, k=2,
+                    target=[0.74121475, 0.18542784])
+    check = _suite_check(cli._suite_fiber, cfg, b, rs, strata_cache("D4"))
+    assert check["name"] == "fiber:k=2" and check["status"] == "anomaly"
+    assert check["metrics"]["components"] == 2 and check["metrics"]["n_points"] == 1000
+
+
+def test_criterion_5_rejects_a_sample_with_an_arc_removed(basis_cache, rs_cache):
+    """The B2 k=1 fiber is the unit circle's arc in the chamber (polar
+    angle 0 to pi/4), one component; with the points at polar angle in
+    (0.3, 0.5) removed, a gap far wider than the connectivity radius, the
+    sample must read as two."""
+    fs = sample_fiber(basis_cache("B2"), rs_cache("B2"), 1, [1.0], n_points=400, seed=3)
+    assert fiber_connectivity(fs) == 1
+    angle = np.arctan2(fs.points[:, 1], fs.points[:, 0])
+    cut = (angle > 0.3) & (angle < 0.5)
+    assert 0 < cut.sum() < len(angle)
+    assert fiber_connectivity(dataclasses.replace(fs, points=fs.points[~cut])) == 2
 
 
 # -- 6: Whitney ratios ----------------------------------------------------------

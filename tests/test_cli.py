@@ -86,7 +86,7 @@ def test_invalid_type_exits_2(capsys):
 
 def test_usage_error_for_bad_config():
     with pytest.raises(UsageError):
-        RunConfig(tol_zero=-1.0).validate()
+        RunConfig(pitch=-1.0).validate()
     with pytest.raises(UsageError):
         run_suite(RunConfig(command="nonsense"))
 
@@ -133,7 +133,7 @@ def test_cli_all_b2_exit_zero(tmp_path, capsys):
 def test_cli_writes_report_and_converts(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main([
-        "verify-jacobian", "--type", "B2", "--seed", "2", "--tol", "1e-8", "--out", str(out),
+        "verify-jacobian", "--type", "B2", "--seed", "2", "--out", str(out),
     ])
     assert code == 0 and out.exists()
     code = main(["report", "--in", str(out), "--format", "text"])
@@ -274,6 +274,8 @@ def test_exit_code_ranks_failures_over_unsupported():
 @pytest.mark.parametrize("argv", [
     ["invariants", "--type", "-x"],
     ["invariants", "--type", "B2", "--no-such-flag"],
+    # the zero-test threshold is verify_stratum_rank's own, not an option
+    ["verify-statement", "--tol", "1e-9"],
 ])
 def test_argparse_error_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -337,6 +339,10 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     assert main(["verify-jacobian", "--config", str(cfgfile)]) == 2
     err = capsys.readouterr().err
     assert "sedd" in err and len(err.strip().splitlines()) == 1
+    cfgfile.write_text(json.dumps({"tol_zero": 1e-9}))
+    assert main(["verify-statement", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config field(s): 'tol_zero'" in err and len(err.strip().splitlines()) == 1
     cfgfile.write_text(json.dumps([1, 2]))
     assert main(["verify-jacobian", "--config", str(cfgfile)]) == 2
     assert "object" in capsys.readouterr().err
@@ -365,7 +371,7 @@ def test_report_without_provenance_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cfg, field", [
-    ({"tol_zero": "x"}, "tol_zero"),
+    ({"pitch": "x"}, "pitch"),
     ({"seed": "x"}, "seed"),
     ({"pairs": 1.5}, "pairs"),
     ({"seed": -1}, "seed"),
@@ -501,9 +507,11 @@ def test_near_miss_type_exits_2(capsys, spec):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+# H4's exact invariance (about 2.5 s) runs once, in test_h4_invariance_is_exact;
+# tools/reports.py's invariants:H4 row pins its report
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(spec=st.sampled_from(_SUPPORTED_TYPES) | st.sampled_from(_NEAR_MISS_TYPES)
-       | st.text(max_size=6))
+@given(spec=st.sampled_from([t for t in _SUPPORTED_TYPES if t != "H4"])
+       | st.sampled_from(_NEAR_MISS_TYPES) | st.text(max_size=6))
 def test_type_exit_codes_property(spec):
     """Any --type on invariants: main returns an exit code in 0-4 and raises
     nothing; a usage error is one line."""

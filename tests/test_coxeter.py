@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 import chevalley
+from chevalley import coxeter
 from chevalley.coxeter import (
+    STRATUM_MARGIN,
     RootSystem,
     _certify_simple_system,
     _float_mat,
@@ -608,12 +611,13 @@ def test_sample_stratum_deterministic(rs_cache, strata_cache):
     assert a.tobytes() == b.tobytes()
 
 
-def test_sample_stratum_gives_up_naming_the_face(rs_cache, strata_cache):
+def test_sample_stratum_gives_up_naming_the_face(rs_cache, strata_cache, monkeypatch):
     """Unit wall forms are at most 1, so a margin of 2 admits no direction."""
     rs = rs_cache("B3")
     s = next(t for t in strata_cache("B3") if t.dim == 2)
+    monkeypatch.setattr(coxeter, "STRATUM_MARGIN", 2.0)
     with pytest.raises(CapabilityError, match=s.stratum_id):
-        sample_stratum(s, 4, 1.0, 3, rs, margin=2.0)
+        sample_stratum(s, 4, 1.0, 3, rs)
 
 
 _PROPERTY_TYPES = ["A3", "B2", "B3", "D4", "D6", "G2", "I2:5", "H3", "F4", "H4"]
@@ -627,9 +631,10 @@ def test_sample_stratum_properties(data, name, seed, count, radius, margin,
                                    rs_cache, strata_cache):
     rs = rs_cache(name)
     s = data.draw(st.sampled_from([t for t in strata_cache(name) if t.dim > 0]))
-    X = sample_stratum(s, count, radius, seed, rs, margin)
+    with mock.patch.object(coxeter, "STRATUM_MARGIN", margin):
+        X = sample_stratum(s, count, radius, seed, rs)
+        assert X.tobytes() == sample_stratum(s, count, radius, seed, rs).tobytes()
     assert X.shape == (count, rs.n)
-    assert X.tobytes() == sample_stratum(s, count, radius, seed, rs, margin).tobytes()
     nx = np.linalg.norm(X, axis=1)
     # rounding slack of a few ulps on the norm and on each form
     assert np.all(nx >= radius * 0.15 ** (1.0 / s.dim) * (1 - 1e-12))
@@ -643,7 +648,7 @@ def test_sample_stratum_properties(data, name, seed, count, radius, margin,
         assert np.all(forms >= margin * nx - 1e-12 * nx)
 
 
-def _sample_stratum_reference(s, count, radius, seed, rs, margin=0.02):
+def _sample_stratum_reference(s, count, radius, seed, rs):
     """The sampler as a per-point loop, one sample after another: the law
     (attempts, jitter schedule, margin test, radius) the batched rounds keep."""
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -659,7 +664,7 @@ def _sample_stratum_reference(s, count, radius, seed, rs, margin=0.02):
             if nx < 1e-12:
                 continue
             x = x / nx
-            if others and np.min(a_others @ x) < margin:
+            if others and np.min(a_others @ x) < STRATUM_MARGIN:
                 jitter *= 0.7
                 continue
             r = radius * float(rng.uniform(0.15, 1.0) ** (1.0 / s.dim))
@@ -670,7 +675,7 @@ def _sample_stratum_reference(s, count, radius, seed, rs, margin=0.02):
     return out
 
 
-def _replay_rounds(s, count, radius, seed, rs, margin=0.02):
+def _replay_rounds(s, count, radius, seed, rs):
     """The batched rounds rebuilt from one pre-drawn normal stream, with the
     bookkeeping done sample by sample: round r takes the next len(pending)
     draws in sample order, and the radii are the uniforms that follow the
@@ -691,7 +696,7 @@ def _replay_rounds(s, count, radius, seed, rs, margin=0.02):
         X = s.anchor + (np.array([jitter[i] for i in pending])[:, None] * Z) @ s.basis.T
         nx = np.sqrt(np.einsum("ij,ij->i", X, X))
         X /= np.where(nx >= 1e-12, nx, 1.0)[:, None]
-        low = (X @ a_others.T).min(axis=1, initial=np.inf) < margin
+        low = (X @ a_others.T).min(axis=1, initial=np.inf) < STRATUM_MARGIN
         still = []
         for row, i in enumerate(pending):
             if nx[row] < 1e-12:

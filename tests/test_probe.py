@@ -267,12 +267,14 @@ def test_fiber_sample_invariants(basis_cache, rs_cache):
     ("A4", 2, [0.5, 1.0]),
 ])
 def test_critical_values_bracket_fiber_interval(name, k, m, basis_cache, rs_cache,
-                                                strata_cache):
+                                                strata_cache, monkeypatch):
     """The sampled value interval endpoints match the extreme critical
-    values to 1e-6."""
+    values (from 192 starts) to 1e-6."""
+    import chevalley.probe as probe
+
     b, rs = basis_cache(name), rs_cache(name)
-    cps = critical_points(b, rs, k, m, multistarts=192, seed=40,
-                          strata=strata_cache(name))
+    monkeypatch.setattr(probe, "CRITICAL_MULTISTARTS", 192)
+    cps = critical_points(b, rs, k, m, seed=40, strata=strata_cache(name))
     assert cps
     values = [cp.value for cp in cps]
     fs = sample_fiber(b, rs, k, m, n_points=1500, seed=41)
@@ -348,15 +350,18 @@ def test_critical_points_survive_singular_multiplier_solve(
 
 @pytest.mark.parametrize("name,k", [("B3", 2), ("F4", 2), ("A4", 3), ("H3", 2), ("D5", 2)])
 def test_critical_points_do_not_depend_on_their_batch(name, k, basis_cache, rs_cache,
-                                                      strata_cache):
+                                                      strata_cache, monkeypatch):
     """Each Newton row stops on its own residual, so a point found from the
     first j starts is found bit for bit by the run with 96 starts, whose
     Philox draw begins with those j starts (the `morse` seed-1 targets)."""
+    import chevalley.probe as probe
+
     b, rs, strata = basis_cache(name), rs_cache(name), strata_cache(name)
     m, _ = random_regular_target(b, rs, k, 1 + 17 * k)
 
     def points(j):
-        cps = critical_points(b, rs, k, m, multistarts=j, seed=1, strata=strata)
+        monkeypatch.setattr(probe, "CRITICAL_MULTISTARTS", j)
+        cps = critical_points(b, rs, k, m, seed=1, strata=strata)
         return [(cp.x.tobytes(), cp.multipliers.tobytes(), cp.value) for cp in cps]
 
     full = set(points(96))

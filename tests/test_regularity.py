@@ -176,7 +176,7 @@ def test_disconnected_mesh_raises(basis_cache, rs_cache):
     disconnected, and building it raises."""
     rs = rs_cache("B2")
     verts = np.array([[0.1, 0.0], [0.15, 0.05], [0.9, 0.1], [0.95, 0.15]])
-    mesh = ChamberMesh(verts, np.array([[0, 1], [2, 3]]), 0.05, 1.0, cKDTree(verts))
+    mesh = ChamberMesh(verts, np.array([[0, 1], [2, 3]]), 0.05, cKDTree(verts))
     with pytest.raises(ConvergenceError, match="image graph is disconnected"):
         build_image_graph(basis_cache("B2"), rs, mesh)
 
