@@ -214,8 +214,7 @@ def _suite_invariants(cfg: RunConfig, rep: SuiteReport, ctx: dict):
     ok = len(rs.positive_f) == ct.n_positive_roots
     rep.add("root-count", "pass" if ok else "fail",
             roots=len(rs.positive_f), expected=ct.n_positive_roots)
-    gens = rs.simple_reflections if rs.exact else list(rs.simple_reflections_f)
-    inv_ok = verify_invariance(basis, gens)
+    inv_ok = verify_invariance(basis, rs)
     rep.add("invariance", "pass" if inv_ok else "fail", exact=rs.exact)
     point, det = jacobian_det_at_point(basis)
     rep.add("jacobian-rank", "fail" if det.is_zero() else "pass",

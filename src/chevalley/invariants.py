@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coxeter import CoxeterType, coxeter_type
+from .coxeter import CoxeterType, RootSystem, coxeter_type
 from .errors import CapabilityError, CheckFailure, IntegrityError, UsageError
 from .field import ONE, Scalar
 from .poly import CompiledPoly, PolyMatrix, SparsePoly, power_table
@@ -293,18 +293,17 @@ def basic_invariants(
     )
 
 
-def verify_invariance(basis: InvariantBasis, generators) -> bool:
-    """Invariance p o w == p by exact substitution for exact generator
-    matrices (every type with exact root data), so True is a proof; the
-    float generators of I2(p), p != 4, are checked at seeded points."""
-    if not generators:
-        raise UsageError("no generators given")
-    if isinstance(generators[0], np.ndarray):
-        pts = np.random.default_rng(7).normal(size=(24, basis.nvars))
-        P, vals = basis.compiled.P, basis.compiled.P(pts)
-        return all(np.allclose(P(pts @ np.asarray(w).T), vals, rtol=1e-9, atol=1e-9)
-                   for w in generators)
-    return all(p.substitute_linear(w) == p for w in generators for p in basis.polys)
+def verify_invariance(basis: InvariantBasis, rs: RootSystem) -> bool:
+    """Invariance p o w == p under the simple reflections w of rs: by exact
+    substitution where the root data is exact (every type but I2(p),
+    p != 4), so True is a proof; otherwise at seeded points."""
+    if rs.exact:
+        return all(p.substitute_linear(w) == p
+                   for w in rs.simple_reflections for p in basis.polys)
+    pts = np.random.default_rng(7).normal(size=(24, basis.nvars))
+    P, vals = basis.compiled.P, basis.compiled.P(pts)
+    return all(np.allclose(P(pts @ w.T), vals, rtol=1e-9, atol=1e-9)
+               for w in rs.simple_reflections_f)
 
 
 def jacobian_det_at_point(basis: InvariantBasis) -> tuple[tuple[int, ...], Scalar]:

@@ -76,7 +76,7 @@ def _gram_solve(J, rhs):
     return _solve(A, rhs[..., None])
 
 
-def _newton(system, Z, tol, max_iter, cap, runaway):
+def _newton(system, Z, tol, max_iter, cap, runaway, close_tol):
     """Batched Newton in which each row stops on its own residual.
 
     system(Za) gives the residuals R of the active rows Za and a function
@@ -86,8 +86,13 @@ def _newton(system, Z, tol, max_iter, cap, runaway):
     R is not finite or it ran away, both with no step asked for it, or
     when its step length is not finite (a step too long to square counts
     as infinite, silently); it is not moved again.  Every other row takes
-    its step, shortened to the cap.  Returns (Z, converged); callers close
-    with their own test on the other rows.
+    its step, shortened to the cap.
+
+    Returns (Z, converged), the verdict on every row: the rows the loop did
+    not converge are evaluated once more, and converge if max|R| <=
+    close_tol.  A row that converged in the loop passed tol <= close_tol,
+    and a row's values do not depend on its batch, so only the other rows
+    are evaluated again.
     """
     Z = np.array(Z, dtype=float)
     converged = np.zeros(len(Z), dtype=bool)
@@ -114,17 +119,17 @@ def _newton(system, Z, tol, max_iter, cap, runaway):
         Z[idx[move]] = Za[move] - np.where(
             norms > limit, step * limit / np.maximum(norms, 1e-300), step)
         idx = idx[move]
+    rest = np.flatnonzero(~converged)
+    if len(rest):
+        converged[rest] = np.max(np.abs(system(Z[rest])[0]), axis=1) <= close_tol
     return Z, converged
 
 
 def _project_batch(cb, k, m, X, max_iter=60):
     """Least-squares Newton for P_k(x) = m on a batch of points, on the
     compiled basis cb.  Returns (X, ok): updated points and a
-    convergence mask.  Rows beyond |x_i| > 1e8 are marked failed.
-
-    A row that converged in the loop passed a test ten times tighter than
-    the closing one, and a row's values do not depend on its batch, so the
-    closing evaluation runs on the other rows only.
+    convergence mask.  Rows beyond |x_i| > 1e8 are marked failed; a row
+    the loop leaves above NEWTON_TOL closes at ten times it.
     """
     m = np.asarray(m, dtype=float)
     scale = 1.0 + float(np.max(np.abs(m)))
@@ -136,18 +141,12 @@ def _project_batch(cb, k, m, X, max_iter=60):
             np.swapaxes(J[rows], 1, 2) @ _gram_solve(J[rows], R[rows]), axis=-1)
 
     # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
-    X, converged = _newton(
+    return _newton(
         gauss_newton, X, NEWTON_TOL * scale, max_iter,
         cap=lambda Xa: 0.5 * (1.0 + np.sqrt(np.add.reduce(Xa * Xa, axis=1, keepdims=True))),
         runaway=lambda Xa: np.max(np.abs(Xa), axis=1) > 1e8,
+        close_tol=10 * NEWTON_TOL * scale,
     )
-    rest = np.flatnonzero(~converged)
-    if len(rest):
-        R = cb.evaluate(X[rest], k)[0] - m
-        converged[rest] = np.all(np.isfinite(R), axis=1) & (
-            np.max(np.abs(R), axis=1) <= 10 * NEWTON_TOL * scale
-        )
-    return X, converged
 
 
 def _first_rows(quant):
@@ -484,18 +483,16 @@ def critical_points(
     Jk = G[:, :k, :]
     mu = _gram_solve(Jk, np.einsum("bkn,bn->bk", Jk, G[:, k, :]))[..., 0]
 
-    def lagrange(Z, with_step=True):
+    def lagrange(Z):
         """Residuals of the Lagrange system at the rows Z = (x, mu), and
         steps(rows), their Newton steps on the square Jacobian."""
         X, mu = Z[:, :n], Z[:, n:]
-        P, G, *H = cb.evaluate(X, k + 1, hess=with_step)
+        P, G, H = cb.evaluate(X, k + 1, hess=True)
         Jk = G[:, :k, :]
         R = np.concatenate([P[:, :k] - m, G[:, k, :] - np.einsum("bj,bjn->bn", mu, Jk)], axis=1)
-        if not with_step:
-            return R
         jac = np.zeros((len(Z), n + k, n + k))
         jac[:, :k, :n] = Jk
-        jac[:, k:, :n] = H[0][:, k] - np.einsum("bj,bjpq->bpq", mu, H[0][:, :k])
+        jac[:, k:, :n] = H[:, k] - np.einsum("bj,bjpq->bpq", mu, H[:, :k])
         jac[:, k:, n:] = -np.swapaxes(Jk, 1, 2)
         return R, lambda rows: _solve(jac[rows], R[rows, :, None])[..., 0]
 
@@ -504,11 +501,8 @@ def critical_points(
         lagrange, np.concatenate([X, mu], axis=1), NEWTON_TOL * scale, 80,
         cap=lambda Za: 0.5 * s + 0.5,
         runaway=lambda Za: np.linalg.norm(Za[:, :n], axis=1) >= 50 * s + 50,
+        close_tol=CRITICAL_RESIDUAL_TOL * scale,
     )
-    rest = np.flatnonzero(~good)
-    if len(rest):
-        R = lagrange(Z[rest], with_step=False)
-        good[rest] = np.max(np.abs(R), axis=1) <= CRITICAL_RESIDUAL_TOL * scale
     X, mu = Z[good, :n], Z[good, n:]
     if len(X) == 0:
         return []
@@ -544,14 +538,13 @@ def _classify_critical(rs, strata, k, m, x, mu, P, G, H, border) -> CriticalPoin
     T = vt[rank:].T  # (n, n-rank)
     eigs = np.linalg.eigvalsh(T.T @ Hl @ T) if T.shape[1] else np.zeros(0)
 
-    anomaly = False
-    reason = ""
+    reasons = []
     if st is None:
-        anomaly, reason = True, "no stratum matches the active walls"
+        reasons.append("no stratum matches the active walls")
     elif st.dim != k:
-        anomaly, reason = True, f"critical point on a stratum of dimension {st.dim} != k={k}"
-    elif eigs.size and np.min(np.abs(eigs)) < HESSIAN_EIG_FLOOR:
-        anomaly, reason = True, "projected Hessian has a near-zero eigenvalue"
+        reasons.append(f"critical point on a stratum of dimension {st.dim} != k={k}")
+    if eigs.size and np.min(np.abs(eigs)) < HESSIAN_EIG_FLOOR:
+        reasons.append("projected Hessian has a near-zero eigenvalue")
     return CriticalPoint(
         x=x,
         multipliers=mu,
@@ -561,6 +554,6 @@ def _classify_critical(rs, strata, k, m, x, mu, P, G, H, border) -> CriticalPoin
         hessian_eigs=eigs,
         residual=resid,
         bordering_minor_max=float(border),
-        anomaly=anomaly,
-        anomaly_reason=reason,
+        anomaly=bool(reasons),
+        anomaly_reason="; ".join(reasons),
     )

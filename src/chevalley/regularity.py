@@ -63,9 +63,13 @@ def build_chamber_mesh(rs: RootSystem, a: float, h: float) -> ChamberMesh:
     if h > a / 4 + 1e-12:
         raise UsageError("mesh pitch must satisfy h <= a/4")
     n = rs.n
-    idx = np.arange(-int(np.floor(a / h + 1e-9)), int(np.floor(a / h + 1e-9)) + 1)
-    if (len(idx)) ** n > MESH_POINT_BUDGET:
+    # counted in floats before the axis is built, so an inf a / h compares too
+    half = np.floor(a / h + 1e-9)
+    with np.errstate(over="ignore"):
+        cube = (2 * half + 1) ** n
+    if cube > MESH_POINT_BUDGET:
         raise CapabilityError("mesh would exceed the desk-scale point budget")
+    idx = np.arange(-int(half), int(half) + 1)
     axis, step = idx * h, max(1, _MESH_BLOCK // len(idx) ** (n - 1))
     blocks = []
     for lo in range(0, len(idx), step):

@@ -248,7 +248,7 @@ def test_criterion_4_rejects_a_degenerate_basis(basis_cache, rs_cache, strata_ca
     """B2 with p2^2 in place of p2 (degrees (2, 8)): on the fiber |x|^2 = 1
     the points where p2 = 0 are degenerate critical points of p2^2, with a
     zero projected Hessian.  `morse` must flag them.  The degenerate solve
-    stops just off the wall, so the stratum test raises the flag before the
+    stops just off the wall, so each is named by the stratum test and by the
     eigenvalue floor; the d1:w0 maximum, value 1/16, stays a Morse point."""
     b, rs = basis_cache("B2"), rs_cache("B2")
     p1, p2 = b.polys
@@ -261,7 +261,8 @@ def test_criterion_4_rejects_a_degenerate_basis(basis_cache, rs_cache, strata_ca
     assert len(anomalies) == 2 and check["metrics"]["n_critical"] == 3
     for cp in anomalies:
         assert cp["value"] < 1e-20
-        assert cp["anomaly_reason"] == "critical point on a stratum of dimension 2 != k=1"
+        assert cp["anomaly_reason"] == ("critical point on a stratum of dimension 2 != k=1; "
+                                        "projected Hessian has a near-zero eigenvalue")
         assert max(abs(e) for e in cp["hessian_eigs"]) < HESSIAN_EIG_FLOOR
     assert abs(max(check["metrics"]["values"]) - 1 / 16) < 1e-12
 

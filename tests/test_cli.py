@@ -235,6 +235,20 @@ def test_all_records_unsupported_suites_and_exits_2(capsys):
     assert "point budget" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["--type", "B2", "--h", "1e-320"],
+                                  ["--type", "G2", "--a", "1e300", "--h", "1e-300"]])
+def test_pitch_over_the_mesh_budget_is_unsupported(argv, capsys):
+    """A pitch whose mesh is over the point budget, however fine, exits 2
+    with one error line; under `all` it is the one `unsupported` check."""
+    assert main(["whitney", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "point budget" in err and len(err.strip().splitlines()) == 1
+    if argv[1] == "B2":
+        assert main(["all", *argv, "--seed", "1"]) == 2
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks if c["status"] == "unsupported"] == ["whitney"]
+
+
 def test_all_records_a_check_failure_as_one_fail_check(capsys, monkeypatch):
     """Under `all` a suite that raises CheckFailure is one `fail` check named
     after it, with the message and the witness; every other suite still

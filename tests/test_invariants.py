@@ -92,16 +92,17 @@ def test_invariance_exact(basis_cache, rs_cache):
     for name in ("B2", "D4", "A3", "F4"):
         b = basis_cache(name)
         rs = rs_cache(name)
-        assert verify_invariance(b, rs.simple_reflections)
+        assert verify_invariance(b, rs)
 
 
 def test_invariance_exact_full_group_b2(basis_cache, rs_cache):
     g = generate_group(rs_cache("B2"))
-    assert verify_invariance(basis_cache("B2"), g)
+    assert len(g) == 8
+    assert all(p.substitute_linear(w) == p for w in g for p in basis_cache("B2").polys)
 
 
 def test_h3_invariance_exact_under_simple_reflections(basis_cache, rs_cache):
-    assert verify_invariance(basis_cache("H3"), rs_cache("H3").simple_reflections)
+    assert verify_invariance(basis_cache("H3"), rs_cache("H3"))
 
 
 def test_perturbed_basis_is_not_invariant(basis_cache, rs_cache):
@@ -110,7 +111,17 @@ def test_perturbed_basis_is_not_invariant(basis_cache, rs_cache):
     broken = InvariantBasis(
         b.ctype, [b.polys[0], b.polys[1] + x1 * x1 * x1 * x1], "test"
     )
-    assert not verify_invariance(broken, rs_cache("B2").simple_reflections)
+    assert not verify_invariance(broken, rs_cache("B2"))
+
+
+def test_invariance_at_points_where_the_root_data_is_float(basis_cache, rs_cache):
+    """I2(7) has float root data only, so invariance is checked at seeded
+    points: the basis passes and a non-invariant degree-7 term fails."""
+    b, rs = basis_cache("I2:7"), rs_cache("I2:7")
+    assert not rs.exact and verify_invariance(b, rs)
+    x1 = SparsePoly.variable(2, 0)
+    broken = InvariantBasis(b.ctype, [b.polys[0], b.polys[1] + x1 ** 7], "test")
+    assert not verify_invariance(broken, rs)
 
 
 def test_chevalley_eval_examples(basis_cache):

@@ -398,10 +398,34 @@ def test_newton_steps_only_rows_that_move():
         return Za.copy(), steps
 
     Z, ok = probe._newton(system, [[0.0], [1.0], [np.inf], [1e3], [2.0]], 1e-12, 10,
-                          cap=lambda Za: 1e9, runaway=lambda Za: np.abs(Za[:, 0]) > 100)
+                          cap=lambda Za: 1e9, runaway=lambda Za: np.abs(Za[:, 0]) > 100,
+                          close_tol=1e-12)
     assert ok.tolist() == [True, True, False, False, False]
     assert Z[:, 0].tolist() == [0.0, 0.0, np.inf, 1e3, 2.0]
     assert sorted(asked) == [1.0, 2.0]
+
+
+def test_newton_closes_the_rows_its_loop_leaves():
+    """Rows are z -> 0 with residual z and half steps, two iterations: the
+    row at 1 ends at 0.25, within close_tol, and converges; the row at 4
+    ends at 1 and the NaN row stays NaN, so neither does; the closing call
+    evaluates those three rows only, never the row at 0 that the loop
+    converged."""
+    import chevalley.probe as probe
+
+    calls = []
+
+    def system(Za):
+        calls.append(Za[:, 0].tolist())
+        return Za.copy(), lambda rows: 0.5 * Za[rows]
+
+    Z, ok = probe._newton(system, [[0.0], [1.0], [4.0], [np.nan]], 1e-12, 2,
+                          cap=lambda Za: 1e9, runaway=lambda Za: np.zeros(len(Za), bool),
+                          close_tol=0.3)
+    assert ok.tolist() == [True, True, False, False]
+    assert Z[:3, 0].tolist() == [0.0, 0.25, 1.0] and np.isnan(Z[3, 0])
+    assert len(calls) == 3 and len(calls[-1]) == 3
+    assert calls[-1][:2] == [0.25, 1.0] and np.isnan(calls[-1][2])
 
 
 def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_cache,
@@ -413,7 +437,7 @@ def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_
 
     newton, handed, active = probe._newton, [0], [0]
 
-    def spy(system, Z, tol, max_iter, cap, runaway):
+    def spy(system, Z, tol, max_iter, cap, runaway, close_tol):
         def spied(Za):
             R, steps = system(Za)
             active[0] += len(Za)
@@ -424,7 +448,7 @@ def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_
                 handed[0] += len(rows)
                 return steps(rows)
             return R, spied_steps
-        return newton(spied, Z, tol, max_iter, cap, runaway)
+        return newton(spied, Z, tol, max_iter, cap, runaway, close_tol)
 
     monkeypatch.setattr(probe, "_newton", spy)
     b, rs = basis_cache("B3"), rs_cache("B3")

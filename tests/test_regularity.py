@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from chevalley import regularity
-from chevalley.errors import ConvergenceError, UsageError
+from chevalley.errors import CapabilityError, ConvergenceError, UsageError
 from chevalley.probe import (
     _rng,
     critical_points,
@@ -64,6 +64,19 @@ def test_mesh_vertex_count_tracks_chamber_volume(rs_cache):
 def test_mesh_pitch_precondition(rs_cache):
     with pytest.raises(UsageError):
         build_chamber_mesh(rs_cache("B2"), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("name,a,h", [
+    ("B2", 1.0, 1e-9),       # 2e9 + 1 points an axis
+    ("B2", 1.0, 1e-320),     # a / h is inf
+    ("G2", 1e300, 1e-300),   # a / h is inf
+    ("G2", 1e200, 1e-10),    # a / h is finite, the point count is not
+])
+def test_mesh_budget_is_checked_before_the_mesh_is_built(name, a, h, rs_cache):
+    """The cube's point count is compared with the budget in floats before
+    the axis is built, so a pitch too fine to index is a capability gap."""
+    with pytest.raises(CapabilityError, match="point budget"):
+        build_chamber_mesh(rs_cache(name), a, h)
 
 
 def test_mesh_rank_one_interval(rs_cache):

@@ -203,7 +203,7 @@ def verify_h4(basis: InvariantBasis) -> None:
     print(f"  exact det J at {point}: {float(det):.6g}")
     assert not det.is_zero(), "H4 candidate invariants are algebraically dependent"
     t0 = time.time()
-    ok = verify_invariance(basis, rs.simple_reflections)
+    ok = verify_invariance(basis, rs)
     print(f"  exact invariance under the simple reflections: {ok} ({time.time() - t0:.1f}s)")
     assert ok, "H4 candidate invariants are not invariant"
 
