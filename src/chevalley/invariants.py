@@ -79,11 +79,11 @@ class CompiledBasis:
     """Batched float evaluation of the invariants, their gradients and
     Hessians.  This is the hot path for fiber sampling and mesh imaging.
 
-    Each of the three is one `CompiledPoly` table: the invariants, the
-    gradients flattened by (i, j), and the Hessians' upper triangles
-    flattened by (i, j, l >= j), so the first k invariants use a prefix.
-    The Hessian table and the gradient scales are built on first use.
-    `evaluate` feeds all of them from one power table of the batch."""
+    `P` and `J` are one `CompiledPoly` table each, the invariants and their
+    gradients flattened by (i, j), so the first k use a prefix.  `evaluate`
+    reads one fused table of the invariants with their gradients and, for
+    the Hessians, a second one with their upper triangles too: one power
+    table, gather pass and CSR product give all of them."""
 
     def __init__(self, basis: InvariantBasis):
         self.basis = basis
@@ -91,10 +91,10 @@ class CompiledBasis:
         self.k = len(basis.polys)
         self._p = CompiledPoly(basis.polys)
         self._g = CompiledPoly([q for row in basis.gradients for q in row])
+        self._fused: dict[bool, tuple] = {}
 
     def P(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Invariant values; X of shape (..., n) -> (..., k)."""
-        k = self.k if k is None else k
         return self._p(X, k)
 
     def J(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -114,46 +114,45 @@ class CompiledBasis:
         scales.flags.writeable = False
         return scales
 
-    @cached_property
-    def _hess(self) -> CompiledPoly:
-        return CompiledPoly([
-            h for row in self.basis.gradients
-            for j, q in enumerate(row) for h in q.gradient()[j:]
-        ])
-
-    def _symmetric(self, upper: np.ndarray, k: int) -> np.ndarray:
-        # (..., k * n(n+1)/2) upper triangles -> (..., k, n, n)
-        n = self.n
-        upper = upper.reshape(upper.shape[:-1] + (k, n * (n + 1) // 2))
-        j, l = np.triu_indices(n)
-        out = np.empty(upper.shape[:-1] + (n, n))
-        out[..., j, l] = upper
-        out[..., l, j] = upper
-        return out
+    def _layout(self, hess: bool):
+        """The fused table and the columns of P, J and the Hessians in it,
+        built on first use: p_i, its gradient and, with hess, its Hessian's
+        upper triangle by (j, l >= j), invariant by invariant, so that the
+        first k invariants use a prefix."""
+        if hess not in self._fused:
+            n, polys = self.n, []
+            for p, row in zip(self.basis.polys, self.basis.gradients):
+                polys += [p, *row]
+                if hess:
+                    polys += [h for j, q in enumerate(row) for h in q.gradient()[j:]]
+            start = np.arange(self.k)[:, None] * (len(polys) // self.k)
+            # entry (j, l) of a Hessian is (min, max) of its row-major upper triangle
+            j, l = np.sort(np.indices((n, n)), axis=0)
+            self._fused[hess] = (CompiledPoly(polys), start[:, 0], start + 1 + np.arange(n),
+                                 start[..., None] + 1 + n + j * (2 * n - j - 1) // 2 + l)
+        return self._fused[hess]
 
     def hessians(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
-        """Hessians of the first k invariants; (..., n) -> (..., k, n, n)."""
-        k = self.k if k is None else k
-        return self._symmetric(self._hess(X, k * (self.n * (self.n + 1) // 2)), k)
+        """Hessians of the first k invariants at a batch, (B, n) -> (B, k, n, n):
+        the last part of `evaluate`."""
+        return self.evaluate(X, k, hess=True)[2]
 
     def evaluate(self, X: np.ndarray, k: int | None = None, hess: bool = False):
         """(P, J) or (P, J, H) of the first k invariants at a batch X of shape
-        (B, n), from one power table, bit for bit the `P` / `J` / `hessians`
-        values of each row, whatever batch holds it."""
+        (B, n), from one fused table, bit for bit the `P` / `J` values and a
+        Hessian table's of each row, whatever batch holds it."""
         k = self.k if k is None else k
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise UsageError("evaluate needs a batch of shape (B, n)")
         if not 1 <= k <= self.k:
             raise UsageError(f"k must be in 1..{self.k}")
-        # the invariants have the top exponent; their derivatives lower ones
-        table = power_table(X, self._p.degrees[k])
-        P = self._p.from_powers(table, k)
-        J = self._g.from_powers(table, k * self.n).reshape(len(X), k, self.n)
-        if not hess:
-            return P, J
-        H = self._hess.from_powers(table, k * (self.n * (self.n + 1) // 2))
-        return P, J, self._symmetric(H, k)
+        table, p_cols, j_cols, h_cols = self._layout(hess)
+        count = k * (len(table.ends) - 1) // self.k
+        out = table.from_powers(power_table(X, table.degrees[count]), count)
+        # gathers in C order, as separate tables give it: einsum's bits may depend on it
+        P, J = out.take(p_cols[:k], axis=1), out.take(j_cols[:k], axis=1)
+        return (P, J, out.take(h_cols[:k], axis=1)) if hess else (P, J)
 
 
 # ---------------------------------------------------------------------------

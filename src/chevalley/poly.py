@@ -425,7 +425,8 @@ class CompiledPoly:
     monomials are products of power-table entries in variable order, and
     one product with the CSR coefficients (count, M) sums each value left
     to right over its own terms.  So a row's bits depend on that row alone,
-    not on its batch, chunk or neighbours, nor on the BLAS thread count.
+    not on its batch, chunk or neighbours, nor on the BLAS thread count,
+    and a value's bits do not depend on the other polynomials of its table.
     """
 
     __slots__ = ("nvars", "expo", "ends", "degrees", "_csr", "_coef")
@@ -444,10 +445,12 @@ class CompiledPoly:
         ptr = np.cumsum([0] + [len(t) for t in terms], dtype=np.int32)
         self._csr = (np.array([float(c) for t in terms for _, c in t]), cols, ptr)
         self._coef: dict[int, csr_matrix] = {}  # CSR of the first `count`, built on first use
-        # ends[c] monomials and powers up to degrees[c] serve the first c polynomials
-        self.ends = [int(cols[:end].max(initial=-1)) + 1 for end in ptr]
+        # ends[c] monomials and powers up to degrees[c] serve the first c
+        # polynomials: running maxima over the terms and over the monomials
+        self.ends = np.concatenate([[0], np.maximum.accumulate(cols) + 1])[ptr].tolist()
         self.expo = np.array(list(index), dtype=np.int64).reshape(len(index), self.nvars)
-        self.degrees = [int(self.expo[:end].max(initial=0)) for end in self.ends]
+        top = np.maximum.accumulate(self.expo.max(axis=1, initial=0))
+        self.degrees = np.concatenate([[0], top])[self.ends].tolist()
 
     def __call__(self, x: np.ndarray, count: int | None = None) -> np.ndarray:
         """Values of the first `count` polynomials (default all) at x of

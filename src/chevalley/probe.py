@@ -9,8 +9,8 @@ All heavy paths are batched over numpy arrays: the Newton re-projection,
 the tangential random walk and the Lagrange solves all advance hundreds of
 points per step, through one Newton loop (`_newton`) in which each row
 stops on its own residual, so a solution depends on its start alone; so
-the extremes polish projects a batch of halved steps, bit for bit its
-serial search.
+the extremes polish reads a projected batch of halved steps as Python
+scalars, bit for bit its serial search.
 Randomness comes from a counter-based Philox stream keyed by the caller's
 seed, so every output is reproducible byte for byte.
 """
@@ -76,38 +76,53 @@ def _gram_solve(J, rhs):
     return _solve(A, rhs[..., None])
 
 
+def _least_norm_solve(J, r):   # the least-norm d with J d = r per sample
+    return (np.swapaxes(J, 1, 2) @ _gram_solve(J, r))[..., 0]
+
+
+def _row_max_abs(a):
+    """np.max(np.abs(a), axis=1) (NaN on a row with one) by the faster
+    reduction over the leading axis of a copy of a^T: a max has no order."""
+    return np.maximum.reduce(np.ascontiguousarray(np.abs(a).T))
+
+
 def _newton(system, Z, tol, max_iter, cap, runaway, close_tol):
     """Batched Newton in which each row stops on its own residual.
 
-    system(Za) gives the residuals R of the active rows Za and a function
-    steps(rows) that gives the Newton steps of those rows of Za only,
-    cap(Za) their largest step lengths and runaway(Za) the rows that ran
-    away.  A row stops as converged once max|R| <= tol, and as failed when
-    R is not finite or it ran away, both with no step asked for it, or
-    when its step length is not finite (a step too long to square counts
-    as infinite, silently); it is not moved again.  Every other row takes
-    its step, shortened to the cap.
+    system(Za) gives the residuals R of the active rows Za, a function
+    steps(rows) that gives the Newton steps of those rows of Za only, and
+    per-row values evaluated with R (an array); cap(Za) gives their largest
+    step lengths and runaway(Za) the rows that ran away.  A row stops as
+    converged once max|R| <= tol, and as failed when R is not finite or it
+    ran away, both with no step asked for it, or when its step length is not
+    finite (a step too long to square counts as infinite, silently); it is
+    not moved again.  Every other row takes its step, shortened to the cap.
 
-    Returns (Z, converged), the verdict on every row: the rows the loop did
-    not converge are evaluated once more, and converge if max|R| <=
-    close_tol.  A row that converged in the loop passed tol <= close_tol,
-    and a row's values do not depend on its batch, so only the other rows
-    are evaluated again.
+    Returns (Z, converged, last), the verdict on every row: the rows the
+    loop did not converge are evaluated once more, and converge if max|R|
+    <= close_tol.  A row that converged in the loop passed tol <=
+    close_tol, and a row's values do not depend on its batch, so only the
+    other rows are evaluated again.  last holds each row's values from its
+    last evaluation, at its final Z (None for an empty batch).
     """
     Z = np.array(Z, dtype=float)
     converged = np.zeros(len(Z), dtype=bool)
     idx = np.arange(len(Z))
+    last = None
     for _ in range(max_iter):
         if not len(idx):
             break
         Za = Z if len(idx) == len(Z) else Z[idx]
-        R, steps = system(Za)
+        R, steps, values = system(Za)
+        last = np.empty_like(values) if last is None else last    # Za is Z at first
         # the max is NaN when any entry is, so it alone tests finiteness
-        r = np.max(np.abs(R), axis=1)
-        bad = ~np.isfinite(r) | runaway(Za)
+        r = _row_max_abs(R)
+        good = np.isfinite(r) & ~runaway(Za)
         done = r <= tol
-        converged[idx[done & ~bad]] = True
-        move = np.flatnonzero(~(done | bad))
+        hit = done & good
+        converged[idx[hit]] = True
+        last[idx[hit]] = values[hit]
+        move = np.flatnonzero(good & ~done)
         if not len(move):
             break
         step = steps(move)
@@ -115,21 +130,27 @@ def _newton(system, Z, tol, max_iter, cap, runaway, close_tol):
             norms = np.sqrt(np.add.reduce(step * step, axis=1, keepdims=True))
         finite = np.isfinite(norms[:, 0])
         move, step, norms = move[finite], step[finite], norms[finite]
-        limit = cap(Za[move])
-        Z[idx[move]] = Za[move] - np.where(
-            norms > limit, step * limit / np.maximum(norms, 1e-300), step)
+        Zm = Za[move]
+        limit = cap(Zm)
+        over = norms > limit
+        if over.any():
+            step = np.where(over, step * limit / np.maximum(norms, 1e-300), step)
+        Z[idx[move]] = Zm - step
         idx = idx[move]
     rest = np.flatnonzero(~converged)
     if len(rest):
-        converged[rest] = np.max(np.abs(system(Z[rest])[0]), axis=1) <= close_tol
-    return Z, converged
+        R, _, values = system(Z[rest])
+        converged[rest] = _row_max_abs(R) <= close_tol
+        last = values if last is None else last    # no iteration: rest is every row
+        last[rest] = values
+    return Z, converged, last
 
 
 def _project_batch(cb, k, m, X, max_iter=60):
     """Least-squares Newton for P_k(x) = m on a batch of points, on the
-    compiled basis cb.  Returns (X, ok): updated points and a
-    convergence mask.  Rows beyond |x_i| > 1e8 are marked failed; a row
-    the loop leaves above NEWTON_TOL closes at ten times it.
+    compiled basis cb.  Returns (X, ok, J): updated points, a convergence
+    mask and J of P_k at X.  Rows beyond |x_i| > 1e8 are marked failed; a
+    row the loop leaves above NEWTON_TOL closes at ten times it.
     """
     m = np.asarray(m, dtype=float)
     scale = 1.0 + float(np.max(np.abs(m)))
@@ -137,14 +158,13 @@ def _project_batch(cb, k, m, X, max_iter=60):
     def gauss_newton(Xa):
         P, J = cb.evaluate(Xa, k)
         R = P - m
-        return R, lambda rows: np.squeeze(
-            np.swapaxes(J[rows], 1, 2) @ _gram_solve(J[rows], R[rows]), axis=-1)
+        return R, lambda rows: _least_norm_solve(J[rows], R[rows]), J
 
     # damp oversized steps; the fiber scale is O(sqrt(m1)) for p1=|x|^2
     return _newton(
         gauss_newton, X, NEWTON_TOL * scale, max_iter,
         cap=lambda Xa: 0.5 * (1.0 + np.sqrt(np.add.reduce(Xa * Xa, axis=1, keepdims=True))),
-        runaway=lambda Xa: np.max(np.abs(Xa), axis=1) > 1e8,
+        runaway=lambda Xa: _row_max_abs(Xa) > 1e8,
         close_tol=10 * NEWTON_TOL * scale,
     )
 
@@ -162,8 +182,7 @@ def _first_rows(quant):
 def _tangent_directions(J, G):
     """Project the directions G onto the tangent space of the fiber, the
     kernel of the Jacobian rows J (B, k, n)."""
-    alpha = _gram_solve(J, np.einsum("bkn,bn->bk", J, G))
-    T = G - np.squeeze(np.swapaxes(J, 1, 2) @ alpha, axis=-1)
+    T = G - _least_norm_solve(J, np.einsum("bkn,bn->bk", J, G))
     norms = np.linalg.norm(T, axis=1, keepdims=True)
     return T / np.maximum(norms, 1e-300)
 
@@ -243,52 +262,44 @@ def sample_fiber(
     X0 = rng.normal(size=(FIBER_MULTISTARTS, n)) * s
     if x_hint is not None:
         X0[0] = np.asarray(x_hint, dtype=float)
-    X0, ok = _project_batch(cb, k, m, X0)
-    seeds = X0[ok]
-    if len(seeds) == 0:
-        return FiberSample(basis.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
-
+    X0, ok, J0 = _project_batch(cb, k, m, X0)
     cap = radius_cap if radius_cap is not None else 6.0 * s + 1.0
-    seeds = seeds[np.linalg.norm(seeds, axis=1) <= cap]
+    ok[ok] = np.linalg.norm(X0[ok], axis=1) <= cap
+    seeds, seed_J = X0[ok], J0[ok]
     if len(seeds) == 0:
         return FiberSample(basis.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
     walkers = min(256, max(n_points, 8))
     idx = rng.integers(0, len(seeds), size=walkers)
-    X = seeds[idx].copy()
+    X, J = seeds[idx], seed_J[idx]
     collected = [seeds]
     steps = max(int(np.ceil(1.3 * n_points / walkers)), 4)
     step_len = 0.15 * s
     for _ in range(steps):
-        T = _tangent_directions(cb.J(X, k), rng.normal(size=(walkers, n)))
+        T = _tangent_directions(J, rng.normal(size=(walkers, n)))
         X = X + step_len * T
-        X, ok = _project_batch(cb, k, m, X, max_iter=25)
-        runaway = np.linalg.norm(X, axis=1) > cap
-        bad = ~ok | runaway
+        X, ok, J = _project_batch(cb, k, m, X, max_iter=25)
+        bad = ~ok | (np.linalg.norm(X, axis=1) > cap)
         if np.any(bad):
             repl = rng.integers(0, len(seeds), size=int(np.sum(bad)))
-            X[bad] = seeds[repl]
-        collected.append(X[ok & ~runaway].copy())
+            X[bad], J[bad] = seeds[repl], seed_J[repl]
+        collected.append(X[~bad])
     pts = np.concatenate(collected, axis=0)
     pts = np.concatenate([pts, _extend_extremes(cb, k, m, pts, s, cap)], axis=0)
 
-    # reduce to the chamber and deduplicate deterministically
+    # reduce to the chamber, deduplicate deterministically and select rows
     pts = rs.to_chamber(pts)
-    resid = np.max(np.abs(cb.P(pts, k) - m), axis=1)
+    resid = _row_max_abs(cb.P(pts, k) - m)
     keep = resid <= FIBER_RESIDUAL_TOL * (1.0 + np.max(np.abs(m)))
     keep &= rs.chamber_contains(pts, tol=1e-9 * max(s, 1.0))
     keep &= np.linalg.norm(pts, axis=1) <= cap + 1e-9
-    pts = pts[keep]
-    if len(pts) == 0:
+    sel = np.flatnonzero(keep)
+    if len(sel) == 0:
         return FiberSample(basis.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
-    quant = np.round(pts / (1e-6 * max(s, 1e-6))).astype(np.int64)
-    pts = pts[_first_rows(quant)]
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    if len(pts) > n_points:
-        sel = np.linspace(0, len(pts) - 1, n_points).round().astype(int)
-        pts = pts[np.unique(sel)]
-    resid = float(np.max(np.abs(cb.P(pts, k) - m)))
-    return FiberSample(basis.ctype.name, k, m, pts, seed, resid)
+    sel = sel[_first_rows(np.round(pts[sel] / (1e-6 * max(s, 1e-6))).astype(np.int64))]
+    sel = sel[np.lexsort(pts[sel].T[::-1])]
+    if len(sel) > n_points:
+        sel = sel[np.unique(np.linspace(0, len(sel) - 1, n_points).round().astype(int))]
+    return FiberSample(basis.ctype.name, k, m, pts[sel], seed, float(np.max(resid[sel])))
 
 
 def _extend_extremes(cb, k, m, pts, s, cap):
@@ -299,44 +310,43 @@ def _extend_extremes(cb, k, m, pts, s, cap):
 
     A candidate depends only on its chain's point and the step, so when a
     chain moves, its candidates at the step and its next 7 halvings are
-    projected in one batch, which the serial acceptance then reads in turn.
+    projected in one batch, whose verdicts and p_{k+1} values become
+    Python scalars that the serial acceptance then reads in turn.
     """
     if k >= cb.k or len(pts) == 0:
         return np.zeros((0, pts.shape[1]))
     vals = cb.P(pts, k + 1)[:, k]
-    chosen = pts[[int(np.argmin(vals)), int(np.argmax(vals))]].copy()
+    chosen = pts[[int(np.argmin(vals)), int(np.argmax(vals))]]
     P, J = cb.evaluate(chosen, k + 1)
-    signs = np.array([-1.0, 1.0])
-    halvings = 0.5 ** np.arange(8)
-    rows = np.arange(2 * len(halvings)).reshape(2, -1)    # each chain's candidates
-    tried = np.full(2, len(halvings))                      # and its place in them
-    out = [chosen.copy()]
-    step = 0.2 * s
+    halvings, signs = 0.5 ** np.arange(8), np.array([-1.0, 1.0])
+    # per chain: its point, p_{k+1} value and Jacobian rows there, and its
+    # candidates as (point, verdict, value, Jacobian rows), read at tried
+    point, value, jac = list(chosen), P[:, k].tolist(), list(J)
+    found, tried, out, step = [None, None], [8, 8], list(chosen), 0.2 * s
     for _ in range(40):
-        fresh = np.flatnonzero(tried == len(halvings))
-        if len(fresh):
-            T = _tangent_directions(np.ascontiguousarray(J[fresh, :k]),
-                                    J[fresh, k, :] * signs[fresh, None])
-            cand = chosen[fresh, None] + (step * halvings)[:, None] * T[:, None]
-            cand, ok = _project_batch(cb, k, m, cand.reshape(-1, pts.shape[1]), max_iter=25)
-            found = (cand, ok, *cb.evaluate(cand, k + 1))
-            store = found if len(fresh) == 2 else store    # both, on the first pass
-            for a, f in zip(store, found):
-                a[rows[fresh].ravel()] = f
-            tried[fresh] = 0
-        cand, ok, P_new, J_new = (a[rows[[0, 1], tried]] for a in store)
-        better = ok & (signs * (P_new[:, k] - P[:, k]) > 0)
-        better &= np.linalg.norm(cand, axis=1) <= cap
-        chosen[better] = cand[better]
-        P[better], J[better] = P_new[better], J_new[better]
-        tried[better] = len(halvings)
-        if not np.any(better):
+        fresh = [c for c in (0, 1) if tried[c] == 8]
+        if fresh:
+            G = np.array([jac[c] for c in fresh])
+            T = _tangent_directions(np.ascontiguousarray(G[:, :k]), G[:, k, :] * signs[fresh, None])
+            X = np.array([point[c] for c in fresh])[:, None] + step * halvings[:, None] * T[:, None]
+            cand, ok, _ = _project_batch(cb, k, m, X.reshape(-1, pts.shape[1]), max_iter=25)
+            P_new, J_new = cb.evaluate(cand, k + 1)
+            accept = (ok & (np.linalg.norm(cand, axis=1) <= cap)).tolist()
+            rows = list(zip(cand, accept, P_new[:, k].tolist(), J_new))
+            for j, c in enumerate(fresh):
+                found[c], tried[c] = rows[8 * j:8 * j + 8], 0
+        moved = False
+        for c, sign in enumerate(signs.tolist()):
+            x, accepted, v, jx = found[c][tried[c]]
+            if accepted and sign * (v - value[c]) > 0:
+                point[c], value[c], jac[c], tried[c], moved = x, v, jx, 8, True
+        if not moved:
             step *= 0.5
-            tried += 1
+            tried = [t + 1 for t in tried]
             if step < 1e-9 * s:
                 break
-        out.append(chosen.copy())
-    return np.concatenate(out, axis=0)
+        out += point
+    return np.array(out)
 
 
 def fiber_connectivity(fs: FiberSample, radius: float | None = None) -> int:
@@ -474,7 +484,7 @@ def critical_points(
     s = _fiber_scale(basis, m, None)
 
     X0 = rng.normal(size=(CRITICAL_MULTISTARTS, n)) * s
-    X0, ok = _project_batch(cb, k, m, X0)
+    X0, ok, _ = _project_batch(cb, k, m, X0)
     X = X0[ok]
     if len(X) == 0:
         return []
@@ -494,10 +504,10 @@ def critical_points(
         jac[:, :k, :n] = Jk
         jac[:, k:, :n] = H[:, k] - np.einsum("bj,bjpq->bpq", mu, H[:, :k])
         jac[:, k:, n:] = -np.swapaxes(Jk, 1, 2)
-        return R, lambda rows: _solve(jac[rows], R[rows, :, None])[..., 0]
+        return R, lambda rows: _solve(jac[rows], R[rows, :, None])[..., 0], G
 
     scale = 1.0 + float(np.max(np.abs(m)))
-    Z, good = _newton(
+    Z, good, _ = _newton(
         lagrange, np.concatenate([X, mu], axis=1), NEWTON_TOL * scale, 80,
         cap=lambda Za: 0.5 * s + 0.5,
         runaway=lambda Za: np.linalg.norm(Za[:, :n], axis=1) >= 50 * s + 50,

@@ -406,19 +406,37 @@ def test_chunk_rows_fit_the_budget(name, basis_cache):
     gathered into them, hold at most CHUNK_VALUES values together, with as
     many rows as fit, or the chunk is one row."""
     cb = basis_cache(name).compiled
-    for table in (cb._p, cb._g, cb._hess):
+    for table in (cb._p, cb._g, cb._layout(False)[0], cb._layout(True)[0]):
         for count, ends in enumerate(table.ends):
             rows = table.chunk_rows(count)
             assert rows == 1 or 2 * ends * rows <= poly.CHUNK_VALUES
             assert ends == 0 or 2 * ends * (rows + 1) > poly.CHUNK_VALUES
 
 
+def _hessian_table(cb):
+    """The Hessians of the first k invariants from a table of their upper
+    triangles, flattened by (i, j, l >= j), so the first k use a prefix."""
+    table = poly.CompiledPoly([h for row in cb.basis.gradients
+                               for j, q in enumerate(row) for h in q.gradient()[j:]])
+    j, l = np.triu_indices(cb.n)
+
+    def hessians(X, k):
+        upper = table(X, k * len(j)).reshape(len(X), k, len(j))
+        H = np.empty((len(X), k, cb.n, cb.n))
+        H[..., j, l] = upper
+        H[..., l, j] = upper
+        return H
+    return hessians
+
+
 @pytest.mark.parametrize("name", EVERY_TYPE)
 def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
-    """One power table per batch reproduces P, J and the Hessians bit for
-    bit, with each table cut into chunks at its own row boundaries."""
+    """The fused tables reproduce P, J and the Hessians of their separate
+    tables bit for bit, with each table cut into chunks at its own row
+    boundaries."""
     b = basis_cache(name)
     cb = b.compiled
+    hessians = _hessian_table(cb)
     X = rng.normal(size=(200, b.nvars))
     # default chunks; one-row chunks for every table; 128-row chunks for P
     for chunk_values in (poly.CHUNK_VALUES, 1, 2 * 128 * cb._p.ends[-1]):
@@ -428,8 +446,12 @@ def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
             for k in range(1, cb.k + 1):
                 P, J, H = cb.evaluate(Xs, k, hess=True)
                 assert P.shape == (size, k) and J.shape == (size, k, b.nvars)
+                # C order, as separate tables give them: einsum's bits may
+                # depend on the layout
+                assert all(a.flags.c_contiguous for a in (P, J, H))
                 assert np.array_equal(P, cb.P(Xs, k))
                 assert np.array_equal(J, cb.J(Xs, k))
+                assert np.array_equal(H, hessians(Xs, k))
                 assert np.array_equal(H, cb.hessians(Xs, k))
                 P2, J2 = cb.evaluate(Xs, k)
                 assert np.array_equal(P2, P) and np.array_equal(J2, J)
@@ -450,9 +472,30 @@ def test_evaluation_does_not_depend_on_batch_position(name, basis_cache, rng, mo
     for got, want in zip(cb.evaluate(X[::-1], hess=True), (P, J, H)):
         assert np.array_equal(got[::-1], want)
     monkeypatch.setattr(poly, "CHUNK_VALUES", 1)
-    assert cb._hess.chunk_rows(cb.k * cb.n * (cb.n + 1) // 2) == 1
+    table = cb._layout(True)[0]
+    assert table.chunk_rows(len(table.ends) - 1) == 1
     for got, want in zip(cb.evaluate(X, hess=True), (P, J, H)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_evaluate_is_one_table_product(name, basis_cache, rng, monkeypatch):
+    """`evaluate` and `hessians` make one `from_powers` call per batch, with
+    and without Hessians, for every k: P, J and H come from one fused table."""
+    cb = basis_cache(name).compiled
+    X = rng.normal(size=(5, cb.n))
+    calls = []
+    from_powers = poly.CompiledPoly.from_powers
+    monkeypatch.setattr(poly.CompiledPoly, "from_powers",
+                        lambda self, *args: calls.append(self) or from_powers(self, *args))
+    for k in range(1, cb.k + 1):
+        for hess in (False, True):
+            calls.clear()
+            assert len(cb.evaluate(X, k, hess=hess)) == 2 + hess
+            assert calls == [cb._layout(hess)[0]]
+        calls.clear()
+        cb.hessians(X, k)
+        assert calls == [cb._layout(True)[0]]
 
 
 def _gamma(m):

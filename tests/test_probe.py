@@ -1,5 +1,6 @@
 """Fiber sampling, connectivity, value intervals, Lagrange critical points."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from chevalley.probe import (
 
 def _fiber_point(b, rs, k, m, x0):
     """One Newton projection onto P_k = m from x0, reflected into the chamber."""
-    X, ok = _project_batch(b.compiled, k, m, np.asarray(x0, dtype=float)[None, :])
+    X, ok, _ = _project_batch(b.compiled, k, m, np.asarray(x0, dtype=float)[None, :])
     assert ok[0]
     return rs.to_chamber(X[0])
 
@@ -50,7 +51,7 @@ def test_project_batch_norm_constraint(basis_cache, rs_cache, rng):
 def test_project_batch_unreachable_target_not_ok(basis_cache):
     """|x|^2 = -1 has no real solution: the convergence mask is False."""
     cb = basis_cache("B2").compiled
-    _, ok = _project_batch(cb, 1, [-1.0], np.array([[0.5, 0.1]]))
+    _, ok, _ = _project_batch(cb, 1, [-1.0], np.array([[0.5, 0.1]]))
     assert ok.tolist() == [False]
 
 
@@ -395,12 +396,13 @@ def test_newton_steps_only_rows_that_move():
         def steps(rows):
             asked.extend(Za[rows, 0].tolist())
             return np.where((Za[rows] == 0) | (Za[rows] == 2), np.nan, Za[rows])
-        return Za.copy(), steps
+        return Za.copy(), steps, Za
 
-    Z, ok = probe._newton(system, [[0.0], [1.0], [np.inf], [1e3], [2.0]], 1e-12, 10,
-                          cap=lambda Za: 1e9, runaway=lambda Za: np.abs(Za[:, 0]) > 100,
-                          close_tol=1e-12)
+    Z, ok, last = probe._newton(system, [[0.0], [1.0], [np.inf], [1e3], [2.0]], 1e-12, 10,
+                                cap=lambda Za: 1e9, runaway=lambda Za: np.abs(Za[:, 0]) > 100,
+                                close_tol=1e-12)
     assert ok.tolist() == [True, True, False, False, False]
+    assert np.array_equal(last, Z)    # each row's values from its last evaluation
     assert Z[:, 0].tolist() == [0.0, 0.0, np.inf, 1e3, 2.0]
     assert sorted(asked) == [1.0, 2.0]
 
@@ -417,12 +419,13 @@ def test_newton_closes_the_rows_its_loop_leaves():
 
     def system(Za):
         calls.append(Za[:, 0].tolist())
-        return Za.copy(), lambda rows: 0.5 * Za[rows]
+        return Za.copy(), lambda rows: 0.5 * Za[rows], Za
 
-    Z, ok = probe._newton(system, [[0.0], [1.0], [4.0], [np.nan]], 1e-12, 2,
-                          cap=lambda Za: 1e9, runaway=lambda Za: np.zeros(len(Za), bool),
-                          close_tol=0.3)
+    Z, ok, last = probe._newton(system, [[0.0], [1.0], [4.0], [np.nan]], 1e-12, 2,
+                                cap=lambda Za: 1e9, runaway=lambda Za: np.zeros(len(Za), bool),
+                                close_tol=0.3)
     assert ok.tolist() == [True, True, False, False]
+    assert np.array_equal(last, Z, equal_nan=True)
     assert Z[:3, 0].tolist() == [0.0, 0.25, 1.0] and np.isnan(Z[3, 0])
     assert len(calls) == 3 and len(calls[-1]) == 3
     assert calls[-1][:2] == [0.25, 1.0] and np.isnan(calls[-1][2])
@@ -439,7 +442,7 @@ def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_
 
     def spy(system, Z, tol, max_iter, cap, runaway, close_tol):
         def spied(Za):
-            R, steps = system(Za)
+            R, steps, values = system(Za)
             active[0] += len(Za)
 
             def spied_steps(rows):
@@ -447,7 +450,7 @@ def test_newton_asks_no_step_for_a_row_that_stops(basis_cache, rs_cache, strata_
                 assert np.all(np.isfinite(r) & (r > tol)) and not np.any(runaway(Za[rows]))
                 handed[0] += len(rows)
                 return steps(rows)
-            return R, spied_steps
+            return R, spied_steps, values
         return newton(spied, Z, tol, max_iter, cap, runaway, close_tol)
 
     monkeypatch.setattr(probe, "_newton", spy)
@@ -546,6 +549,8 @@ def _starts(b, m, size, rng):
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e-300, 1e300])
 def test_gram_solve_matches_reference(scale):
+    """At scale 1e300 the Gram matrix overflows, and both solves warn of it
+    (ROADMAP item 2); no other scale warns."""
     from chevalley.probe import _gram_solve
 
     rng = np.random.default_rng(5)
@@ -553,8 +558,10 @@ def test_gram_solve_matches_reference(scale):
         J = rng.normal(size=(300, k, 4)) * scale
         J[:5] = 0.0
         rhs = rng.normal(size=(300, k)) * scale
-        assert np.array_equal(_gram_solve(J, rhs), _gram_solve_reference(J, rhs),
-                              equal_nan=True)
+        with (pytest.warns(RuntimeWarning, match="overflow") if scale == 1e300
+              else contextlib.nullcontext()):
+            got, want = _gram_solve(J, rhs), _gram_solve_reference(J, rhs)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_singular_matrix_leaves_the_other_rows_alone():
@@ -613,7 +620,7 @@ def test_project_batch_matches_reference_loop(name, basis_cache, rs_cache):
                 assert np.array_equal(got[1], want[1])
                 paths.add((max_iter, bool(np.all(got[1]))))
             # a batch that converges on every row skips the closing check
-            X1, ok = _project_batch(cb, k, m, X0)
+            X1, ok, _ = _project_batch(cb, k, m, X0)
             X1 = X1[ok] + 1e-3 * rng.normal(size=X1[ok].shape)
             got = _project_batch(cb, k, m, X1)
             want = _project_batch_reference(cb, k, m, X1)
@@ -647,7 +654,7 @@ def test_project_batch_far_starts_match_reference(basis_cache, rs_cache):
             want = _project_batch_reference(cb, 1, m, X0, max_iter=max_iter)
             assert np.array_equal(got[0], want[0], equal_nan=True)
             assert np.array_equal(got[1], want[1])
-    X, ok = _project_batch(cb, 1, m, np.stack([far, x0]))
+    X, ok, _ = _project_batch(cb, 1, m, np.stack([far, x0]))
     assert ok.tolist() == [True, True] and np.array_equal(X[0], far)
 
 
@@ -677,7 +684,7 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache, mon
             s = _fiber_scale(b, m, hint)
             rng = np.random.default_rng(seed)
             X0 = hint + 0.1 * s * rng.normal(size=(40, b.nvars))
-            pts, ok = _project_batch(cb, k, m, X0)
+            pts, ok, _ = _project_batch(cb, k, m, X0)
             pts = pts[ok]
             for cap, scale in ((2.5, s), (1e-3, s), (2.5, 300 * s)):
                 cap *= float(np.linalg.norm(hint))
@@ -704,6 +711,124 @@ def test_extend_extremes_matches_reference_loop(name, basis_cache, rs_cache, mon
     if name not in ("B2", "A4", "H3"):
         wanted.add("failed projection")
     assert {(path, True) for path in wanted} <= paths
+
+
+def _sample_fiber_reference(b, rs, k, m, n_points, seed, x_hint=None, radius_cap=None,
+                            replaced=None):
+    """The fiber sampler as it was when the walk evaluated J at every step
+    and the sample's residuals were evaluated again after subsampling; the
+    number of walkers replaced at each step goes to `replaced`."""
+    from chevalley.probe import FIBER_MULTISTARTS, _extend_extremes, _first_rows, \
+        _fiber_scale, _rng, _tangent_directions
+
+    cb, n = b.compiled, b.nvars
+    m = np.asarray(m, dtype=float)
+    empty = FiberSample(b.ctype.name, k, m, np.zeros((0, n)), seed, 0.0)
+    rng = _rng(seed)
+    s = _fiber_scale(b, m, x_hint)
+    X0 = rng.normal(size=(FIBER_MULTISTARTS, n)) * s
+    if x_hint is not None:
+        X0[0] = np.asarray(x_hint, dtype=float)
+    X0, ok = _project_batch(cb, k, m, X0)[:2]
+    seeds = X0[ok]
+    if len(seeds) == 0:
+        return empty
+    cap = radius_cap if radius_cap is not None else 6.0 * s + 1.0
+    seeds = seeds[np.linalg.norm(seeds, axis=1) <= cap]
+    if len(seeds) == 0:
+        return empty
+    walkers = min(256, max(n_points, 8))
+    X = seeds[rng.integers(0, len(seeds), size=walkers)].copy()
+    collected = [seeds]
+    for _ in range(max(int(np.ceil(1.3 * n_points / walkers)), 4)):
+        T = _tangent_directions(cb.J(X, k), rng.normal(size=(walkers, n)))
+        X, ok = _project_batch(cb, k, m, X + 0.15 * s * T, max_iter=25)[:2]
+        runaway = np.linalg.norm(X, axis=1) > cap
+        bad = ~ok | runaway
+        if replaced is not None:
+            replaced.append(int(np.sum(bad)))
+        if np.any(bad):
+            X[bad] = seeds[rng.integers(0, len(seeds), size=int(np.sum(bad)))]
+        collected.append(X[ok & ~runaway].copy())
+    pts = np.concatenate(collected, axis=0)
+    pts = rs.to_chamber(np.concatenate([pts, _extend_extremes(cb, k, m, pts, s, cap)]))
+    keep = np.max(np.abs(cb.P(pts, k) - m), axis=1) <= 1e-9 * (1.0 + np.max(np.abs(m)))
+    keep &= rs.chamber_contains(pts, tol=1e-9 * max(s, 1.0))
+    keep &= np.linalg.norm(pts, axis=1) <= cap + 1e-9
+    pts = pts[keep]
+    if len(pts) == 0:
+        return empty
+    pts = pts[_first_rows(np.round(pts / (1e-6 * max(s, 1e-6))).astype(np.int64))]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    if len(pts) > n_points:
+        pts = pts[np.unique(np.linspace(0, len(pts) - 1, n_points).round().astype(int))]
+    resid = float(np.max(np.abs(cb.P(pts, k) - m)))
+    return FiberSample(b.ctype.name, k, m, pts, seed, resid)
+
+
+def _same_sample(got, want):
+    return (got.points.shape == want.points.shape
+            and got.points.tobytes() == want.points.tobytes()
+            and got.residual_max == want.residual_max)
+
+
+@pytest.mark.parametrize("name", ["B3", "A4", "H3", "D4"])
+def test_sample_fiber_matches_reference_loop(name, basis_cache, rs_cache):
+    """The walk reads each walker's J from its projection's last evaluation
+    (a replaced walker's from its seed's), and the kept rows keep their
+    residuals; the sample is the reference loop's, bit for bit."""
+    b, rs = basis_cache(name), rs_cache(name)
+    for k in (1, 2):
+        m, hint = random_regular_target(b, rs, k, 70 + k)
+        cap = 2.5 * float(np.linalg.norm(hint))
+        for n_points in (300, 600):
+            got = sample_fiber(b, rs, k, m, n_points=n_points, seed=k, x_hint=hint,
+                               radius_cap=cap)
+            want = _sample_fiber_reference(b, rs, k, m, n_points, k, x_hint=hint,
+                                           radius_cap=cap)
+            assert not got.empty and _same_sample(got, want)
+
+
+def test_sample_fiber_matches_reference_on_empty_and_runaway_fibers(basis_cache, rs_cache,
+                                                                   monkeypatch):
+    """A4: no start reaches p_2 = -1, so the sample is empty; at k = 1 the
+    fiber is a hyperplane, and a tight radius cap makes walkers run away
+    and be replaced by seeds at most steps.  B3 k = 2, where J varies along
+    the fiber: every 5th row of each walk projection, from a row that moves
+    on at each call, is declared failed, so replaced walkers must take
+    their seeds' J."""
+    import chevalley.probe as probe
+
+    b, rs = basis_cache("B3"), rs_cache("B3")
+    m, hint = random_regular_target(b, rs, 2, 5)
+    project, calls = probe._project_batch, [0]
+
+    def failing(*args, **kwargs):
+        X, ok, J = project(*args, **kwargs)
+        if kwargs.get("max_iter") == 25:
+            calls[0] += 1
+            ok[calls[0] % 5::5] = False
+        return X, ok, J
+    monkeypatch.setattr(probe, "_project_batch", failing)
+    monkeypatch.setitem(globals(), "_project_batch", failing)
+    replaced = []
+    got = sample_fiber(b, rs, 2, m, n_points=300, seed=4, x_hint=hint)
+    want = _sample_fiber_reference(b, rs, 2, m, 300, 4, x_hint=hint, replaced=replaced)
+    assert not got.empty and _same_sample(got, want) and min(replaced) > 0
+    monkeypatch.undo()
+
+    b, rs = basis_cache("A4"), rs_cache("A4")
+    got = sample_fiber(b, rs, 2, [0.0, -1.0], n_points=300, seed=1)
+    assert got.empty and _same_sample(got, _sample_fiber_reference(b, rs, 2, [0.0, -1.0], 300, 1))
+    m, hint = random_regular_target(b, rs, 1, 5)
+    cap = 1.2 * float(np.linalg.norm(hint))
+    replaced = []
+    for n_points in (300, 600):
+        got = sample_fiber(b, rs, 1, m, n_points=n_points, seed=4, x_hint=hint, radius_cap=cap)
+        want = _sample_fiber_reference(b, rs, 1, m, n_points, 4, x_hint=hint, radius_cap=cap,
+                                       replaced=replaced)
+        assert not got.empty and _same_sample(got, want)
+    assert sum(r > 0 for r in replaced) > len(replaced) // 2
 
 
 # -- connectivity against the full r-graph --------------------------------------
