@@ -30,7 +30,7 @@ import numpy as np
 from .coxeter import CoxeterType, RootSystem, coxeter_type
 from .errors import CapabilityError, CheckFailure, IntegrityError, UsageError
 from .field import ONE, Scalar
-from .poly import CompiledPoly, PolyMatrix, SparsePoly, power_table
+from .poly import CompiledPoly, PolyMatrix, SparsePoly
 
 SCHEMA_VERSION = 1
 CACHE_ENV_VAR = "CHEVALLEY_CACHE_DIR"
@@ -79,29 +79,34 @@ class CompiledBasis:
     """Batched float evaluation of the invariants, their gradients and
     Hessians.  This is the hot path for fiber sampling and mesh imaging.
 
-    `P` and `J` are one `CompiledPoly` table each, the invariants and their
-    gradients flattened by (i, j), so the first k use a prefix.  `evaluate`
-    reads one fused table of the invariants with their gradients and, for
-    the Hessians, a second one with their upper triangles too: one power
-    table, gather pass and CSR product give all of them."""
+    Two `CompiledPoly` tables hold them: the invariants and their gradients
+    flattened by (i, j), and, built on first Hessian use, the same rows
+    followed by the Hessians' upper triangles by (i, j, l >= j).  A call
+    reads one row set, built once per k, with one power table, gather pass
+    and CSR product."""
 
     def __init__(self, basis: InvariantBasis):
         self.basis = basis
-        self.n = basis.nvars
+        self.n = n = basis.nvars
         self.k = len(basis.polys)
-        self._p = CompiledPoly(basis.polys)
-        self._g = CompiledPoly([q for row in basis.gradients for q in row])
-        self._fused: dict[bool, tuple] = {}
+        self._table = CompiledPoly(basis.polys + [q for row in basis.gradients for q in row])
+        self._p_rows = [tuple(range(k)) for k in range(self.k + 1)]
+        self._j_rows = [tuple(range(self.k, self.k + k * n)) for k in range(self.k + 1)]
+
+    def _for_k(self, per_k: list, k: int | None):
+        """per_k[k] for the first k invariants, k in 0..n (default n)."""
+        if k is not None and not 0 <= k <= self.k:
+            raise UsageError(f"k must be in 0..{self.k}")
+        return per_k[self.k if k is None else k]
 
     def P(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Invariant values; X of shape (..., n) -> (..., k)."""
-        return self._p(X, k)
+        return self._table(X, self._for_k(self._p_rows, k))
 
     def J(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Jacobian rows for the first k invariants; (..., n) -> (..., k, n)."""
-        k = self.k if k is None else k
-        X = np.asarray(X, dtype=float)
-        return self._g(X, k * self.n).reshape(X.shape[:-1] + (k, self.n))
+        rows = self._for_k(self._j_rows, k)
+        return self._table(X, rows).reshape(np.shape(X)[:-1] + (len(rows) // self.n, self.n))
 
     @cached_property
     def gradient_scales(self) -> np.ndarray:
@@ -114,23 +119,23 @@ class CompiledBasis:
         scales.flags.writeable = False
         return scales
 
-    def _layout(self, hess: bool):
-        """The fused table and the columns of P, J and the Hessians in it,
-        built on first use: p_i, its gradient and, with hess, its Hessian's
-        upper triangle by (j, l >= j), invariant by invariant, so that the
-        first k invariants use a prefix."""
-        if hess not in self._fused:
-            n, polys = self.n, []
-            for p, row in zip(self.basis.polys, self.basis.gradients):
-                polys += [p, *row]
-                if hess:
-                    polys += [h for j, q in enumerate(row) for h in q.gradient()[j:]]
-            start = np.arange(self.k)[:, None] * (len(polys) // self.k)
-            # entry (j, l) of a Hessian is (min, max) of its row-major upper triangle
-            j, l = np.sort(np.indices((n, n)), axis=0)
-            self._fused[hess] = (CompiledPoly(polys), start[:, 0], start + 1 + np.arange(n),
-                                 start[..., None] + 1 + n + j * (2 * n - j - 1) // 2 + l)
-        return self._fused[hess]
+    @cached_property
+    def _hess_table(self) -> CompiledPoly:
+        return CompiledPoly(self.basis.polys + [q for row in self.basis.gradients for q in row]
+                            + [h for row in self.basis.gradients for j, q in enumerate(row)
+                               for h in q.gradient()[j:]])
+
+    @cached_property
+    def _layouts(self) -> list[tuple]:
+        """Per k: the rows of `evaluate` without and with the Hessians, and the
+        columns of P, J and the Hessians in its values."""
+        n, tri, first = self.n, self.n * (self.n + 1) // 2, self.k * (self.n + 1)
+        # entry (j, l) of a Hessian is (min, max) of its row-major upper triangle
+        j, l = np.sort(np.indices((n, n)), axis=0)
+        return [(p + g, p + g + tuple(range(first, first + k * tri)), np.arange(k),
+                 k + np.arange(k * n).reshape(k, n),
+                 k * (n + 1) + tri * np.arange(k)[:, None, None] + j * (2 * n - j - 1) // 2 + l)
+                for k, (p, g) in enumerate(zip(self._p_rows, self._j_rows))]
 
     def hessians(self, X: np.ndarray, k: int | None = None) -> np.ndarray:
         """Hessians of the first k invariants at a batch, (B, n) -> (B, k, n, n):
@@ -139,20 +144,16 @@ class CompiledBasis:
 
     def evaluate(self, X: np.ndarray, k: int | None = None, hess: bool = False):
         """(P, J) or (P, J, H) of the first k invariants at a batch X of shape
-        (B, n), from one fused table, bit for bit the `P` / `J` values and a
+        (B, n), from one row set, bit for bit the `P` / `J` values and a
         Hessian table's of each row, whatever batch holds it."""
-        k = self.k if k is None else k
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise UsageError("evaluate needs a batch of shape (B, n)")
-        if not 1 <= k <= self.k:
-            raise UsageError(f"k must be in 1..{self.k}")
-        table, p_cols, j_cols, h_cols = self._layout(hess)
-        count = k * (len(table.ends) - 1) // self.k
-        out = table.from_powers(power_table(X, table.degrees[count]), count)
+        rows, hess_rows, p_cols, j_cols, h_cols = self._for_k(self._layouts, k)
+        out = self._hess_table(X, hess_rows) if hess else self._table(X, rows)
         # gathers in C order, as separate tables give it: einsum's bits may depend on it
-        P, J = out.take(p_cols[:k], axis=1), out.take(j_cols[:k], axis=1)
-        return (P, J, out.take(h_cols[:k], axis=1)) if hess else (P, J)
+        P, J = out.take(p_cols, axis=1), out.take(j_cols, axis=1)
+        return (P, J, out.take(h_cols, axis=1)) if hess else (P, J)
 
 
 # ---------------------------------------------------------------------------

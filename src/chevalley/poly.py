@@ -15,8 +15,8 @@ share one form.  Total degrees are limited to MAX_DEGREE.
 
 `eval_exact` evaluates at exact points.  Float evaluation has one path,
 `CompiledPoly`, which freezes a list of polynomials into one monomial table
-and a sparse coefficient matrix and evaluates it on a batch of points; the
-fiber samplers, mesh builders and Jacobian checks all run on it.
+and a sparse coefficient matrix and evaluates any set of its rows on a batch
+of points; the fiber samplers, mesh builders and Jacobian checks all run on it.
 """
 
 from __future__ import annotations
@@ -402,7 +402,7 @@ class PolyMatrix:
 def power_table(x: np.ndarray, degree: int) -> np.ndarray:
     """x_i^0..x_i^degree for the rows of x (B, n), as x^p = x^(p//2) x^(p - p//2):
     shape (B, n, degree + 1), a view of an (n, degree + 1, B) array.  An entry
-    does not depend on `degree`, so one table serves every polynomial table."""
+    does not depend on `degree`, so no value depends on its row set's top power."""
     table = np.empty((x.shape[1], degree + 1, len(x)))
     table[:, 0] = 1.0
     if degree:
@@ -412,24 +412,28 @@ def power_table(x: np.ndarray, degree: int) -> np.ndarray:
     return table.transpose(2, 0, 1)
 
 
+def chunk_rows(monomials: int) -> int:
+    """Rows per evaluator chunk over M monomials: the most whose two (M, rows)
+    arrays, monomials and gathered factor, fit CHUNK_VALUES, at least one."""
+    return max(1, CHUNK_VALUES // max(2 * monomials, 1))
+
+
 class CompiledPoly:
     """A list of polynomials frozen into one monomial table for batched float
-    evaluation.
+    evaluation of any set of its rows, over only the monomials they use.
 
-    The union of the monomials is numbered in order of first appearance
-    (each polynomial's terms in graded-lex order), so the first `count`
-    polynomials use only a prefix of the table.  A batch is evaluated in
-    chunks of rows, so that the two (M, rows) arrays of a chunk, its
-    monomials and the factor being gathered into them, hold at most
-    CHUNK_VALUES values together (one row per chunk if 2M exceeds it): the
-    monomials are products of power-table entries in variable order, and
-    one product with the CSR coefficients (count, M) sums each value left
-    to right over its own terms.  So a row's bits depend on that row alone,
-    not on its batch, chunk or neighbours, nor on the BLAS thread count,
-    and a value's bits do not depend on the other polynomials of its table.
+    A batch is evaluated in chunks of rows, so that the two (M, rows) arrays
+    of a chunk, its M monomials and the factor being gathered into them,
+    hold at most CHUNK_VALUES values together (one row per chunk if 2M
+    exceeds it): the monomials are products of power-table entries in
+    variable order, and one product with the row set's CSR coefficients sums
+    each value left to right over its own terms.  So a row's bits depend on
+    that row alone, not on its batch, chunk or neighbours, nor on the BLAS
+    thread count, and a value's bits do not depend on the other rows of its
+    table or of its row set.
     """
 
-    __slots__ = ("nvars", "expo", "ends", "degrees", "_csr", "_coef")
+    __slots__ = ("nvars", "_csr", "_expo", "_sets")
 
     def __init__(self, polys: Sequence[SparsePoly]):
         polys = list(polys)
@@ -444,48 +448,42 @@ class CompiledPoly:
                         dtype=np.int32)
         ptr = np.cumsum([0] + [len(t) for t in terms], dtype=np.int32)
         self._csr = (np.array([float(c) for t in terms for _, c in t]), cols, ptr)
-        self._coef: dict[int, csr_matrix] = {}  # CSR of the first `count`, built on first use
-        # ends[c] monomials and powers up to degrees[c] serve the first c
-        # polynomials: running maxima over the terms and over the monomials
-        self.ends = np.concatenate([[0], np.maximum.accumulate(cols) + 1])[ptr].tolist()
-        self.expo = np.array(list(index), dtype=np.int64).reshape(len(index), self.nvars)
-        top = np.maximum.accumulate(self.expo.max(axis=1, initial=0))
-        self.degrees = np.concatenate([[0], top])[self.ends].tolist()
+        self._expo = np.array(list(index), dtype=np.int64).reshape(len(index), self.nvars).T.copy()
+        self._sets: dict[tuple[int, ...] | None, tuple] = {}
 
-    def __call__(self, x: np.ndarray, count: int | None = None) -> np.ndarray:
-        """Values of the first `count` polynomials (default all) at x of
-        shape (..., nvars): shape (..., count)."""
+    def __call__(self, x: np.ndarray, rows: tuple[int, ...] | None = None) -> np.ndarray:
+        """Values of the polynomials `rows` (a tuple of row indices, default
+        all) at x of shape (..., nvars): shape (..., len(rows))."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.nvars:
             raise UsageError("evaluation point has wrong length")
-        size = len(self.ends) - 1
-        count = size if count is None else count
-        if not 0 <= count <= size:
-            raise UsageError(f"count must be in 0..{size}")
-        table = power_table(x.reshape(-1, self.nvars), self.degrees[count])
-        return self.from_powers(table, count).reshape(x.shape[:-1] + (count,))
-
-    def from_powers(self, table: np.ndarray, count: int) -> np.ndarray:
-        """Values of the first `count` polynomials from a power table of the
-        whole batch, (B, nvars, >= degree + 1) as `power_table` builds it:
-        shape (B, count), equal bit for bit to `self(x, count)`."""
-        if count not in self._coef:
-            data, cols, ptr = self._csr
-            self._coef[count] = csr_matrix((data[:ptr[count]], cols[:ptr[count]], ptr[:count + 1]),
-                                           shape=(count, self.ends[count]))
-        expo = self.expo[:self.ends[count]].T
-        out = np.empty((len(table), count))
-        rows = self.chunk_rows(count)
-        for start in range(0, len(table), rows):
-            powers = table[start:start + rows].transpose(1, 2, 0)
+        coef, expo, degree = self._sets.get(rows) or self.row_set(rows)
+        table = power_table(x if x.ndim == 2 else x.reshape(-1, self.nvars), degree)
+        out = np.empty((len(table), coef.shape[0]))
+        step = chunk_rows(expo.shape[1])
+        for start in range(0, len(table), step):
+            powers = table[start:start + step].transpose(1, 2, 0)
             mono = powers[0, expo[0]]
             for v in range(1, self.nvars):
                 mono *= powers[v, expo[v]]
-            out[start:start + rows] = (self._coef[count] @ mono).T
-        return out
+            out[start:start + step] = (coef @ mono).T
+        return out if x.ndim == 2 else out.reshape(x.shape[:-1] + out.shape[1:])
 
-    def chunk_rows(self, count: int) -> int:
-        """Rows per chunk when evaluating the first `count` polynomials: the
-        most whose monomials and gathered factor, two (M, rows) arrays, fit
-        CHUNK_VALUES together, and at least one."""
-        return max(1, CHUNK_VALUES // max(2 * self.ends[count], 1))
+    def row_set(self, rows: tuple[int, ...] | None = None) -> tuple:
+        """The CSR coefficients (len(rows), M), exponents (nvars, M) and top
+        power of the M monomials that `rows` use, in table order, built on
+        first use.  Each row keeps its terms in its own order."""
+        entry = self._sets.get(rows)
+        if entry is None:
+            data, cols, ptr = self._csr
+            idx = np.arange(len(ptr) - 1) if rows is None else np.array(rows, dtype=np.intp)
+            if idx.ndim != 1 or ((idx < 0) | (idx >= len(ptr) - 1)).any():
+                raise UsageError(f"row indices must be in 0..{len(ptr) - 2}")
+            # the rows' terms, each row's in its own order, and their monomials
+            sub = np.cumsum(np.concatenate([[0], ptr[idx + 1] - ptr[idx]]))
+            take = np.repeat(ptr[idx] - sub[:-1], np.diff(sub)) + np.arange(sub[-1])
+            used, local = np.unique(cols[take], return_inverse=True)
+            expo = self._expo[:, used]
+            coef = csr_matrix((data[take], local, sub), shape=(len(idx), len(used)))
+            entry = self._sets[rows] = (coef, expo, int(expo.max(initial=0)))
+        return entry

@@ -20,6 +20,7 @@ from chevalley.field import ONE, Scalar
 from chevalley.invariants import (
     _PACKAGE_DATA,
     JACOBIAN_POINT,
+    CompiledBasis,
     InvariantBasis,
     basic_invariants,
     basis_content_hash,
@@ -331,7 +332,7 @@ def test_compiled_basis_matches_per_polynomial_reference(name, basis_cache, rng)
     cb, n, k = b.compiled, b.nvars, len(b.polys)
     grads = [g for p in b.polys for g in p.gradient()]
     hess = [[g.gradient() for g in p.gradient()] for p in b.polys]
-    two_chunks = cb._g.chunk_rows(k * n) + 65
+    two_chunks = poly.chunk_rows(_monomials(cb._table, cb._j_rows[k])) + 65
     for size in (0, 1, 65, two_chunks):
         X = rng.normal(size=(size, n))
         ref_p = _per_polynomial_reference(b.polys, X)
@@ -376,8 +377,9 @@ def test_h4_face_batch_does_not_depend_on_its_chunks(basis_cache, rng, monkeypat
     cb = basis_cache("H4").compiled
     X = rng.normal(size=(100, 4))
     J = cb.J(X)
-    assert -(-100 // cb._g.chunk_rows(16)) == 3
-    for chunk_values in (1, 2 * 100 * cb._g.ends[16]):
+    m = _monomials(cb._table, cb._j_rows[4])
+    assert -(-100 // poly.chunk_rows(m)) == 3
+    for chunk_values in (1, 2 * 100 * m):
         monkeypatch.setattr(poly, "CHUNK_VALUES", chunk_values)
         assert np.array_equal(cb.J(X), J)
 
@@ -400,46 +402,130 @@ EVERY_TYPE = ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3", "B4",
               "G2", "H3", "F4", "H4"]
 
 
+def _monomials(table, rows):
+    """The number of monomials a row set of a table evaluates."""
+    return table.row_set(rows)[1].shape[1]
+
+
+def _row_sets(cb):
+    """Every (table, row set) the basis evaluates: P, J and `evaluate` with
+    and without Hessians, at every k."""
+    for k in range(cb.k + 1):
+        yield cb._table, cb._p_rows[k]
+        yield cb._table, cb._j_rows[k]
+        yield cb._table, cb._layouts[k][False]
+        yield cb._hess_table, cb._layouts[k][True]
+
+
 @pytest.mark.parametrize("name", EVERY_TYPE)
 def test_chunk_rows_fit_the_budget(name, basis_cache):
     """A chunk's two (M, rows) arrays, its monomials and the factor being
     gathered into them, hold at most CHUNK_VALUES values together, with as
     many rows as fit, or the chunk is one row."""
+    for table, rows in _row_sets(basis_cache(name).compiled):
+        m = _monomials(table, rows)
+        step = poly.chunk_rows(m)
+        assert step == 1 or 2 * m * step <= poly.CHUNK_VALUES
+        assert m == 0 or 2 * m * (step + 1) > poly.CHUNK_VALUES
+
+
+def _distinct_monomials(polys):
+    return len({e for p in polys for e in p.terms})
+
+
+@pytest.mark.parametrize("name", EVERY_TYPE)
+def test_row_sets_evaluate_only_their_monomials(name, basis_cache):
+    """The row set behind P(X, k) evaluates exactly the distinct monomials
+    of p_1..p_k, the one behind J(X, k) those of their gradients, and the
+    one of `evaluate` the union of the two and, with Hessians, of theirs."""
     cb = basis_cache(name).compiled
-    for table in (cb._p, cb._g, cb._layout(False)[0], cb._layout(True)[0]):
-        for count, ends in enumerate(table.ends):
-            rows = table.chunk_rows(count)
-            assert rows == 1 or 2 * ends * rows <= poly.CHUNK_VALUES
-            assert ends == 0 or 2 * ends * (rows + 1) > poly.CHUNK_VALUES
+    b = cb.basis
+    for k in range(cb.k + 1):
+        grads = [q for row in b.gradients[:k] for q in row]
+        hess = [h for row in b.gradients[:k] for q in row for h in q.gradient()]
+        assert _monomials(cb._table, cb._p_rows[k]) == _distinct_monomials(b.polys[:k])
+        assert _monomials(cb._table, cb._j_rows[k]) == _distinct_monomials(grads)
+        assert (_monomials(cb._table, cb._layouts[k][False])
+                == _distinct_monomials(b.polys[:k] + grads))
+        assert (_monomials(cb._hess_table, cb._layouts[k][True])
+                == _distinct_monomials(b.polys[:k] + grads + hess))
+    if name == "H4":
+        assert _monomials(cb._table, cb._p_rows[4]) == 1118
+        assert _monomials(cb._table, cb._j_rows[4]) == 3684
+        assert _monomials(cb._table, None) == 4802
 
 
-def _hessian_table(cb):
-    """The Hessians of the first k invariants from a table of their upper
-    triangles, flattened by (i, j, l >= j), so the first k use a prefix."""
-    table = poly.CompiledPoly([h for row in cb.basis.gradients
-                               for j, q in enumerate(row) for h in q.gradient()[j:]])
-    j, l = np.triu_indices(cb.n)
+def test_bad_invariant_counts_are_usage_errors(basis_cache, rng):
+    """k outside 0..n is a usage error for P, J, `evaluate` and `hessians`
+    (a row list indexed by k would hand back other rows); k = 0 gives
+    empty values."""
+    cb = basis_cache("B3").compiled
+    X = rng.normal(size=(5, 3))
+    for k in (-1, 4):
+        for f in (cb.P, cb.J, cb.evaluate, cb.hessians):
+            with pytest.raises(UsageError):
+                f(X, k)
+    assert cb.P(X, 0).shape == (5, 0) and cb.J(X, 0).shape == (5, 0, 3)
+    assert cb.P(X[0], 0).shape == (0,) and cb.J(X[0], 0).shape == (0, 3)
+    P, J, H = cb.evaluate(X, 0, hess=True)
+    assert P.shape == (5, 0) and J.shape == (5, 0, 3) and H.shape == (5, 0, 3, 3)
+
+
+def test_compiled_basis_holds_two_tables(basis_cache, rng):
+    """One table of the invariants with their gradients, and a second one
+    with the Hessians too once a Hessian is asked for; every row set reads
+    one of them."""
+    cb = CompiledBasis(basis_cache("A4"))
+
+    def tables():
+        return [v for v in vars(cb).values() if isinstance(v, poly.CompiledPoly)]
+    X = rng.normal(size=(3, 4))
+    for f in (cb.P, cb.J, cb.evaluate):
+        f(X, 2)
+    assert tables() == [cb._table]
+    cb.evaluate(X, 2, hess=True)
+    cb.hessians(X)
+    assert tables() == [cb._table, cb._hess_table]
+
+
+def _separate_tables(b):
+    """P, J and the Hessians of the first k invariants from one table each,
+    the invariants, their gradients flattened by (i, j) and their Hessians'
+    upper triangles flattened by (i, j, l >= j), the first k reading their
+    first rows: the references the fused row sets must match bit for bit."""
+    n = b.nvars
+    p_table = poly.CompiledPoly(b.polys)
+    g_table = poly.CompiledPoly([q for row in b.gradients for q in row])
+    h_table = poly.CompiledPoly([h for row in b.gradients
+                                 for j, q in enumerate(row) for h in q.gradient()[j:]])
+    j, l = np.triu_indices(n)
+
+    def P(X, k):
+        return p_table(X, tuple(range(k)))
+
+    def J(X, k):
+        return g_table(X, tuple(range(k * n))).reshape(len(X), k, n)
 
     def hessians(X, k):
-        upper = table(X, k * len(j)).reshape(len(X), k, len(j))
-        H = np.empty((len(X), k, cb.n, cb.n))
+        upper = h_table(X, tuple(range(k * len(j)))).reshape(len(X), k, len(j))
+        H = np.empty((len(X), k, n, n))
         H[..., j, l] = upper
         H[..., l, j] = upper
         return H
-    return hessians
+    return P, J, hessians, _monomials(p_table, None)
 
 
 @pytest.mark.parametrize("name", EVERY_TYPE)
 def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
-    """The fused tables reproduce P, J and the Hessians of their separate
-    tables bit for bit, with each table cut into chunks at its own row
+    """The fused tables' row sets reproduce P, J and the Hessians of
+    separate tables bit for bit, with each cut into chunks at its own row
     boundaries."""
     b = basis_cache(name)
     cb = b.compiled
-    hessians = _hessian_table(cb)
+    ref_p, ref_j, hessians, p_monomials = _separate_tables(b)
     X = rng.normal(size=(200, b.nvars))
     # default chunks; one-row chunks for every table; 128-row chunks for P
-    for chunk_values in (poly.CHUNK_VALUES, 1, 2 * 128 * cb._p.ends[-1]):
+    for chunk_values in (poly.CHUNK_VALUES, 1, 2 * 128 * p_monomials):
         monkeypatch.setattr(poly, "CHUNK_VALUES", chunk_values)
         for size in (0, 1, 2, 65, 200):
             Xs = X[:size]
@@ -449,6 +535,8 @@ def test_evaluate_matches_separate_calls(name, basis_cache, rng, monkeypatch):
                 # C order, as separate tables give them: einsum's bits may
                 # depend on the layout
                 assert all(a.flags.c_contiguous for a in (P, J, H))
+                assert np.array_equal(P, ref_p(Xs, k))
+                assert np.array_equal(J, ref_j(Xs, k))
                 assert np.array_equal(P, cb.P(Xs, k))
                 assert np.array_equal(J, cb.J(Xs, k))
                 assert np.array_equal(H, hessians(Xs, k))
@@ -462,8 +550,11 @@ def test_evaluation_does_not_depend_on_batch_position(name, basis_cache, rng, mo
     """A row's P, J and Hessians are the same bits batched, row by row, in
     reversed order and with one row per chunk."""
     cb = basis_cache(name).compiled
+    ref_p, ref_j, hessians, _ = _separate_tables(cb.basis)
     X = rng.normal(size=(70, cb.n)) * np.exp(rng.uniform(-3, 3, size=(70, 1)))
     P, J, H = cb.evaluate(X, hess=True)
+    assert np.array_equal(ref_p(X, cb.k), P) and np.array_equal(ref_j(X, cb.k), J)
+    assert np.array_equal(hessians(X, cb.k), H)
     assert np.array_equal(cb.P(X), P) and np.array_equal(cb.J(X), J)
     assert np.array_equal(cb.hessians(X), H)
     rows = [cb.evaluate(x[None, :], hess=True) for x in X]
@@ -472,30 +563,33 @@ def test_evaluation_does_not_depend_on_batch_position(name, basis_cache, rng, mo
     for got, want in zip(cb.evaluate(X[::-1], hess=True), (P, J, H)):
         assert np.array_equal(got[::-1], want)
     monkeypatch.setattr(poly, "CHUNK_VALUES", 1)
-    table = cb._layout(True)[0]
-    assert table.chunk_rows(len(table.ends) - 1) == 1
+    assert poly.chunk_rows(_monomials(cb._hess_table, cb._layouts[cb.k][True])) == 1
     for got, want in zip(cb.evaluate(X, hess=True), (P, J, H)):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", EVERY_TYPE)
 def test_evaluate_is_one_table_product(name, basis_cache, rng, monkeypatch):
-    """`evaluate` and `hessians` make one `from_powers` call per batch, with
-    and without Hessians, for every k: P, J and H come from one fused table."""
+    """`evaluate` and `hessians` evaluate one row set of one fused table per
+    batch, from one power table, with and without Hessians, for every k:
+    on a batch of one chunk that is one gather pass and one CSR product."""
     cb = basis_cache(name).compiled
     X = rng.normal(size=(5, cb.n))
-    calls = []
-    from_powers = poly.CompiledPoly.from_powers
-    monkeypatch.setattr(poly.CompiledPoly, "from_powers",
-                        lambda self, *args: calls.append(self) or from_powers(self, *args))
+    calls, powers = [], []
+    call, power_table = poly.CompiledPoly.__call__, poly.power_table
+    monkeypatch.setattr(poly.CompiledPoly, "__call__",
+                        lambda self, x, rows: calls.append((self, rows)) or call(self, x, rows))
+    monkeypatch.setattr(poly, "power_table",
+                        lambda *args: powers.append(1) or power_table(*args))
     for k in range(1, cb.k + 1):
-        for hess in (False, True):
-            calls.clear()
-            assert len(cb.evaluate(X, k, hess=hess)) == 2 + hess
-            assert calls == [cb._layout(hess)[0]]
-        calls.clear()
-        cb.hessians(X, k)
-        assert calls == [cb._layout(True)[0]]
+        for hess, run in ((False, lambda: cb.evaluate(X, k)),
+                          (True, lambda: cb.evaluate(X, k, hess=True)),
+                          (True, lambda: cb.hessians(X, k))):
+            table, rows = (cb._hess_table if hess else cb._table), cb._layouts[k][hess]
+            calls.clear(), powers.clear()
+            run()
+            assert calls == [(table, rows)] and powers == [1]
+            assert poly.chunk_rows(_monomials(table, rows)) >= len(X)
 
 
 def _gamma(m):

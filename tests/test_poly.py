@@ -267,7 +267,7 @@ def test_compiled_table_of_several_polynomials(rng):
     assert vals.shape == (70, 3)
     for q, p in enumerate(polys):
         assert np.array_equal(vals[:, q], CompiledPoly([p])(pts)[:, 0])
-    assert np.array_equal(table(pts, 1), vals[:, :1])
+    assert np.array_equal(table(pts, (0,)), vals[:, :1])
     assert table(pts[0]).shape == (3,)
     assert table(np.zeros((0, 3))).shape == (0, 3)
     with pytest.raises(UsageError):
@@ -398,10 +398,24 @@ def test_power_table_entries_do_not_depend_on_its_length(rng):
         assert np.array_equal(power_table(x, d), full[..., :d + 1])
 
 
-def test_compiled_from_powers_matches_call(rng):
-    polys = [_random_poly(rng, 3), _random_poly(rng, 3), SparsePoly.zero(3)]
+def test_compiled_row_subsets_match_single_tables(rng):
+    """Any row subset, in any order and with repeats, gives each row's
+    single-polynomial values bit for bit, over only the monomials it uses;
+    a row outside the table is a usage error."""
+    polys = [_random_poly(rng, 3), _random_poly(rng, 3), SparsePoly.zero(3),
+             _random_poly(rng, 3), SparsePoly.const(3, ONE)]
     table = CompiledPoly(polys)
     pts = rng.uniform(-2, 2, size=(130, 3))
-    powers = power_table(pts, max(table.degrees) + 4)
-    for count in range(4):
-        assert np.array_equal(table.from_powers(powers, count), table(pts, count))
+    single = [CompiledPoly([p])(pts)[:, 0] for p in polys]
+    subsets = [(), (2,), (4, 0), (3, 1, 0), (1, 1, 4, 2, 3, 0)]
+    subsets += [tuple(rng.permutation(5)[:size]) for size in range(1, 6)]
+    for rows in subsets:
+        vals = table(pts, rows)
+        assert vals.shape == (130, len(rows))
+        for col, i in enumerate(rows):
+            assert np.array_equal(vals[:, col], single[i])
+        used = {e for i in rows for e in polys[i].terms}
+        assert table.row_set(rows)[1].shape == (3, len(used))
+    for rows in ((5,), (0, -1), ((0, 1),)):
+        with pytest.raises(UsageError):
+            table(pts, rows)
